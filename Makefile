@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-json bench-diff bench-shard lint fmt vet api-check api-update serve-smoke chaos-smoke shard-smoke overload-smoke ingest-smoke docs-check ci
+.PHONY: build test test-race bench bench-smoke bench-json bench-diff bench-shard bench-check lint fmt vet api-check api-update serve-smoke chaos-smoke shard-smoke overload-smoke ingest-smoke docs-check ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,15 @@ bench-json:
 # Slow by design; the quick variant runs inside bench-smoke/bench-json.
 bench-shard:
 	$(GO) run ./cmd/gsmbench -exp E17 -json > BENCH_shard.json
+
+# The benchmark harness (bench/, BENCHMARK.json) is a module of its own, so
+# nothing above builds or tests it: vet it, run its tests, then one short
+# verified run of a workload through the script the benchmark driver uses
+# (exit 0 means every answer matched).
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+	bash bench/run.sh --workload serve-scan --seed 16 --seconds 2 --trace 0
 
 # Per-experiment wall-clock delta between two bench-json reports (CI feeds
 # it the previous run's artifact): make bench-diff OLD=a.json NEW=b.json
@@ -87,7 +96,8 @@ overload-smoke:
 	sh scripts/overload-smoke.sh
 
 # Documentation link check: every local markdown link in README.md and
-# docs/*.md must resolve to an existing file.
+# docs/*.md, and every markdown file they name in code quotes, must resolve
+# to an existing file.
 docs-check:
 	$(GO) test -run TestDocsLinks .
 
@@ -102,4 +112,4 @@ vet:
 
 lint: fmt vet
 
-ci: build lint api-check docs-check test-race serve-smoke shard-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-json
+ci: build lint api-check docs-check test-race serve-smoke shard-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-json bench-check

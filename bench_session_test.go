@@ -103,3 +103,37 @@ func BenchmarkSessionQueryStreamPrepared(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSessionScanCycle is the benchmark harness's serve-scan query
+// cycle without the server: the eight navigational RPQs over the bulk
+// target relations on one warmed session of the canonical serving pair
+// (11 990-node solution, ≈ 2 400 answers per query). It is where the
+// alloc_space profiles in docs/BENCHMARKS.md come from.
+func BenchmarkSessionScanCycle(b *testing.B) {
+	sc := workload.Serving(workload.ServingSpec{Nodes: 3000, Edges: 9000, Queries: 50, Seed: 16})
+	ctx := context.Background()
+	s, err := NewSession(MustCompile(sc.Mapping), sc.Graph)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var queries []Query
+	for _, text := range []string{"p q", "r q", "p q r", "(p|r) q", "s t", "p q q", "r q p", "(p|r) q (p|r)"} {
+		q, err := ParseRPQ(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.CertainNull(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			if _, err := s.CertainNull(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package repro_test
 
-// One benchmark per reproduction experiment (E1–E12, see EXPERIMENTS.md and
-// DESIGN.md §3). Each benchmark exercises the core operation whose
+// One benchmark per reproduction experiment (E1–E12, see
+// internal/experiments). Each benchmark exercises the core operation whose
 // complexity the corresponding paper result describes; cmd/gsmbench prints
 // the full parameter sweeps as tables.
 //
@@ -251,7 +251,7 @@ func BenchmarkE12CombinedComplexity(b *testing.B) {
 }
 
 // The experiment tables themselves (quick mode) — so `go test -bench .`
-// regenerates every figure of EXPERIMENTS.md in one run.
+// regenerates every experiment table in one run.
 func BenchmarkExperimentTablesQuick(b *testing.B) {
 	for _, e := range experiments.All() {
 		e := e
@@ -265,8 +265,8 @@ func BenchmarkExperimentTablesQuick(b *testing.B) {
 	}
 }
 
-// Microbenchmarks for the substrates (used to track the ablation of
-// DESIGN.md §5: shared RA engine vs direct matcher).
+// Microbenchmarks for the substrates (used to track the E12 ablation:
+// shared RA engine vs direct matcher).
 func BenchmarkSubstrateREEMatchRA(b *testing.B) {
 	q := ree.MustParseQuery(".* (.+)= .*")
 	w := randomDataPath(64)

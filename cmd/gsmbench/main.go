@@ -1,5 +1,5 @@
 // Command gsmbench runs the reproduction experiments E1–E13 (one per paper
-// result; see EXPERIMENTS.md and DESIGN.md §3) plus the systems scenarios
+// result; see internal/experiments) plus the systems scenarios
 // grown on top of them (E14: incremental snapshot maintenance under
 // update-heavy streaming workloads; E15: session API amortization over
 // query streams; E16: the HTTP serving layer with shared session backends;

@@ -12,10 +12,16 @@ import (
 // docs in this repo; reference-style links are not used here.
 var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
+// mdName matches a markdown file named in code quotes, like `CHANGES.md`:
+// the way the docs cite a document without linking it. Patterns (`docs/*.md`)
+// are not names.
+var mdName = regexp.MustCompile("`([^`\\s*<>]+\\.md)`")
+
 // TestDocsLinks verifies that every local markdown link in README.md and
-// docs/*.md points at a file that exists, so the documentation layer cannot
-// silently rot as files move. CI runs this via `make docs-check` (it is also
-// part of the ordinary test suite).
+// docs/*.md, and every markdown file they name in code quotes, points at a
+// file that exists, so the documentation layer cannot silently rot as files
+// move. CI runs this via `make docs-check` (it is also part of the ordinary
+// test suite).
 func TestDocsLinks(t *testing.T) {
 	files := []string{"README.md"}
 	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
@@ -47,6 +53,16 @@ func TestDocsLinks(t *testing.T) {
 			resolved := filepath.Join(filepath.Dir(f), target)
 			if _, err := os.Stat(resolved); err != nil {
 				t.Errorf("%s: broken local link %q (resolved to %s): %v", f, m[1], resolved, err)
+			}
+			checked++
+		}
+		// A quoted name is read from the file's directory or, as the docs
+		// cite root-level documents, from the repository root.
+		for _, m := range mdName.FindAllStringSubmatch(string(b), -1) {
+			_, errHere := os.Stat(filepath.Join(filepath.Dir(f), m[1]))
+			_, errRoot := os.Stat(m[1])
+			if errHere != nil && errRoot != nil {
+				t.Errorf("%s: names `%s`, which does not exist", f, m[1])
 			}
 			checked++
 		}

@@ -13,7 +13,7 @@ import (
 // tests) with at most one inequality, query answering is in NLogspace.
 //
 // The algorithm is a forced-merge fixpoint over value classes of the
-// universal solution U (see DESIGN.md for the correctness argument):
+// universal solution U. The correctness argument:
 //
 //   - Adversarial solutions can be taken to be value specializations of U,
 //     because data RPQs are closed under value-preserving homomorphisms.

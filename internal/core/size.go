@@ -2,6 +2,8 @@ package core
 
 import (
 	"sync"
+
+	"repro/internal/datagraph"
 )
 
 // This file extends the datagraph byte-accounting layer to the core
@@ -14,14 +16,23 @@ const (
 	sizeWord     = 8
 )
 
+// nodeBytes estimates one Node entry (id + value). The null value holds no
+// datum (Value.Raw panics on it) and is sized as the empty string.
+func nodeBytes(n datagraph.Node) int64 {
+	b := int64(sizeString + len(n.ID) + sizeString + sizeWord)
+	if !n.Value.IsNull() {
+		b += int64(len(n.Value.Raw()))
+	}
+	return b
+}
+
 // SizeBytes estimates the answer set's resident footprint.
 func (a *Answers) SizeBytes() int64 {
 	var b int64 = 64
 	for k, ans := range a.m {
 		b += sizeMapEntry
 		b += sizeString + int64(len(k[0])) + sizeString + int64(len(k[1]))
-		b += sizeString + int64(len(ans.From.ID)) + sizeString + int64(len(ans.From.Value.Raw())) + sizeWord
-		b += sizeString + int64(len(ans.To.ID)) + sizeString + int64(len(ans.To.Value.Raw())) + sizeWord
+		b += nodeBytes(ans.From) + nodeBytes(ans.To)
 	}
 	return b
 }
@@ -112,7 +123,7 @@ func (mat *Materialization) SizeBytes() int64 {
 	add(1, domNOK, func() int64 {
 		var b int64
 		for _, n := range domN {
-			b += sizeString + int64(len(n.ID)) + sizeString + int64(len(n.Value.Raw())) + sizeWord
+			b += nodeBytes(n)
 		}
 		return b
 	})

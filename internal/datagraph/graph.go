@@ -503,7 +503,7 @@ func (g *Graph) SetValue(i int, v Value) {
 // Specialize returns a copy of the graph in which the value of each node is
 // replaced according to assign; nodes absent from assign keep their value.
 // It is used to build the value specializations σ(U) of a universal solution
-// discussed in DESIGN.md (certain-answer oracle).
+// that the certain-answer oracle searches.
 func (g *Graph) Specialize(assign map[NodeID]Value) *Graph {
 	c := g.Clone()
 	for id, v := range assign {

@@ -213,7 +213,7 @@ func evalAll(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode
 	n := g.NumNodes()
 	g.Freeze()
 	chunk := opts.chunk()
-	var jobs []job
+	jobs := make([]job, 0, len(queries)*((n+chunk-1)/chunk))
 	for qi, q := range queries {
 		_, ranged := q.(core.RangeEvaluator)
 		_, fromable := q.(core.FromEvaluator)

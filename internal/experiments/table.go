@@ -1,6 +1,6 @@
-// Package experiments implements the reproduction experiments E1–E12 of
-// EXPERIMENTS.md: one per theorem/figure of the paper, each producing a
-// printable table of measured results next to the paper's claim. The
+// Package experiments implements the reproduction experiments E1–E12: one
+// per theorem/figure of the paper, each producing a printable table of
+// measured results next to the paper's claim. The
 // cmd/gsmbench binary is the front end; bench_test.go at the module root
 // wraps the same workloads as testing.B benchmarks.
 package experiments

@@ -16,7 +16,7 @@ import (
 // certain answer iff some solution avoids every disjunct — for satisfiable
 // PCP instances the witness built by BuildWitness is such a solution.
 //
-// Detector inventory (see DESIGN.md §2 for the reconstruction notes):
+// Detector inventory:
 //
 //	shape    — the start→end path deviates from
 //	           W_src · (Σᵣ BLOCKᵣ · s)⁺ · v · (a|b)⁺, with per-tile exact

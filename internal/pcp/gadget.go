@@ -124,7 +124,7 @@ func BuildGadget(in Instance) (*Gadget, error) {
 // *nested* (hence REE-expressible) equality tests — crossing tests are
 // exactly what REE cannot do. The paper's proof sketch only says the copies
 // appear "in the reverse order"; this layout is our documented
-// reconstruction of that discipline (DESIGN.md §2).
+// reconstruction of that discipline.
 //
 // The sequence need not be a genuine solution — the detector tests rely on
 // building witnesses for wrong sequences too. BuildWitness errors only if

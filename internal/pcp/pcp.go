@@ -10,8 +10,7 @@
 // containing the encoding of a PCP solution, and the error-detecting
 // queries reconstructed from the proof sketch (a navigational shape check
 // via DFA complement, plus REE data checks: repeated verification values,
-// reverse-copy adjacency, letter mismatches). See DESIGN.md §2 for the
-// documented reconstruction choices.
+// reverse-copy adjacency, letter mismatches).
 package pcp
 
 import (

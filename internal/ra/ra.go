@@ -375,7 +375,8 @@ func (a *Automaton) EvalFrom(g *datagraph.Graph, u int, mode datagraph.CompareMo
 		// loops (the SetValue specialization search).
 		if snap := g.Snapshot(); snap != nil {
 			p := a.program(snap)
-			sc := newSnapScratch(snap.NumNodes())
+			sc := a.acquireScratch(p)
+			defer sc.Release()
 			var out []int
 			a.evalFromProg(p, u, mode, sc, func(v int) { out = append(out, v) })
 			return out

@@ -74,81 +74,65 @@ func (p *prog) canSkipStart(a *Automaton, u int) bool {
 	return true
 }
 
-// snapScratch is the reusable per-batch state of the snapshot kernel.
-type snapScratch struct {
-	visited  map[fastKey]struct{}
-	queue    []fastCfg
-	accepted *datagraph.NodeSet
+// acquireScratch takes a kernel scratch sized for p's snapshot, holding
+// configurations as (state, node, registers…) tuples.
+func (a *Automaton) acquireScratch(p *prog) *datagraph.Scratch {
+	return datagraph.AcquireScratch(p.snap.NumNodes(), 0, 2+a.NumRegs)
 }
 
-func newSnapScratch(n int) *snapScratch {
-	return &snapScratch{
-		visited:  make(map[fastKey]struct{}),
-		queue:    make([]fastCfg, 0, 64),
-		accepted: datagraph.NewNodeSet(n),
-	}
-}
-
-// evalFromProg runs the configuration BFS from start node u over the
-// snapshot, emitting each accepted target once.
-func (a *Automaton) evalFromProg(p *prog, u int, mode datagraph.CompareMode, sc *snapScratch, emit func(v int)) {
+// evalFromProg runs the configuration search from start node u over the
+// snapshot, emitting each accepted target once. The scratch's tuple set is
+// both the visited set and, walked in insertion order, the queue.
+func (a *Automaton) evalFromProg(p *prog, u int, mode datagraph.CompareMode, sc *datagraph.Scratch, emit func(v int)) {
 	snap := p.snap
 	nullID := snap.NullValueID()
-	clear(sc.visited)
-	sc.queue = sc.queue[:0]
-	sc.accepted.Clear()
-	start := fastCfg{state: int32(a.Start), pos: int32(u)}
-	sc.visited[start.key()] = struct{}{}
-	sc.queue = append(sc.queue, start)
-	for len(sc.queue) > 0 {
-		c := sc.queue[len(sc.queue)-1]
-		sc.queue = sc.queue[:len(sc.queue)-1]
-		if int(c.state) == a.Accept && sc.accepted.Add(int(c.pos)) {
-			emit(int(c.pos))
+	w := 2 + a.NumRegs
+	sc.NextEpoch()
+	// c is the configuration being expanded, copied out of the scratch
+	// because AddTuple may move the tuples.
+	var c, next [2 + maxFastRegs]int32
+	c[0], c[1] = int32(a.Start), int32(u)
+	sc.AddTuple(c[:w])
+	for i := 0; i < sc.NumTuples(); i++ {
+		copy(c[:w], sc.Tuple(i))
+		state, pos, regs := c[0], int(c[1]), c[2:w]
+		if int(state) == a.Accept && sc.MarkNode(pos) {
+			emit(pos)
 		}
-		cur := snap.ValueID(int(c.pos))
-		for ti := range p.trans[c.state] {
-			t := &p.trans[c.state][ti]
+		cur := snap.ValueID(pos)
+		for ti := range p.trans[state] {
+			t := &p.trans[state][ti]
 			if t.eps {
-				ok, _ := evalCondID(t.cond, c.regs[:maxFastRegs], cur, nullID, mode)
+				ok, _ := evalCondID(t.cond, regs, cur, nullID, mode)
 				if !ok {
 					continue
 				}
-				next := c
-				next.state = t.to
+				next = c
+				next[0] = t.to
 				for _, r := range t.store {
-					next.regs[r] = cur
+					next[2+r] = cur
 				}
-				k := next.key()
-				if _, dup := sc.visited[k]; !dup {
-					sc.visited[k] = struct{}{}
-					sc.queue = append(sc.queue, next)
-				}
+				sc.AddTuple(next[:w])
 				continue
 			}
 			var targets []int32
 			if t.any {
-				targets = snap.OutAll(int(c.pos))
+				targets = snap.OutAll(pos)
 			} else {
-				targets = snap.OutLabeled(int(c.pos), t.label)
+				targets = snap.OutLabeled(pos, t.label)
 			}
 			for _, to := range targets {
 				nv := snap.ValueID(int(to))
-				ok, _ := evalCondID(t.cond, c.regs[:maxFastRegs], nv, nullID, mode)
+				ok, _ := evalCondID(t.cond, regs, nv, nullID, mode)
 				if !ok {
 					continue
 				}
-				next := c
-				next.state = t.to
-				next.pos = to
+				next = c
+				next[0], next[1] = t.to, to
 				for _, r := range t.store {
-					next.regs[r] = nv
+					next[2+r] = nv
 				}
-				k := next.key()
-				if _, dup := sc.visited[k]; !dup {
-					sc.visited[k] = struct{}{}
-					sc.queue = append(sc.queue, next)
-				}
+				sc.AddTuple(next[:w])
 			}
 		}
 	}
@@ -157,7 +141,7 @@ func (a *Automaton) evalFromProg(p *prog, u int, mode datagraph.CompareMode, sc 
 // EvalRange evaluates the automaton from every start node in [lo, hi),
 // emitting each answer pair once. It freezes the graph (cheap when already
 // frozen), lowers the automaton onto the snapshot once, prunes start nodes
-// by interned start labels, and reuses one scratch across the whole range —
+// by interned start labels, and runs the whole range on one pooled scratch —
 // the engine's frontier shards call this with their chunk bounds.
 func (a *Automaton) EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.CompareMode, emit func(u, v int)) {
 	if !a.fastOK() {
@@ -168,9 +152,9 @@ func (a *Automaton) EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.Com
 		}
 		return
 	}
-	snap := g.Freeze()
-	p := a.program(snap)
-	sc := newSnapScratch(snap.NumNodes())
+	p := a.program(g.Freeze())
+	sc := a.acquireScratch(p)
+	defer sc.Release()
 	for u := lo; u < hi; u++ {
 		if p.canSkipStart(a, u) {
 			continue

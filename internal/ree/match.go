@@ -5,8 +5,8 @@ import "repro/internal/datagraph"
 // MatchDirect reports whether the data path is in L(e) using interval
 // dynamic programming over the expression tree, without going through the
 // register automaton. It exists as an independent implementation for
-// cross-validation and for the ablation experiment E12 (see DESIGN.md):
-// the two matchers are checked against each other in tests.
+// cross-validation and for the ablation experiment E12: the two matchers
+// are checked against each other in tests.
 func MatchDirect(e Expr, w datagraph.DataPath, mode datagraph.CompareMode) bool {
 	m := &directMatcher{w: w, mode: mode, memo: make(map[memoKey]bool)}
 	root := m.index(e)

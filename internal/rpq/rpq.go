@@ -169,7 +169,8 @@ func (q *Query) Eval(g *datagraph.Graph) *datagraph.PairSet {
 func (q *Query) EvalFrom(g *datagraph.Graph, u int) []int {
 	if snap := g.Snapshot(); snap != nil {
 		p := q.program(snap)
-		sc := newRangeScratch(snap.NumNodes(), q.nfa.NumStates)
+		sc := q.acquireScratch(p)
+		defer sc.Release()
 		var out []int
 		q.evalFromSnap(p, u, sc, func(v int) { out = append(out, v) })
 		return out

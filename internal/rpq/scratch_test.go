@@ -1,0 +1,92 @@
+package rpq
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/datagraph"
+)
+
+// The kernels run on pooled scratches, so one scratch outlives the call,
+// the snapshot and the query it was first sized for. These tests hold one
+// scratch across those changes and compare every result with the map-based
+// kernels, which share no state with it.
+
+// scratchKinds has one query per snapshot kernel.
+var scratchKinds = []struct{ kernel, query string }{
+	{"product", "(a | b b)* a"},
+	{"word", "a b a"},
+	{"reachability", ".*"},
+}
+
+// evalOn runs q from every start node of g's snapshot on sc.
+func evalOn(q *Query, g *datagraph.Graph, sc *datagraph.Scratch) *datagraph.PairSet {
+	p := q.program(g.Freeze())
+	n := g.NumNodes()
+	sc.Resize(n, n*q.nfa.NumStates, 0)
+	out := datagraph.NewPairSet()
+	for u := 0; u < n; u++ {
+		q.evalFromSnap(p, u, sc, func(v int) { out.Add(u, v) })
+	}
+	return out
+}
+
+// TestScratchEpochWraparound: a search's stamps are its epoch, and the
+// epochs after a uint32 wrap repeat the first ones. A pass on a fresh
+// scratch leaves it full of those low stamps; the next pass starts just
+// below the wrap. Started from MaxUint32 it gives every start node the very
+// epoch it had in the pass before, so that whatever the wrap failed to clear
+// reads as already visited.
+func TestScratchEpochWraparound(t *testing.T) {
+	g := randomGraph(7, 40, 120)
+	for _, k := range scratchKinds {
+		q := MustParse(k.query)
+		want := legacyEval(t, q, g)
+		for _, epoch := range []uint32{math.MaxUint32 - 1, math.MaxUint32} {
+			sc := new(datagraph.Scratch)
+			if got := evalOn(q, g, sc); !got.Equal(want) {
+				t.Fatalf("%s kernel, fresh scratch: %v, want %v", k.kernel, got.Sorted(), want.Sorted())
+			}
+			sc.SetEpoch(epoch)
+			if got := evalOn(q, g, sc); !got.Equal(want) {
+				t.Fatalf("%s kernel from epoch %d: %v, want %v", k.kernel, epoch, got.Sorted(), want.Sorted())
+			}
+		}
+	}
+}
+
+// TestScratchReuseAcrossSnapshotsAndQueries: a scratch sized for snapshot A
+// and a small NFA serves a larger delta-frozen snapshot B and an NFA with
+// more states — it grows instead of indexing past what A needed — and then
+// A's query again.
+func TestScratchReuseAcrossSnapshotsAndQueries(t *testing.T) {
+	g := randomGraph(11, 24, 200) // edge-heavy, so the burst below stays a delta
+	small, large := MustParse("a b"), MustParse("(a b | b a a)* (a | b b) a*")
+	if small.nfa.NumStates >= large.nfa.NumStates {
+		t.Fatalf("want a larger NFA: %d vs %d states", small.nfa.NumStates, large.nfa.NumStates)
+	}
+	sc := new(datagraph.Scratch)
+	if got, want := evalOn(small, g, sc), legacyEval(t, small, g); !got.Equal(want) {
+		t.Fatalf("snapshot A: %v, want %v", got.Sorted(), want.Sorted())
+	}
+
+	a := g.Snapshot()
+	n := g.NumNodes()
+	for i := 0; i < n/2; i++ {
+		g.MustAddNode(datagraph.NodeID(fmt.Sprintf("m%d", i)), datagraph.V("w"))
+		g.MustAddEdge(datagraph.NodeID(fmt.Sprintf("n%d", i%n)), "a", datagraph.NodeID(fmt.Sprintf("m%d", i)))
+		g.MustAddEdge(datagraph.NodeID(fmt.Sprintf("m%d", i)), "b", datagraph.NodeID(fmt.Sprintf("n%d", (i+5)%n)))
+	}
+	if b := g.Freeze(); b == a || b.NumNodes() != n+n/2 {
+		t.Fatalf("append burst did not produce a larger snapshot")
+	}
+	if _, delta := g.SnapshotBuilds(); delta == 0 {
+		t.Fatal("snapshot B was not delta-frozen")
+	}
+	for _, q := range []*Query{large, small, MustParse(".*")} {
+		if got, want := evalOn(q, g, sc), legacyEval(t, q, g); !got.Equal(want) {
+			t.Fatalf("snapshot B, query %v: %v, want %v", q, got.Sorted(), want.Sorted())
+		}
+	}
+}

@@ -29,27 +29,19 @@ func (q *Query) NumStates() int { return q.nfa.NumStates }
 // with every start state is how a fresh (non-exchange) traversal begins.
 func (q *Query) StartStates() []int { return q.nfa.Closure(q.nfa.Start) }
 
-// ShardProg is the query lowered onto one fragment graph: the interned
-// program plus the fragment-sized scratch. Unlike the per-query program
-// cache (which holds a single entry), sharded evaluation keeps one
-// ShardProg per fragment alive for the whole exchange. A ShardProg is NOT
-// safe for concurrent use — the engine drives each shard from one
-// goroutine at a time.
+// ShardProg is the query lowered onto one fragment graph. Unlike the
+// per-query program cache (which holds a single entry), sharded evaluation
+// keeps one ShardProg per fragment alive for the whole exchange. It is
+// immutable: every EvalSeeds call takes its own pooled scratch.
 type ShardProg struct {
-	q       *Query
-	p       *snapProg
-	scratch *rangeScratch
+	q *Query
+	p *snapProg
 }
 
 // LowerOnto freezes g (cheap when already frozen) and lowers the query onto
 // its snapshot.
 func (q *Query) LowerOnto(g *datagraph.Graph) *ShardProg {
-	snap := g.Freeze()
-	return &ShardProg{
-		q:       q,
-		p:       q.buildProg(snap),
-		scratch: newRangeScratch(snap.NumNodes(), q.nfa.NumStates),
-	}
+	return &ShardProg{q: q, p: q.buildProg(g.Freeze())}
 }
 
 // CanSkipStart reports whether fragment-local node u cannot begin any
@@ -79,23 +71,24 @@ const CancelCheckEvery = 1024
 // returns false — its partial accept/exit reports must be discarded. A
 // completed traversal returns true.
 func (sp *ShardProg) EvalSeeds(seeds []Seed, stop func(node int) bool, accept func(node int), exit func(node, state int), cancel func() bool) bool {
-	q, p, sc := sp.q, sp.p, sp.scratch
+	q, p := sp.q, sp.p
 	numStates := q.nfa.NumStates
-	sc.epoch++
-	epoch := sc.epoch
-	sc.queue = sc.queue[:0]
+	n := p.snap.NumNodes()
+	sc := datagraph.AcquireScratch(n, n*numStates, 0)
+	defer sc.Release()
+	sc.NextEpoch()
+	sc.Queue = sc.Queue[:0]
 	push := func(node int32, state int) {
 		id := int(node)*numStates + state
-		if sc.visited[id] != epoch {
-			sc.visited[id] = epoch
-			sc.queue = append(sc.queue, int32(id))
+		if sc.MarkProduct(id) {
+			sc.Queue = append(sc.Queue, int32(id))
 		}
 	}
 	for _, s := range seeds {
 		push(s.Node, int(s.State))
 	}
 	popped := 0
-	for len(sc.queue) > 0 {
+	for len(sc.Queue) > 0 {
 		if cancel != nil {
 			popped++
 			if popped >= CancelCheckEvery {
@@ -105,11 +98,10 @@ func (sp *ShardProg) EvalSeeds(seeds []Seed, stop func(node int) bool, accept fu
 				}
 			}
 		}
-		id := sc.queue[len(sc.queue)-1]
-		sc.queue = sc.queue[:len(sc.queue)-1]
+		id := sc.Queue[len(sc.Queue)-1]
+		sc.Queue = sc.Queue[:len(sc.Queue)-1]
 		node, state := int(id)/numStates, int(id)%numStates
-		if state == q.nfa.Accept && sc.accepted[node] != epoch {
-			sc.accepted[node] = epoch
+		if state == q.nfa.Accept && sc.MarkNode(node) {
 			accept(node)
 		}
 		if stop(node) {

@@ -6,8 +6,8 @@ import (
 
 // This file is the snapshot evaluation kernel for navigational RPQs: the
 // query NFA lowered onto a graph snapshot's label interner (steps on labels
-// absent from the graph dropped), evaluated by epoch-stamped product BFS
-// with scratch shared across a whole start-node range.
+// absent from the graph dropped), evaluated by product BFS on a pooled
+// datagraph.Scratch shared across a whole start-node range.
 
 // snapProg is the NFA lowered onto one snapshot.
 type snapProg struct {
@@ -87,40 +87,31 @@ func (q *Query) canSkipStart(p *snapProg, u int) bool {
 	return true
 }
 
-// rangeScratch is reusable kernel state: epoch-stamped visited arrays avoid
-// both reallocation and O(size) clearing between start nodes.
-type rangeScratch struct {
-	epoch    uint32
-	visited  []uint32 // product states (node*numStates+state) for the NFA BFS
-	seen     []uint32 // nodes, for word/reachability frontiers
-	accepted []uint32 // nodes, result dedup
-	queue    []int32
-	frontier []int32
-	next     []int32
-}
-
-func newRangeScratch(n, numStates int) *rangeScratch {
-	return &rangeScratch{
-		visited:  make([]uint32, n*numStates),
-		seen:     make([]uint32, n),
-		accepted: make([]uint32, n),
+// acquireScratch takes a kernel scratch sized for p's snapshot. Only the
+// product BFS marks product states; the word and reachability kernels mark
+// nodes alone.
+func (q *Query) acquireScratch(p *snapProg) *datagraph.Scratch {
+	n, product := p.snap.NumNodes(), 0
+	if q.kind != KindReachability && q.word == nil {
+		product = n * q.nfa.NumStates
 	}
+	return datagraph.AcquireScratch(n, product, 0)
 }
 
 // EvalRange evaluates the query from every start node in [lo, hi), emitting
 // each answer pair once. The graph is frozen once (cheap when already
-// frozen) and all scratch is shared across the range.
+// frozen) and one pooled scratch serves the whole range.
 func (q *Query) EvalRange(g *datagraph.Graph, lo, hi int, emit func(u, v int)) {
-	snap := g.Freeze()
-	p := q.program(snap)
-	sc := newRangeScratch(snap.NumNodes(), q.nfa.NumStates)
+	p := q.program(g.Freeze())
+	sc := q.acquireScratch(p)
+	defer sc.Release()
 	for u := lo; u < hi; u++ {
 		q.evalFromSnap(p, u, sc, func(v int) { emit(u, v) })
 	}
 }
 
 // evalFromSnap dispatches one start node to the appropriate kernel.
-func (q *Query) evalFromSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
+func (q *Query) evalFromSnap(p *snapProg, u int, sc *datagraph.Scratch, emit func(v int)) {
 	switch {
 	case q.kind == KindReachability:
 		q.reachableSnap(p, u, sc, emit)
@@ -135,28 +126,25 @@ func (q *Query) evalFromSnap(p *snapProg, u int, sc *rangeScratch, emit func(v i
 }
 
 // productSnap is the product-BFS kernel over interned labels.
-func (q *Query) productSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
+func (q *Query) productSnap(p *snapProg, u int, sc *datagraph.Scratch, emit func(v int)) {
 	snap := p.snap
 	numStates := q.nfa.NumStates
-	sc.epoch++
-	epoch := sc.epoch
-	sc.queue = sc.queue[:0]
+	sc.NextEpoch()
+	sc.Queue = sc.Queue[:0]
 	push := func(node int32, state int) {
 		id := int(node)*numStates + state
-		if sc.visited[id] != epoch {
-			sc.visited[id] = epoch
-			sc.queue = append(sc.queue, int32(id))
+		if sc.MarkProduct(id) {
+			sc.Queue = append(sc.Queue, int32(id))
 		}
 	}
 	for _, s := range q.nfa.Closure(q.nfa.Start) {
 		push(int32(u), s)
 	}
-	for len(sc.queue) > 0 {
-		id := sc.queue[len(sc.queue)-1]
-		sc.queue = sc.queue[:len(sc.queue)-1]
+	for len(sc.Queue) > 0 {
+		id := sc.Queue[len(sc.Queue)-1]
+		sc.Queue = sc.Queue[:len(sc.Queue)-1]
 		node, state := int(id)/numStates, int(id)%numStates
-		if state == q.nfa.Accept && sc.accepted[node] != epoch {
-			sc.accepted[node] = epoch
+		if state == q.nfa.Accept && sc.MarkNode(node) {
 			emit(node)
 		}
 		for si := range p.steps[state] {
@@ -177,7 +165,7 @@ func (q *Query) productSnap(p *snapProg, u int, sc *rangeScratch, emit func(v in
 }
 
 // wordSnap walks a fixed interned word level by level with slice frontiers.
-func (q *Query) wordSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
+func (q *Query) wordSnap(p *snapProg, u int, sc *datagraph.Scratch, emit func(v int)) {
 	if p.wordDead {
 		return
 	}
@@ -186,43 +174,40 @@ func (q *Query) wordSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int))
 		return
 	}
 	snap := p.snap
-	sc.frontier = append(sc.frontier[:0], int32(u))
+	sc.Frontier = append(sc.Frontier[:0], int32(u))
 	for _, l := range p.word {
-		sc.epoch++
-		sc.next = sc.next[:0]
-		for _, node := range sc.frontier {
+		sc.NextEpoch()
+		sc.Next = sc.Next[:0]
+		for _, node := range sc.Frontier {
 			for _, to := range snap.OutLabeled(int(node), l) {
-				if sc.seen[to] != sc.epoch {
-					sc.seen[to] = sc.epoch
-					sc.next = append(sc.next, to)
+				if sc.MarkNode(int(to)) {
+					sc.Next = append(sc.Next, to)
 				}
 			}
 		}
-		sc.frontier, sc.next = sc.next, sc.frontier
-		if len(sc.frontier) == 0 {
+		sc.Frontier, sc.Next = sc.Next, sc.Frontier
+		if len(sc.Frontier) == 0 {
 			return
 		}
 	}
-	for _, v := range sc.frontier {
+	for _, v := range sc.Frontier {
 		emit(int(v))
 	}
 }
 
 // reachableSnap emits every node reachable from u (including u via ε).
-func (q *Query) reachableSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
+func (q *Query) reachableSnap(p *snapProg, u int, sc *datagraph.Scratch, emit func(v int)) {
 	snap := p.snap
-	sc.epoch++
-	epoch := sc.epoch
-	sc.queue = append(sc.queue[:0], int32(u))
-	sc.seen[u] = epoch
-	for len(sc.queue) > 0 {
-		node := sc.queue[len(sc.queue)-1]
-		sc.queue = sc.queue[:len(sc.queue)-1]
+	sc.NextEpoch()
+	sc.Queue = append(sc.Queue[:0], int32(u))
+	sc.MarkNode(u)
+	for len(sc.Queue) > 0 {
+		node := sc.Queue[len(sc.Queue)-1]
+		sc.Queue = sc.Queue[:len(sc.Queue)-1]
 		emit(int(node))
 		for _, to := range snap.OutAll(int(node)) {
-			if sc.seen[to] != epoch {
-				sc.seen[to] = epoch
-				sc.queue = append(sc.queue, to)
+			if sc.MarkNode(int(to)) {
+				sc.Queue = append(sc.Queue, to)
 			}
 		}
 	}

@@ -276,3 +276,41 @@ func TestIngestCommitFaultDoesNotLand(t *testing.T) {
 		t.Fatalf("retry after fault exhaustion failed: %+v", last)
 	}
 }
+
+// TestSessionQueryOverIngestedNulls: a NULL cell becomes a null-valued source
+// node, which a rule over the cell's column puts into dom(M, Gs). The byte
+// estimate the server refreshes after every session query used to panic on
+// it (Value.Raw on null), failing the request after its answers were
+// computed.
+func TestSessionQueryOverIngestedNulls(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	req := IngestRequest{
+		Schema: "table customer\ncol customer id int pk\ncol customer city text null\n",
+		Tables: map[string]string{"customer": "id,city\n1,paris\n2,\n"},
+	}
+	if _, chunks := ingestDo(t, h, "nulls", req); !chunks[len(chunks)-1].Done {
+		t.Fatalf("ingest did not finish: %+v", chunks[len(chunks)-1])
+	}
+	if _, err := s.RegisterMappingText("city", "rule customer#city -> located-in\n"); err != nil {
+		t.Fatal(err)
+	}
+	var sess SessionInfo
+	if code := do(t, h, "POST", "/v1/sessions", "", CreateSessionRequest{Mapping: "city", Graph: "nulls"}, &sess); code != http.StatusOK {
+		t.Fatalf("create session: %d", code)
+	}
+	var qr QueryResponse
+	if code := do(t, h, "POST", "/v1/sessions/"+sess.ID+"/query", "", QueryRequest{Query: "located-in", Lang: "rpq"}, &qr); code != http.StatusOK {
+		t.Fatalf("query: %d", code)
+	}
+	if qr.Count != 1 {
+		t.Fatalf("located-in answers = %d, want 1 (the NULL city is a null node)", qr.Count)
+	}
+	var stats StatsResponse
+	if code := do(t, h, "GET", "/v1/stats", "", nil, &stats); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	if stats.ResidentBytes <= 0 {
+		t.Fatalf("resident_bytes = %d, want > 0", stats.ResidentBytes)
+	}
+}

@@ -3,8 +3,8 @@
 // mappings is coNP-hard, by reduction from (non-)3-colorability.
 //
 // The paper omits the proof ("a direct reduction ... with some
-// technicalities"); this package reconstructs one (documented in DESIGN.md
-// §2) and cross-validates it against a brute-force colouring oracle:
+// technicalities"); this package reconstructs one, described here, and
+// cross-validates it against a brute-force colouring oracle:
 //
 //   - Source graph: a hub node `start` with a v-edge to a vertex node x_u
 //     per vertex, a c-self-loop on each x_u, symmetric e-edges for the

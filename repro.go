@@ -21,8 +21,8 @@
 // call, re-deriving every solution. Prefer sessions for anything that asks
 // more than one question of the same (mapping, source graph) pair.
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// reproduction results; the subsystems live in internal/ packages.
+// See docs/ARCHITECTURE.md for the architecture and internal/experiments
+// for the reproduction results; the subsystems live in internal/ packages.
 package repro
 
 import (

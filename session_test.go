@@ -236,6 +236,78 @@ func TestSessionSharedRace(t *testing.T) {
 	}
 }
 
+// TestSessionSharedScratchRace has 8 goroutines run every snapshot kernel —
+// rpq's product, word and reachability searches and ra's configuration
+// search — against one session at once, over its solution and over its
+// smaller source graph, so that pooled kernel scratches move between
+// goroutines, kernels and snapshots of different sizes. Every result must
+// equal the sequential one. Run with -race -count=10.
+func TestSessionSharedScratchRace(t *testing.T) {
+	gs, m, _ := sessionTestWorkload(t)
+	s := newTestSession(t, gs, m)
+	ctx := context.Background()
+	var queries []Query
+	for _, text := range []string{"p q | r", "p q", ".*", "(p | r)* q"} {
+		q, err := ParseRPQ(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	queries = append(queries, MustREE("(p q)="), MustREE("(p q)!= | r"), MustREE("p (q r?)="))
+	onSource := []Query{MustREE("(a b)="), MustREE("(a | b)+ a!=")}
+	nav, err := ParseRPQ("a (a | b)*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	onSource = append(onSource, nav)
+
+	// Expected results from the sequential algorithms, no engine involved.
+	want := make([]*Answers, len(queries))
+	for i, q := range queries {
+		if want[i], err = core.CertainNull(m, gs, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantSource := make([]*PairSet, len(onSource))
+	for i, q := range onSource {
+		wantSource[i] = q.Eval(gs, MarkedNulls)
+	}
+
+	const workers, rounds = 8, 6
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if (w+r)%3 == 0 {
+					qi := (w + r) % len(onSource)
+					got, err := s.EvalSource(ctx, onSource[qi])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !got.Equal(wantSource[qi]) {
+						t.Errorf("worker %d: EvalSource diverged on query %d", w, qi)
+					}
+					continue
+				}
+				qi := (w + r) % len(queries)
+				got, err := s.CertainNull(ctx, queries[qi])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !got.Equal(want[qi]) {
+					t.Errorf("worker %d: CertainNull diverged on query %d", w, qi)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // TestSessionSeqStreaming checks the iterator paths: full drains equal the
 // materialized answers, and breaking early stops cleanly.
 func TestSessionSeqStreaming(t *testing.T) {
