@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-json bench-diff bench-shard bench-check lint fmt vet api-check api-update serve-smoke chaos-smoke shard-smoke overload-smoke ingest-smoke docs-check ci
+.PHONY: build test test-race bench bench-smoke bench-json bench-diff bench-check lint fmt vet api-check api-update serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
 
 build:
 	$(GO) build ./...
@@ -30,12 +30,6 @@ bench-smoke:
 # artifact so the perf trajectory accumulates run over run).
 bench-json:
 	$(GO) run ./cmd/gsmbench -quick -timeout 30s -json > BENCH_smoke.json
-
-# Sharded-execution scaling report (E17 only, full workloads): the shards ×
-# GOMAXPROCS grid at 10^6/10^7 edges with per-cell answer cross-checks.
-# Slow by design; the quick variant runs inside bench-smoke/bench-json.
-bench-shard:
-	$(GO) run ./cmd/gsmbench -exp E17 -json > BENCH_shard.json
 
 # The benchmark harness (bench/, BENCHMARK.json) is a module of its own, so
 # nothing above builds or tests it: vet it, run its tests, then one short
@@ -81,12 +75,6 @@ chaos-smoke:
 ingest-smoke:
 	sh scripts/ingest-smoke.sh
 
-# Sharded serving smoke: boot gsmd -demo -shards 4 and verify every
-# response byte-for-byte against the embedded unsharded session path, then
-# assert /v1/stats exposes the shard layout. See scripts/shard-smoke.sh.
-shard-smoke:
-	sh scripts/shard-smoke.sh
-
 # Overload/fairness drill: boot gsmd with one admission slot, a bounded
 # queue and a memory budget; assert a polite tenant keeps a healthy share
 # of its isolated goodput under a greedy flood (byte-for-byte verified),
@@ -97,7 +85,7 @@ overload-smoke:
 
 # Documentation link check: every local markdown link in README.md and
 # docs/*.md, and every markdown file they name in code quotes, must resolve
-# to an existing file.
+# to an existing file, and every #fragment to a heading of its target.
 docs-check:
 	$(GO) test -run TestDocsLinks .
 
@@ -112,4 +100,4 @@ vet:
 
 lint: fmt vet
 
-ci: build lint api-check docs-check test-race serve-smoke shard-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-json bench-check
+ci: build lint api-check docs-check test-race serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-json bench-check

@@ -343,8 +343,6 @@ func cmdCertain(args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", time.Duration(0), "per-call timeout (0 = none)")
 	parallel := fs.Bool("parallel", false, "deprecated: null and least always run on the worker-pool engine")
 	workers := fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "solution shards (1 = unsharded; answers identical)")
-	partition := fs.String("partition", "hash", `node partitioning policy: "hash" or "range"`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -357,12 +355,6 @@ func cmdCertain(args []string, out io.Writer) error {
 	var opts []repro.Option
 	if *workers > 0 {
 		opts = append(opts, repro.WithWorkers(*workers))
-	}
-	if *shards != 1 {
-		opts = append(opts, repro.WithShards(*shards))
-	}
-	if *partition != "hash" {
-		opts = append(opts, repro.WithPartition(*partition))
 	}
 	if *maxNulls != 0 {
 		// 0 keeps the session default, matching the pre-session CLI where

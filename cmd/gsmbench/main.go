@@ -3,8 +3,8 @@
 // grown on top of them (E14: incremental snapshot maintenance under
 // update-heavy streaming workloads; E15: session API amortization over
 // query streams; E16: the HTTP serving layer with shared session backends;
-// E17: shard-partitioned solutions with parallel chase and boundary
-// exchange) and prints their tables.
+// E18: relational bulk ingestion through the direct mapping) and prints
+// their tables.
 //
 // Usage:
 //
@@ -58,7 +58,7 @@ type jsonReport struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (E1..E17) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (E1..E16, E18) or 'all'")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
 	list := flag.Bool("list", false, "list experiments and exit")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget; skip remaining experiments once exceeded (0 = none)")

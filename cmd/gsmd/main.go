@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/datagraph"
 	"repro/internal/fault"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -96,18 +95,9 @@ func main() {
 	enableFaults := flag.Bool("enable-faults", false, "allow arming fault injection via POST /v1/admin/faults")
 	faultSpec := flag.String("faults", "", "fault spec to arm at boot (implies -enable-faults); see internal/fault")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the boot-time fault plan")
-	shards := flag.Int("shards", 1, "solution shards per backend session (1 = unsharded)")
-	partition := flag.String("partition", "hash", `node partitioning policy: "hash" or "range"`)
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("gsmd: ")
-
-	if *shards < 1 {
-		log.Fatalf("-shards %d: want >= 1", *shards)
-	}
-	if _, err := datagraph.ParsePartitionPolicy(*partition); err != nil {
-		log.Fatalf("-partition: %v", err)
-	}
 
 	srv := server.New(server.Config{
 		MaxInFlight:          *maxInflight,
@@ -119,17 +109,12 @@ func main() {
 		MaxSessionsPerTenant: *maxSessions,
 		DefaultTimeout:       *timeout,
 		EnableFaultInjection: *enableFaults || *faultSpec != "",
-		Shards:               *shards,
-		Partition:            *partition,
 	})
 	if *memBudget > 0 {
 		log.Printf("memory budget: %d bytes (idle backends LRU-evicted)", *memBudget)
 	}
 	if *tenantRPS > 0 {
 		log.Printf("tenant rate limit: %g req/s", *tenantRPS)
-	}
-	if *shards > 1 {
-		log.Printf("serving sharded: %d shards, %s partition", *shards, *partition)
 	}
 
 	if *stateDir != "" {

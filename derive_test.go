@@ -77,43 +77,3 @@ func TestSessionDerive(t *testing.T) {
 		t.Fatalf("second-level derive: mat shared %v cfg %+v", d2.mat == s.mat, d2.cfg)
 	}
 }
-
-// TestSessionDeriveRejectsShardChanges pins that the shard configuration is
-// fixed at session creation: the memoized artifacts are partitioned (or
-// not) once, so a derived session cannot ask for a different layout.
-func TestSessionDeriveRejectsShardChanges(t *testing.T) {
-	gs, m, _ := sessionTestWorkload(t)
-	s := newTestSession(t, gs, m)
-	if _, err := s.Derive(WithShards(4)); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("Derive(WithShards) error = %v, want ErrBadOptions", err)
-	}
-	if _, err := s.Derive(WithPartition("range")); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("Derive(WithPartition) error = %v, want ErrBadOptions", err)
-	}
-
-	sh := newTestSession(t, gs, m, WithShards(3), WithPartition("range"))
-	// Re-stating the existing configuration is a no-op, not an error.
-	d, err := sh.Derive(WithShards(3), WithPartition("range"), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.cfg.shards != 3 || d.cfg.workers != 2 {
-		t.Fatalf("derived cfg = %+v", d.cfg)
-	}
-	if _, err := sh.Derive(WithShards(2)); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("Derive(shard count change) error = %v, want ErrBadOptions", err)
-	}
-
-	// Construction-time validation: shards < 1 and unknown policies are
-	// ErrBadOptions from NewSession itself.
-	cm := sh.Mapping()
-	if _, err := NewSession(cm, gs, WithShards(0)); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("WithShards(0) error = %v, want ErrBadOptions", err)
-	}
-	if _, err := NewSession(cm, gs, WithShards(-1)); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("WithShards(-1) error = %v, want ErrBadOptions", err)
-	}
-	if _, err := NewSession(cm, gs, WithPartition("modulo")); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("WithPartition(modulo) error = %v, want ErrBadOptions", err)
-	}
-}

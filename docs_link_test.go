@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // mdLink matches inline markdown links [text](target). Good enough for the
@@ -17,9 +18,50 @@ var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 // are not names.
 var mdName = regexp.MustCompile("`([^`\\s*<>]+\\.md)`")
 
+// mdHeading matches an ATX heading line and captures its text.
+var mdHeading = regexp.MustCompile(`^#{1,6}\s+(.*?)\s*#*\s*$`)
+
+// headingSlug is GitHub's anchor for a heading: lowercase, punctuation
+// other than '-' and spaces dropped (letters, digits and '_' survive), then
+// every space becomes '-'. "Overload & resource governance" is therefore
+// "overload--resource-governance".
+func headingSlug(heading string) string {
+	var b strings.Builder
+	for _, r := range strings.ToLower(heading) {
+		switch {
+		case r == ' ':
+			b.WriteByte('-')
+		case r == '-' || unicode.IsLetter(r) || unicode.IsMark(r) ||
+			unicode.IsNumber(r) || unicode.Is(unicode.Pc, r):
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
+// anchors returns the heading slugs of a markdown document. Lines inside
+// fenced code blocks are not headings, so shell comments in a walkthrough
+// do not count.
+func anchors(doc string) map[string]bool {
+	out := map[string]bool{}
+	fenced := false
+	for _, line := range strings.Split(doc, "\n") {
+		trimmed := strings.TrimSpace(line)
+		if strings.HasPrefix(trimmed, "```") || strings.HasPrefix(trimmed, "~~~") {
+			fenced = !fenced
+			continue
+		}
+		if m := mdHeading.FindStringSubmatch(line); m != nil && !fenced {
+			out[headingSlug(m[1])] = true
+		}
+	}
+	return out
+}
+
 // TestDocsLinks verifies that every local markdown link in README.md and
 // docs/*.md, and every markdown file they name in code quotes, points at a
-// file that exists, so the documentation layer cannot silently rot as files
+// file that exists, and that every #fragment names a heading of its target,
+// so the documentation layer cannot silently rot as files and sections
 // move. CI runs this via `make docs-check` (it is also part of the ordinary
 // test suite).
 func TestDocsLinks(t *testing.T) {
@@ -45,14 +87,24 @@ func TestDocsLinks(t *testing.T) {
 				strings.HasPrefix(target, "mailto:") {
 				continue
 			}
-			// Drop any fragment; a bare "#anchor" links within the same file.
-			target, _, _ = strings.Cut(target, "#")
-			if target == "" {
-				continue
+			// A bare "#anchor" links within the same file.
+			target, frag, _ := strings.Cut(target, "#")
+			resolved := f
+			if target != "" {
+				resolved = filepath.Join(filepath.Dir(f), target)
 			}
-			resolved := filepath.Join(filepath.Dir(f), target)
 			if _, err := os.Stat(resolved); err != nil {
 				t.Errorf("%s: broken local link %q (resolved to %s): %v", f, m[1], resolved, err)
+				continue
+			}
+			if frag != "" {
+				tb, err := os.ReadFile(resolved)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !anchors(string(tb))[frag] {
+					t.Errorf("%s: link %q names no heading of %s", f, m[1], resolved)
+				}
 			}
 			checked++
 		}

@@ -200,19 +200,6 @@ func (mat *Materialization) CertainExact(ctx context.Context, q Query, opts Exac
 	if err != nil {
 		return nil, err
 	}
-	// On a sharded materialization, check the budget from the merged
-	// per-shard chase counters first: an over-budget search is rejected
-	// without ever building the merged solution.
-	if mat.Sharded() {
-		count, err := mat.UniversalNullCountCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if count > opts.MaxNulls {
-			return nil, budgetErrf("core: %d null nodes exceed the exact-search budget of %d",
-				count, opts.MaxNulls)
-		}
-	}
 	u, err := mat.UniversalCtx(ctx)
 	if err != nil {
 		return nil, err

@@ -39,8 +39,8 @@ func (mo *memo[T]) get(build func() (T, error)) (T, error) {
 }
 
 // peek returns the memoized value without building it: (value, true) when a
-// builder already succeeded, (zero, false) otherwise. Stats reporting uses
-// it to observe artifacts without forcing their construction.
+// builder already succeeded, (zero, false) otherwise. SizeBytes uses it to
+// observe artifacts without forcing their construction.
 func (mo *memo[T]) peek() (T, bool) {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
@@ -57,9 +57,8 @@ func (mo *memo[T]) peek() (T, bool) {
 // The source graph must not be mutated while the materialization is in use;
 // sessions enforce this with the graph's version counters.
 type Materialization struct {
-	cm    *CompiledMapping
-	gs    *datagraph.Graph
-	shard ShardOptions // normalized; Shards == 1 means single-shard
+	cm *CompiledMapping
+	gs *datagraph.Graph
 
 	src   memo[[]*datagraph.PairSet]
 	domN  memo[[]datagraph.Node]
@@ -69,10 +68,6 @@ type Materialization struct {
 	nulls memo[[]datagraph.NodeID]
 	vals  memo[[]datagraph.Value]
 
-	srcPart memo[*datagraph.Partition]
-	uniSh   memo[*ShardedSolution]
-	liSh    memo[*ShardedSolution]
-
 	// size memoizes the SizeBytes walk keyed on the set of built artifacts.
 	size sizeCache
 }
@@ -80,30 +75,8 @@ type Materialization struct {
 // NewMaterialization builds an empty materialization for a compiled mapping
 // and a source graph; nothing is computed until first use.
 func NewMaterialization(cm *CompiledMapping, gs *datagraph.Graph) *Materialization {
-	return &Materialization{cm: cm, gs: gs, shard: ShardOptions{Shards: 1}}
+	return &Materialization{cm: cm, gs: gs}
 }
-
-// NewMaterializationSharded builds a materialization whose solutions are
-// additionally available as per-shard fragments (UniversalSharded,
-// LeastInformativeSharded). The merged views (Universal, LeastInformative)
-// keep working and are memoized independently — fragments and merged view
-// are each built lazily, only when first asked for. Invalid shard options
-// are an ErrBadOptions.
-func NewMaterializationSharded(cm *CompiledMapping, gs *datagraph.Graph, so ShardOptions) (*Materialization, error) {
-	so, err := so.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	return &Materialization{cm: cm, gs: gs, shard: so}, nil
-}
-
-// ShardConfig returns the normalized shard options (Shards == 1 for a
-// single-shard materialization).
-func (mat *Materialization) ShardConfig() ShardOptions { return mat.shard }
-
-// Sharded reports whether the materialization was built with more than one
-// shard.
-func (mat *Materialization) Sharded() bool { return mat.shard.Shards > 1 }
 
 // Compiled returns the compiled mapping.
 func (mat *Materialization) Compiled() *CompiledMapping { return mat.cm }
@@ -194,86 +167,6 @@ func (mat *Materialization) LeastInformativeCtx(ctx context.Context) (*datagraph
 		}
 		return mat.buildSolution(ctx, solutionFresh)
 	})
-}
-
-// SourcePartition returns the memoized node→shard assignment of the source
-// graph under the materialization's shard options.
-func (mat *Materialization) SourcePartition() *datagraph.Partition {
-	out, _ := mat.srcPart.get(func() (*datagraph.Partition, error) {
-		return datagraph.NewPartition(mat.gs, mat.shard.Shards, mat.shard.Policy), nil
-	})
-	return out
-}
-
-// UniversalSharded returns the memoized per-shard fragments of the
-// universal solution. Valid for any shard count; with Shards == 1 the
-// single fragment is the whole solution.
-func (mat *Materialization) UniversalSharded() (*ShardedSolution, error) {
-	return mat.UniversalShardedCtx(context.Background())
-}
-
-// UniversalShardedCtx is UniversalSharded with a deadline (see
-// UniversalCtx).
-func (mat *Materialization) UniversalShardedCtx(ctx context.Context) (*ShardedSolution, error) {
-	return mat.uniSh.get(func() (*ShardedSolution, error) {
-		if err := fault.Hit("core.memo"); err != nil {
-			return nil, err
-		}
-		return mat.buildShardedSolution(ctx, solutionNulls)
-	})
-}
-
-// LeastInformativeSharded returns the memoized per-shard fragments of the
-// least informative solution.
-func (mat *Materialization) LeastInformativeSharded() (*ShardedSolution, error) {
-	return mat.LeastInformativeShardedCtx(context.Background())
-}
-
-// LeastInformativeShardedCtx is LeastInformativeSharded with a deadline
-// (see UniversalCtx).
-func (mat *Materialization) LeastInformativeShardedCtx(ctx context.Context) (*ShardedSolution, error) {
-	return mat.liSh.get(func() (*ShardedSolution, error) {
-		if err := fault.Hit("core.memo"); err != nil {
-			return nil, err
-		}
-		return mat.buildShardedSolution(ctx, solutionFresh)
-	})
-}
-
-// UniversalShardedCached returns the sharded universal solution if it has
-// already been built, else nil — the stats path, which must not trigger a
-// chase.
-func (mat *Materialization) UniversalShardedCached() *ShardedSolution {
-	ss, ok := mat.uniSh.peek()
-	if !ok {
-		return nil
-	}
-	return ss
-}
-
-// UniversalNullCount returns the number of null nodes in the universal
-// solution. On a sharded materialization it is the sum of the per-shard
-// chase counters, so the exact-search budget check can fire without ever
-// building the merged view.
-func (mat *Materialization) UniversalNullCount() (int, error) {
-	return mat.UniversalNullCountCtx(context.Background())
-}
-
-// UniversalNullCountCtx is UniversalNullCount with a deadline on any chase
-// it triggers.
-func (mat *Materialization) UniversalNullCountCtx(ctx context.Context) (int, error) {
-	if mat.Sharded() {
-		ss, err := mat.UniversalShardedCtx(ctx)
-		if err != nil {
-			return 0, err
-		}
-		return ss.TotalNulls, nil
-	}
-	nulls, err := mat.UniversalNullsCtx(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return len(nulls), nil
 }
 
 // UniversalNulls returns the null-node ids of the universal solution.

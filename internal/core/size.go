@@ -8,7 +8,7 @@ import (
 
 // This file extends the datagraph byte-accounting layer to the core
 // artifacts the serving memory governor charges against its budget:
-// answer sets, sharded solutions, and whole materializations.
+// answer sets and whole materializations.
 
 const (
 	sizeMapEntry = 48
@@ -37,23 +37,6 @@ func (a *Answers) SizeBytes() int64 {
 	return b
 }
 
-// SizeBytes estimates one solution fragment's footprint: the fragment
-// graph (including any snapshot cached on it by query lowering) plus the
-// shard index arrays.
-func (sh *SolutionShard) SizeBytes() int64 {
-	return sh.G.SizeBytes() + int64(len(sh.GhostOwner)+len(sh.OwnedDom))*4
-}
-
-// SizeBytes estimates the sharded solution's footprint across all
-// fragments.
-func (ss *ShardedSolution) SizeBytes() int64 {
-	b := ss.Part.SizeBytes()
-	for _, sh := range ss.Shards {
-		b += sh.SizeBytes()
-	}
-	return b
-}
-
 // sizeCache memoizes a materialization's byte estimate keyed on which
 // artifacts exist, so the serving hot path can re-read the size after
 // every query without re-walking unchanged graphs.
@@ -65,11 +48,10 @@ type sizeCache struct {
 }
 
 // SizeBytes estimates the resident footprint of every artifact this
-// materialization has built so far — source pair sets, dom, merged and
-// sharded solutions, value pools. It never forces a build: artifacts are
-// observed through the memo peek, exactly like the stats path. The walk is
-// memoized keyed on the set of built artifacts, so repeated calls between
-// builds are a mutex hit, not a graph traversal.
+// materialization has built so far — source pair sets, dom, solutions,
+// value pools. It never forces a build: artifacts are observed through the
+// memo peek. The walk is memoized keyed on the set of built artifacts, so
+// repeated calls between builds are a mutex hit, not a graph traversal.
 func (mat *Materialization) SizeBytes() int64 {
 	key, bytes := uint32(0), int64(0)
 	add := func(bit uint32, ok bool, sz func() int64) {
@@ -92,9 +74,6 @@ func (mat *Materialization) SizeBytes() int64 {
 	li, liOK := mat.li.peek()
 	nulls, nullsOK := mat.nulls.peek()
 	vals, valsOK := mat.vals.peek()
-	srcPart, srcPartOK := mat.srcPart.peek()
-	uniSh, uniShOK := mat.uniSh.peek()
-	liSh, liShOK := mat.liSh.peek()
 	flag(0, srcOK)
 	flag(1, domNOK)
 	flag(2, domIDOK)
@@ -102,9 +81,6 @@ func (mat *Materialization) SizeBytes() int64 {
 	flag(4, liOK)
 	flag(5, nullsOK)
 	flag(6, valsOK)
-	flag(7, srcPartOK)
-	flag(8, uniShOK)
-	flag(9, liShOK)
 	mat.size.mu.Lock()
 	if mat.size.valid && mat.size.key == probe {
 		b := mat.size.bytes
@@ -150,9 +126,6 @@ func (mat *Materialization) SizeBytes() int64 {
 		}
 		return b
 	})
-	add(7, srcPartOK, srcPart.SizeBytes)
-	add(8, uniShOK, uniSh.SizeBytes)
-	add(9, liShOK, liSh.SizeBytes)
 
 	mat.size.mu.Lock()
 	mat.size.key, mat.size.bytes, mat.size.valid = key, bytes, true

@@ -79,9 +79,6 @@ type Graph struct {
 	aidx        atomic.Pointer[adjIndex]
 	lidx        atomic.Pointer[labelIndex]
 	snap        atomic.Pointer[Snapshot]
-	// sharded caches the partitioned freeze (see FreezeSharded), keyed by
-	// the version counters plus its (shards, policy) configuration.
-	sharded atomic.Pointer[ShardedSnapshot]
 
 	// snapFull/snapDelta count snapshot constructions by kind (full rebuild
 	// vs delta merge) over the graph's lifetime; see SnapshotBuilds.

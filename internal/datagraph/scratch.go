@@ -6,8 +6,8 @@ import (
 )
 
 // Scratch is the working memory of the snapshot evaluation kernels: rpq's
-// product, word and reachability searches, its shard-local kernel, and ra's
-// configuration search all run on this one type. A kernel call acquires a
+// product, word and reachability searches and ra's configuration search all
+// run on this one type. A kernel call acquires a
 // scratch, sizes it for its snapshot, runs every start node of its range on
 // it and releases it, so the memory is reused across start nodes, chunks,
 // workers and requests and a call allocates only what its frontier outgrows.

@@ -2,7 +2,7 @@ package datagraph
 
 // This file is the byte-accounting layer behind the serving memory
 // governor: SizeBytes estimates of the resident footprint of graphs,
-// snapshots and sharded snapshots. Estimates are deterministic and
+// snapshots and pair sets. Estimates are deterministic and
 // intentionally approximate — slice headers, map buckets and allocator
 // slack are folded into flat per-entry constants — but they grow
 // monotonically with the real footprint, which is all budget enforcement
@@ -35,9 +35,8 @@ func nodeBytes(n Node) int64 { return stringBytes(string(n.ID)) + valueBytes(n.V
 
 // SizeBytes estimates the resident footprint of the graph: the node list,
 // the id index, the edge set and log, plus every derived structure
-// currently cached on it (flat adjacency, label index, snapshot, sharded
-// snapshot). It is the unit of account the server's memory governor sums
-// per backend.
+// currently cached on it (flat adjacency, label index, snapshot). It is the
+// unit of account the server's memory governor sums per backend.
 func (g *Graph) SizeBytes() int64 {
 	var b int64
 	for _, n := range g.nodes {
@@ -64,9 +63,6 @@ func (g *Graph) SizeBytes() int64 {
 	}
 	if s := g.snap.Load(); s != nil {
 		b += s.SizeBytes()
-	}
-	if ss := g.sharded.Load(); ss != nil {
-		b += ss.SizeBytes()
 	}
 	return b
 }
@@ -126,34 +122,6 @@ func csrDirBytes(d *csrDir) int64 {
 			int64(len(seg.targets))*int32Bytes
 	}
 	return b
-}
-
-// SizeBytes estimates the partition's footprint (assignments + range cut
-// points).
-func (p *Partition) SizeBytes() int64 {
-	b := int64(len(p.shardOf)) * int32Bytes
-	for _, id := range p.bounds {
-		b += stringBytes(string(id))
-	}
-	return b
-}
-
-// SizeBytes estimates the sharded snapshot's footprint: the partition plus
-// every fragment graph (whose own cached snapshot, built when queries
-// lower onto the fragment, is included via Graph.SizeBytes) and the
-// per-fragment index arrays.
-func (ss *ShardedSnapshot) SizeBytes() int64 {
-	b := ss.part.SizeBytes() + int64(len(ss.boundary))*int32Bytes
-	for _, fs := range ss.shards {
-		b += fs.SizeBytes()
-	}
-	return b
-}
-
-// SizeBytes estimates one fragment's footprint.
-func (fs *GraphShard) SizeBytes() int64 {
-	return fs.g.SizeBytes() +
-		int64(len(fs.globalOf)+len(fs.ghostOwner)+len(fs.owned))*int32Bytes
 }
 
 // SizeBytes estimates the pair set's footprint: map buckets in sparse

@@ -1,12 +1,10 @@
 package engine_test
 
-// Cancellation-latency regression: a canceled sharded evaluation must
-// release its shard workers within one chunk of kernel work (see
-// rpq.CancelCheckEvery), not at the next exchange-round barrier. The
-// fixture is sized so a full evaluation takes a couple of seconds across
-// only two exchange rounds — under the old round-granularity check, a
-// cancel landing mid-round was not observed until the round completed, so
-// the elapsed-time bound below fails without chunk-level polling.
+// Cancellation-latency regression: a canceled EvalGraph must release its
+// workers within one frontier chunk of kernel work, not run the query to
+// completion. Workers poll ctx before every chunk, so the bound below fails
+// if that polling is lost. The fixture is sized so a full evaluation takes
+// a few hundred milliseconds on a 2-vCPU machine, well above the guard.
 
 import (
 	"context"
@@ -21,19 +19,18 @@ import (
 	"repro/internal/workload"
 )
 
-func TestShardedCancelReleasesWithinChunk(t *testing.T) {
+func TestEvalGraphCancelReleasesWithinChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")
 	}
-	gs := workload.RandomGraph(workload.GraphSpec{
-		Nodes: 600, Edges: 3000, Labels: []string{"p", "q", "r"}, Values: 20, Seed: 42,
+	g := workload.RandomGraph(workload.GraphSpec{
+		Nodes: 1500, Edges: 7500, Labels: []string{"p", "q", "r"}, Values: 20, Seed: 42,
 	})
-	ss := gs.FreezeSharded(8, datagraph.PartitionHash)
-	q := rpq.MustParse("(p|q|r)*")
+	q := core.NavQuery{Q: rpq.MustParse("(p|q|r)*")}
 
 	// Baseline: how long an uncanceled evaluation takes on this machine.
 	start := time.Now()
-	if _, _, err := engine.EvalSourceSharded(context.Background(), ss, q, engine.Options{}); err != nil {
+	if _, err := engine.EvalGraph(context.Background(), g, q, datagraph.SQLNulls, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	baseline := time.Since(start)
@@ -41,13 +38,13 @@ func TestShardedCancelReleasesWithinChunk(t *testing.T) {
 		t.Skipf("baseline %v too fast to measure release latency", baseline)
 	}
 
-	// Cancel early in the run; the evaluation must return well before a
-	// full round would have completed.
+	// Cancel early in the run; the evaluation must return well before the
+	// remaining chunks would have completed.
 	delay := baseline / 20
 	ctx, cancel := context.WithTimeout(context.Background(), delay)
 	defer cancel()
 	start = time.Now()
-	_, _, err := engine.EvalSourceSharded(ctx, ss, q, engine.Options{})
+	_, err := engine.EvalGraph(ctx, g, q, datagraph.SQLNulls, engine.Options{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("canceled evaluation returned err = %v, want ErrCanceled", err)
@@ -56,69 +53,10 @@ func TestShardedCancelReleasesWithinChunk(t *testing.T) {
 		t.Fatalf("wrapped error lost the context cause: %v", err)
 	}
 	// Generous bound: release within half the full-eval time. Without
-	// chunk-granularity checks the kernels run the round to completion and
-	// elapsed approaches baseline.
+	// per-chunk checks the workers drain every chunk and elapsed approaches
+	// baseline.
 	if limit := baseline / 2; elapsed > limit {
 		t.Fatalf("canceled evaluation held workers for %v (baseline %v, limit %v)", elapsed, baseline, limit)
 	}
 	t.Logf("baseline %v, canceled at %v, released after %v", baseline, delay, elapsed)
-}
-
-func TestEvalSeedsCancelDiscardsPartialWork(t *testing.T) {
-	// A long chain keeps the product BFS busy for many chunks so the
-	// cancel hook is guaranteed to be polled.
-	g := datagraph.New()
-	const n = 5000
-	ids := make([]datagraph.NodeID, n)
-	for i := range ids {
-		ids[i] = datagraph.NodeID(string(rune('a')) + itoa(i))
-		g.MustAddNode(ids[i], datagraph.Null())
-	}
-	for i := 0; i+1 < n; i++ {
-		g.MustAddEdge(ids[i], "p", ids[i+1])
-	}
-	q := rpq.MustParse("p*")
-	sp := q.LowerOnto(g)
-
-	var seeds []rpq.Seed
-	for _, st := range q.StartStates() {
-		seeds = append(seeds, rpq.Seed{Node: 0, State: int32(st)})
-	}
-	calls := 0
-	done := sp.EvalSeeds(seeds,
-		func(int) bool { return false },
-		func(int) {},
-		func(int, int) {},
-		func() bool { calls++; return true })
-	if done {
-		t.Fatal("EvalSeeds reported completion despite cancel firing")
-	}
-	if calls != 1 {
-		t.Fatalf("cancel polled %d times after firing, want exactly 1", calls)
-	}
-
-	// Without a cancel hook the same traversal completes and reports true.
-	accepts := 0
-	done = sp.EvalSeeds(seeds,
-		func(int) bool { return false },
-		func(int) { accepts++ },
-		func(int, int) {},
-		nil)
-	if !done || accepts != n {
-		t.Fatalf("uncanceled traversal: done=%v accepts=%d, want true/%d", done, accepts, n)
-	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [12]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
 }

@@ -94,7 +94,6 @@ func All() []Experiment {
 		{"E14", "incremental snapshot maintenance under updates", E14Streaming},
 		{"E15", "session API amortization over query streams", E15SessionAmortization},
 		{"E16", "HTTP serving layer: shared backends vs per-request sessions", E16Serving},
-		{"E17", "shard-partitioned solutions: parallel chase + boundary exchange", E17ShardedScaling},
 		{"E18", "relational bulk ingestion: streaming direct mapping + exchange", E18RelationalIngest},
 	}
 }

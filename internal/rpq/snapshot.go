@@ -25,21 +25,11 @@ type snapStep struct {
 }
 
 // program returns the query lowered onto snap, cached on the query. The
-// cache holds one entry — the snapshot evaluation last ran against — so
-// sharded evaluation, which keeps one program per fragment alive at once,
-// builds its programs with buildProg instead (see shard.go).
+// cache holds one entry: the snapshot evaluation last ran against.
 func (q *Query) program(snap *datagraph.Snapshot) *snapProg {
 	if p := q.progCache.Load(); p != nil && p.snap == snap {
 		return p
 	}
-	p := q.buildProg(snap)
-	q.progCache.Store(p)
-	return p
-}
-
-// buildProg lowers the query NFA onto one snapshot without touching the
-// single-entry program cache.
-func (q *Query) buildProg(snap *datagraph.Snapshot) *snapProg {
 	p := &snapProg{snap: snap, steps: make([][]snapStep, q.nfa.NumStates)}
 	for s, steps := range q.nfa.Steps {
 		for _, st := range steps {
@@ -70,6 +60,7 @@ func (q *Query) buildProg(snap *datagraph.Snapshot) *snapProg {
 			p.startLabels = append(p.startLabels, l)
 		}
 	}
+	q.progCache.Store(p)
 	return p
 }
 

@@ -91,14 +91,6 @@ type Config struct {
 	// chaos harness) can arm internal/fault points over HTTP. Off by
 	// default: production servers refuse remote fault arming with 403.
 	EnableFaultInjection bool
-	// Shards is the solution shard count every backend session is opened
-	// with (gsmd -shards). 0 or 1 serves unsharded; > 1 materializes per
-	// shard and answers navigational RPQs via boundary exchange. Answers
-	// are identical either way.
-	Shards int
-	// Partition is the node→shard partitioning policy name ("hash",
-	// "range"); empty means hash. Ignored unless Shards > 1.
-	Partition string
 	// Logf receives panic stacks and recovery reports. Default log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -597,14 +589,7 @@ func (s *Server) createSession(tenant string, req CreateSessionRequest) (Session
 		if err := fault.Hit("server.materialize"); err != nil {
 			return SessionInfo{}, err
 		}
-		var baseOpts []repro.Option
-		if s.cfg.Shards > 1 {
-			baseOpts = append(baseOpts, repro.WithShards(s.cfg.Shards))
-			if s.cfg.Partition != "" {
-				baseOpts = append(baseOpts, repro.WithPartition(s.cfg.Partition))
-			}
-		}
-		base, err := repro.NewSession(me.cm, ge.g, baseOpts...)
+		base, err := repro.NewSession(me.cm, ge.g)
 		if err != nil {
 			return SessionInfo{}, err
 		}
@@ -672,8 +657,8 @@ func (s *Server) closeSession(tenant, id string) (SessionInfo, error) {
 
 // noteBackendUsage refreshes a backend's byte estimate and LRU stamp after
 // it served a request, then re-enforces the budget: artifacts materialized
-// by the request (solutions, shards, answer caches) may have grown the
-// resident set past it, in which case idle backends are evicted.
+// by the request (solutions, answer caches) may have grown the resident set
+// past it, in which case idle backends are evicted.
 func (s *Server) noteBackendUsage(be *backend) {
 	bytes := be.sess.MemoryBytes()
 	s.mu.Lock()
@@ -753,32 +738,6 @@ func (s *Server) statsSnapshot() StatsResponse {
 		}
 	}
 	p := s.persist
-	var shardBackends []ShardBackendStats
-	if s.cfg.Shards > 1 {
-		for _, be := range s.backends {
-			st := be.sess.ShardStats()
-			sb := ShardBackendStats{
-				Mapping:        be.key.mapping,
-				Graph:          be.key.graph,
-				Shards:         st.Shards,
-				Policy:         st.Policy,
-				ExchangeRounds: st.ExchangeRounds,
-				BoundaryPairs:  st.BoundaryPairs,
-			}
-			for _, f := range st.Fragments {
-				sb.Fragments = append(sb.Fragments, ShardFragmentWire{
-					Nodes: f.Nodes, Edges: f.Edges, Nulls: f.Nulls,
-				})
-			}
-			shardBackends = append(shardBackends, sb)
-		}
-		sort.Slice(shardBackends, func(i, j int) bool {
-			if shardBackends[i].Mapping != shardBackends[j].Mapping {
-				return shardBackends[i].Mapping < shardBackends[j].Mapping
-			}
-			return shardBackends[i].Graph < shardBackends[j].Graph
-		})
-	}
 	s.mu.RUnlock()
 	inflight, queued, tenants := s.gov.snapshot()
 	resp := StatsResponse{
@@ -806,14 +765,6 @@ func (s *Server) statsSnapshot() StatsResponse {
 		OneShots:            s.stats.oneShots.Load(),
 		Errors:              s.stats.errors.Load(),
 		Panics:              s.stats.panics.Load(),
-	}
-	if s.cfg.Shards > 1 {
-		resp.Shards = s.cfg.Shards
-		resp.Partition = s.cfg.Partition
-		if resp.Partition == "" {
-			resp.Partition = "hash"
-		}
-		resp.ShardBackends = shardBackends
 	}
 	if p != nil {
 		p.mu.Lock()

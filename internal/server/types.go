@@ -306,32 +306,6 @@ type StatsResponse struct {
 	Persistent bool   `json:"persistent"`
 	WALSeq     uint64 `json:"wal_seq,omitempty"`
 	WALWedged  bool   `json:"wal_wedged,omitempty"`
-	// Shards and Partition echo the serving configuration (gsmd -shards /
-	// -partition); ShardBackends reports per-backend sharded state. All
-	// omitted when serving unsharded.
-	Shards        int                 `json:"shards,omitempty"`
-	Partition     string              `json:"partition,omitempty"`
-	ShardBackends []ShardBackendStats `json:"shard_backends,omitempty"`
-}
-
-// ShardBackendStats reports one shared backend's sharding state: the
-// cumulative boundary-exchange counters across all of its tenants' traffic
-// and, once a sharded solution has been materialized, per-fragment sizes.
-type ShardBackendStats struct {
-	Mapping        string              `json:"mapping"`
-	Graph          string              `json:"graph"`
-	Shards         int                 `json:"shards"`
-	Policy         string              `json:"policy"`
-	ExchangeRounds uint64              `json:"exchange_rounds"`
-	BoundaryPairs  uint64              `json:"boundary_pairs"`
-	Fragments      []ShardFragmentWire `json:"fragments,omitempty"`
-}
-
-// ShardFragmentWire is one solution fragment's sizes on the wire.
-type ShardFragmentWire struct {
-	Nodes int `json:"nodes"`
-	Edges int `json:"edges"`
-	Nulls int `json:"nulls"`
 }
 
 // CheckpointResponse is the body of POST /v1/admin/checkpoint: the

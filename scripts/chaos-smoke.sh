@@ -19,13 +19,14 @@
 #      turns any recovered-content drift into a hard failure, and -verify
 #      re-checks every answer against the embedded session path.
 #
-# The server runs with -shards 4 throughout, so phase 1's verified replay
-# also proves the sharded chase keeps answers byte-identical under injected
-# faults, and phase 1b drills the engine.exchange fault point: an armed
-# one-shot error must fail a navigational query's boundary exchange, and
-# the retry (plan exhausted) must succeed. Phase 1d drills ingest.commit:
-# a commit fault mid bulk load must fail without landing anything in the
-# registry, and the retried load's landing must survive the phase-2 crash.
+# Phase 1's -chaos plan includes core.chase, core.memo and
+# server.materialize faults, so the verified replay also proves a failed
+# mid-materialization build is discarded, never served. Phase 1c drills
+# govern.admit: an armed one-shot error must shed the next request before
+# any work is done, and the retry (plan exhausted) must succeed. Phase 1d
+# drills ingest.commit: a commit fault mid bulk load must fail without
+# landing anything in the registry, and the retried load's landing must
+# survive the phase-2 crash.
 #
 # Usage: scripts/chaos-smoke.sh [requests] (default 200)
 set -eu
@@ -42,7 +43,7 @@ go build -o "$TMP/gsmload" ./cmd/gsmload
 start_gsmd() {
     rm -f "$TMP/addr"
     "$TMP/gsmd" -addr 127.0.0.1:0 -addr-file "$TMP/addr" \
-        -state-dir "$TMP/state" -enable-faults -shards 4 "$@" &
+        -state-dir "$TMP/state" -enable-faults "$@" &
     GSMD_PID=$!
     i=0
     while [ ! -s "$TMP/addr" ]; do
@@ -69,33 +70,13 @@ echo "chaos-smoke: phase 1 — verified replay under injected faults"
 # blown error budget) — either fails this script.
 "$TMP/gsmload" -addr "$ADDR" -clients 8 -n "$N" -mode session -verify -chaos
 
-echo "chaos-smoke: phase 1b — injected failure of a boundary-exchange round"
-# Arm a one-shot error on the sharded engine's exchange loop: the next
-# navigational query must fail with the injected fault, and the retry
-# (plan exhausted) must return answers.
-curl -sf -X POST "http://$ADDR/v1/admin/faults" \
-    -d '{"spec":"engine.exchange=error:n=1","seed":7}' > /dev/null
+echo "chaos-smoke: phase 1c — injected shed at the admission governor"
 SID="$(curl -sf -X POST "http://$ADDR/v1/sessions" -H 'X-Tenant: chaos' \
     -d '{"mapping":"demo","graph":"demo"}' | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
 if [ -z "$SID" ]; then
-    echo "chaos-smoke: could not create a session for the exchange drill" >&2
+    echo "chaos-smoke: could not create a session for the admission drill" >&2
     exit 1
 fi
-FIRST="$(curl -s -X POST "http://$ADDR/v1/sessions/$SID/query" -H 'X-Tenant: chaos' \
-    -d '{"query":"s t","lang":"rpq"}')"
-if ! echo "$FIRST" | grep -q 'engine.exchange'; then
-    echo "chaos-smoke: armed exchange fault did not surface: $FIRST" >&2
-    exit 1
-fi
-SECOND="$(curl -s -X POST "http://$ADDR/v1/sessions/$SID/query" -H 'X-Tenant: chaos' \
-    -d '{"query":"s t","lang":"rpq"}')"
-if ! echo "$SECOND" | grep -q '"answers"'; then
-    echo "chaos-smoke: exchange retry after fault exhaustion failed: $SECOND" >&2
-    exit 1
-fi
-curl -sf -X POST "http://$ADDR/v1/admin/faults" -d '{"spec":""}' > /dev/null
-
-echo "chaos-smoke: phase 1c — injected shed at the admission governor"
 # Arm a one-shot error on the governor's admission decision: the next
 # request must be refused with the injected fault before any work is done,
 # and the one after (plan exhausted) must be admitted and answer normally.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagraph"
 	"repro/internal/engine"
-	"repro/internal/rpq"
 )
 
 // This file is the session-centric serving API: compile a mapping once,
@@ -76,8 +75,6 @@ type sessionConfig struct {
 	maxChoices    int
 	mode          CompareMode
 	timeout       time.Duration
-	shards        int
-	policy        datagraph.PartitionPolicy
 }
 
 // Option configures a Session (functional options, validated at
@@ -158,36 +155,6 @@ func WithCompareMode(mode CompareMode) Option {
 	}
 }
 
-// WithShards sets the number of solution shards. With n > 1 the chase runs
-// per shard in parallel and navigational RPQ certain-answer calls evaluate
-// with shard-local kernels plus boundary-frontier exchange; answers are
-// identical to the single-shard path. n = 1 (the default) short-circuits to
-// the unsharded code path; n < 1 is invalid. The shard configuration is
-// fixed at session creation — Derive rejects it.
-func WithShards(n int) Option {
-	return func(c *sessionConfig) error {
-		if n < 1 {
-			return fmt.Errorf("%w: shard count %d (want >= 1)", ErrBadOptions, n)
-		}
-		c.shards = n
-		return nil
-	}
-}
-
-// WithPartition selects the node→shard partitioning policy: "hash"
-// (default) or "range". Unknown names are invalid. Like WithShards, the
-// policy is fixed at session creation.
-func WithPartition(policy string) Option {
-	return func(c *sessionConfig) error {
-		p, err := datagraph.ParsePartitionPolicy(policy)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
-		c.policy = p
-		return nil
-	}
-}
-
 // WithTimeout bounds every session call: the call's context is wrapped with
 // this deadline, and overruns surface as ErrCanceled wraps. Must be
 // positive.
@@ -217,24 +184,7 @@ type Session struct {
 	cfg sessionConfig
 	mat *core.Materialization
 
-	// metrics accumulates sharded-evaluation counters; shared (by pointer)
-	// with derived sessions so the server's stats see all traffic against
-	// one backend.
-	metrics *shardMetrics
-
 	topoV, valV uint64
-}
-
-// shardMetrics are the cumulative sharded-evaluation counters of a session
-// family (a base session and everything derived from it).
-type shardMetrics struct {
-	rounds     atomic.Uint64
-	crossPairs atomic.Uint64
-}
-
-func (m *shardMetrics) record(st engine.ExchangeStats) {
-	m.rounds.Add(uint64(st.Rounds))
-	m.crossPairs.Add(uint64(st.CrossPairs))
 }
 
 // NewSession opens a session for a compiled mapping over a source graph.
@@ -247,7 +197,7 @@ func NewSession(cm *CompiledMapping, gs *Graph, opts ...Option) (*Session, error
 	if gs == nil {
 		return nil, fmt.Errorf("%w: nil source graph", ErrBadOptions)
 	}
-	cfg := sessionConfig{chunkSize: 32, mode: MarkedNulls, shards: 1}
+	cfg := sessionConfig{chunkSize: 32, mode: MarkedNulls}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -255,23 +205,13 @@ func NewSession(cm *CompiledMapping, gs *Graph, opts ...Option) (*Session, error
 	}
 	gs.Freeze()
 	topoV, valV := gs.Versions()
-	mat := core.NewMaterialization(cm, gs)
-	if cfg.shards > 1 {
-		var err error
-		mat, err = core.NewMaterializationSharded(cm, gs,
-			core.ShardOptions{Shards: cfg.shards, Policy: cfg.policy})
-		if err != nil {
-			return nil, err
-		}
-	}
 	return &Session{
-		cm:      cm,
-		gs:      gs,
-		cfg:     cfg,
-		mat:     mat,
-		metrics: &shardMetrics{},
-		topoV:   topoV,
-		valV:    valV,
+		cm:    cm,
+		gs:    gs,
+		cfg:   cfg,
+		mat:   core.NewMaterialization(cm, gs),
+		topoV: topoV,
+		valV:  valV,
 	}, nil
 }
 
@@ -293,11 +233,6 @@ func (s *Session) Derive(opts ...Option) (*Session, error) {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
-	}
-	// The shard configuration shapes the memoized artifacts themselves, so
-	// it is fixed when the base session materializes them.
-	if cfg.shards != s.cfg.shards || cfg.policy != s.cfg.policy {
-		return nil, fmt.Errorf("%w: shard configuration is fixed at session creation", ErrBadOptions)
 	}
 	d := *s
 	d.cfg = cfg
@@ -324,30 +259,6 @@ func (s *Session) begin(ctx context.Context) (context.Context, context.CancelFun
 
 func (s *Session) engineOpts() engine.Options {
 	return engine.Options{Workers: s.cfg.workers, ChunkSize: s.cfg.chunkSize}
-}
-
-// navOf unwraps a query down to its navigational RPQ, when it is one —
-// the query class the sharded exchange kernel evaluates. Prepared queries
-// are unwrapped transparently.
-func navOf(q Query) (*rpq.Query, bool) {
-	for {
-		switch v := q.(type) {
-		case core.NavQuery:
-			return v.Q, v.Q != nil
-		case *PreparedQuery:
-			q = v.q
-		default:
-			return nil, false
-		}
-	}
-}
-
-// shardedNav reports whether q should take the sharded exchange path.
-func (s *Session) shardedNav(q Query) (*rpq.Query, bool) {
-	if s.cfg.shards <= 1 {
-		return nil, false
-	}
-	return navOf(q)
 }
 
 func (s *Session) exactOpts() ExactOptions {
@@ -385,14 +296,6 @@ func (s *Session) CertainNull(ctx context.Context, q Query) (*Answers, error) {
 		return nil, err
 	}
 	defer cancel()
-	if nav, ok := s.shardedNav(q); ok {
-		ans, st, err := engine.CertainNullSharded(ctx, s.mat, nav, s.engineOpts())
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.record(st)
-		return ans, nil
-	}
 	u, err := s.mat.UniversalCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -412,14 +315,6 @@ func (s *Session) CertainLeastInformative(ctx context.Context, q Query) (*Answer
 		return nil, err
 	}
 	defer cancel()
-	if nav, ok := s.shardedNav(q); ok {
-		ans, st, err := engine.CertainLeastInformativeSharded(ctx, s.mat, nav, s.engineOpts())
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.record(st)
-		return ans, nil
-	}
 	li, err := s.mat.LeastInformativeCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -501,52 +396,11 @@ func (s *Session) Eval(ctx context.Context, queries ...Query) ([]*Answers, error
 		return nil, err
 	}
 	defer cancel()
-	if s.cfg.shards > 1 {
-		return s.evalSharded(ctx, queries)
-	}
 	u, err := s.mat.UniversalCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return engine.EvalSolution(ctx, u, s.engineOpts(), queries...)
-}
-
-// evalSharded routes the navigational queries of a batch through the
-// exchange kernel and everything else through the merged solution, keeping
-// the results index-aligned. The merged solution is only built when the
-// batch actually contains non-navigational queries.
-func (s *Session) evalSharded(ctx context.Context, queries []Query) ([]*Answers, error) {
-	out := make([]*Answers, len(queries))
-	var rest []Query
-	var restIdx []int
-	for i, q := range queries {
-		nav, ok := navOf(q)
-		if !ok {
-			rest = append(rest, q)
-			restIdx = append(restIdx, i)
-			continue
-		}
-		ans, st, err := engine.CertainNullSharded(ctx, s.mat, nav, s.engineOpts())
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.record(st)
-		out[i] = ans
-	}
-	if len(rest) > 0 {
-		u, err := s.mat.UniversalCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		restOut, err := engine.EvalSolution(ctx, u, s.engineOpts(), rest...)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range restIdx {
-			out[i] = restOut[j]
-		}
-	}
-	return out, nil
 }
 
 // EvalSource evaluates one query directly over the frozen source graph
@@ -559,15 +413,6 @@ func (s *Session) EvalSource(ctx context.Context, q Query) (*PairSet, error) {
 		return nil, err
 	}
 	defer cancel()
-	if nav, ok := s.shardedNav(q); ok {
-		ss := s.gs.FreezeSharded(s.cfg.shards, s.cfg.policy)
-		res, st, err := engine.EvalSourceSharded(ctx, ss, nav, s.engineOpts())
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.record(st)
-		return res, nil
-	}
 	return engine.EvalGraph(ctx, s.gs, q, s.cfg.mode, s.engineOpts())
 }
 
@@ -678,59 +523,8 @@ func (s *Session) streamGraph(ctx context.Context, g *Graph, q Query, mode Compa
 	}
 }
 
-// ShardFragmentStat describes one materialized solution fragment.
-type ShardFragmentStat struct {
-	// Nodes and Edges are the fragment graph's sizes (owned nodes, ghosts
-	// and fresh chase nodes together).
-	Nodes, Edges int
-	// Nulls is the fragment's share of the chase's fresh-node counter.
-	Nulls int
-}
-
-// ShardStats reports a session's shard configuration, cumulative exchange
-// counters, and — when the sharded universal solution has been built —
-// per-fragment sizes. Counters are shared with sessions derived from the
-// same base, so a server backend observes all of its tenants' traffic.
-type ShardStats struct {
-	// Shards is the configured shard count (1 = unsharded).
-	Shards int
-	// Policy is the partitioning policy name ("hash" or "range").
-	Policy string
-	// ExchangeRounds is the total boundary-exchange rounds run so far.
-	ExchangeRounds uint64
-	// BoundaryPairs is the total (node, NFA-state) pairs handed across
-	// shard boundaries so far.
-	BoundaryPairs uint64
-	// Fragments describes the sharded universal solution's fragments; nil
-	// until the first sharded certain-answer call materializes them.
-	Fragments []ShardFragmentStat
-}
-
-// ShardStats returns the session's sharding counters. It never triggers
-// materialization: fragment sizes appear only once some call has built the
-// sharded solution.
-func (s *Session) ShardStats() ShardStats {
-	st := ShardStats{Shards: s.cfg.shards, Policy: s.cfg.policy.String()}
-	if s.cfg.shards <= 1 {
-		return st
-	}
-	st.ExchangeRounds = s.metrics.rounds.Load()
-	st.BoundaryPairs = s.metrics.crossPairs.Load()
-	if ss := s.mat.UniversalShardedCached(); ss != nil {
-		st.Fragments = make([]ShardFragmentStat, len(ss.Shards))
-		for i, sh := range ss.Shards {
-			st.Fragments[i] = ShardFragmentStat{
-				Nodes: sh.G.NumNodes(),
-				Edges: sh.G.NumEdges(),
-				Nulls: sh.Nulls,
-			}
-		}
-	}
-	return st
-}
-
 // MemoryBytes estimates the resident footprint of the session's memoized
-// artifacts — solutions, sharded fragments, source pair sets, interned
+// artifacts — solutions, source pair sets, interned
 // snapshots — in bytes. The estimate is deterministic and approximate
 // (allocator overhead is folded into flat per-entry constants), never
 // triggers materialization, and is shared by every session derived from
