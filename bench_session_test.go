@@ -137,3 +137,26 @@ func BenchmarkSessionScanCycle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSessionExchangeCold is the benchmark harness's exchange-cold op
+// without the server: a throwaway session on the canonical serving pair and
+// its first certain-answer query, which pays source pairs, the chase and
+// the solution's freeze. It is where the exchange-cold profiles in
+// docs/BENCHMARKS.md come from.
+func BenchmarkSessionExchangeCold(b *testing.B) {
+	sc := workload.Serving(workload.ServingSpec{Nodes: 3000, Edges: 9000, Queries: 50, Seed: 16})
+	cm := MustCompile(sc.Mapping)
+	ctx := context.Background()
+	sc.Graph.Freeze() // a registered graph is frozen by its first session
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewSession(cm, sc.Graph)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.CertainNull(ctx, sc.Queries[i%len(sc.Queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

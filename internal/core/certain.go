@@ -215,12 +215,8 @@ func (mat *Materialization) CertainExact(ctx context.Context, q Query, opts Exac
 	gs := mat.gs
 	dom := mat.DomIDs()
 	sourceValues := mat.SourceValues()
-	fresh := newFreshValues(gs, "_adv")
 	// Pre-generate one fresh value per potential class.
-	freshPool := make([]datagraph.Value, len(nulls))
-	for i := range freshPool {
-		freshPool[i] = fresh.next()
-	}
+	freshPool := freshValues(gs, "_adv", len(nulls))
 
 	// One mutable copy of the universal solution, specialized in place per
 	// candidate (like CertainExactPair): cloning and re-indexing the graph
@@ -359,11 +355,7 @@ func (mat *Materialization) CertainExactPair(ctx context.Context, q Query,
 	}
 	gs := mat.gs
 	sourceValues := mat.SourceValues()
-	fresh := newFreshValues(gs, "_adv")
-	freshPool := make([]datagraph.Value, len(nulls))
-	for i := range freshPool {
-		freshPool[i] = fresh.next()
-	}
+	freshPool := freshValues(gs, "_adv", len(nulls))
 	fe, fastPath := q.(FromEvaluator)
 	// One mutable copy of the universal solution, specialised in place per
 	// candidate (a clone per candidate dominates the search cost otherwise).

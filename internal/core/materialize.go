@@ -102,13 +102,18 @@ func (mat *Materialization) SourcePairs() []*datagraph.PairSet {
 func (mat *Materialization) DomNodes() []datagraph.Node {
 	out, _ := mat.domN.get(func() ([]datagraph.Node, error) {
 		seen := make([]bool, mat.gs.NumNodes())
+		n := 0
 		for _, ps := range mat.SourcePairs() {
 			ps.Each(func(p datagraph.Pair) {
-				seen[p.From] = true
-				seen[p.To] = true
+				for _, i := range [2]int{p.From, p.To} {
+					if !seen[i] {
+						seen[i] = true
+						n++
+					}
+				}
 			})
 		}
-		var nodes []datagraph.Node
+		nodes := make([]datagraph.Node, 0, n)
 		for i, ok := range seen {
 			if ok {
 				nodes = append(nodes, mat.gs.Node(i))
@@ -137,10 +142,10 @@ func (mat *Materialization) Universal() (*datagraph.Graph, error) {
 }
 
 // UniversalCtx is Universal with a deadline: the chase that builds a
-// missing solution checks ctx between rules, so a canceled request
-// abandons a cold materialization promptly instead of finishing it. The
-// partial build is discarded (errors are never memoized) and the next
-// caller retries under its own deadline.
+// missing solution checks ctx at every rule and every chasePoll pairs, so a
+// canceled request abandons a cold materialization promptly instead of
+// finishing it. The partial build is discarded (errors are never memoized)
+// and the next caller retries under its own deadline.
 func (mat *Materialization) UniversalCtx(ctx context.Context) (*datagraph.Graph, error) {
 	return mat.uni.get(func() (*datagraph.Graph, error) {
 		// Fault point "core.memo": the memoization gate, the moment a
@@ -148,7 +153,7 @@ func (mat *Materialization) UniversalCtx(ctx context.Context) (*datagraph.Graph,
 		if err := fault.Hit("core.memo"); err != nil {
 			return nil, err
 		}
-		return mat.buildSolution(ctx, solutionNulls)
+		return mat.chase(ctx, solutionNulls)
 	})
 }
 
@@ -165,7 +170,7 @@ func (mat *Materialization) LeastInformativeCtx(ctx context.Context) (*datagraph
 		if err := fault.Hit("core.memo"); err != nil {
 			return nil, err
 		}
-		return mat.buildSolution(ctx, solutionFresh)
+		return mat.chase(ctx, solutionFresh)
 	})
 }
 
@@ -194,35 +199,68 @@ func (mat *Materialization) SourceValues() []datagraph.Value {
 	return out
 }
 
-// buildSolution materialises a solution in either style using the memoized
-// source pairs and the precompiled target words. The chase checks ctx once
-// per rule — the same granularity as the core.chase fault point — so a
-// canceled request abandons the partial target graph mid-chase.
-func (mat *Materialization) buildSolution(ctx context.Context, style solutionStyle) (*datagraph.Graph, error) {
+// chasePoll is how many source pairs the chase fills between two ctx
+// checks, on top of the check at every rule.
+const chasePoll = 1024
+
+// chase materialises a solution in either style set-at-a-time. The
+// memoized source pairs fix the solution's shape before any of it is
+// built — rule (q, a₁…aₖ) adds |q(Gs)|·(k−1) null nodes and |q(Gs)|·k
+// edges (ten Cate et al.) — so one sizing pass allocates the node and edge
+// arrays exactly, nulls are numbered by arithmetic (the j-th fresh node of
+// rule r is base[r] + pair·(k−1) + hop + 1), their ids and fresh values are
+// cut from one backing string each, and datagraph.Build checks the result
+// and freezes it with one counting sort. The solution is the one the
+// tuple-at-a-time chase of Section 7 adds node by node and edge by edge:
+// dom(M, Gs) in source order, then paths by (rule, sorted pair, hop).
+//
+// The core.chase fault point fires once per rule; ctx is checked at every
+// rule and every chasePoll pairs, so a canceled request abandons the
+// partial arrays mid-rule.
+func (mat *Materialization) chase(ctx context.Context, style solutionStyle) (*datagraph.Graph, error) {
 	if !mat.cm.IsRelational() {
 		return nil, fmt.Errorf("core: %w", ErrInfinite)
 	}
 	gs := mat.gs
-	gt := datagraph.New()
-	// Step 1: copy dom(M, Gs).
-	for _, n := range mat.DomNodes() {
-		gt.MustAddNode(n.ID, n.Value)
-	}
-	ids := newFreshIDs(gs, "_n")
-	vals := newFreshValues(gs, "_fresh")
-	newNodeValue := func() datagraph.Value {
-		if style == solutionNulls {
-			return datagraph.Null()
-		}
-		return vals.next()
-	}
-	// Step 2: materialise a path for each rule and pair.
 	rules := mat.cm.Rules()
-	pairsByRule := mat.SourcePairs()
+	srcPairs := mat.SourcePairs()
+
+	// Sizing pass: each rule's pairs in order and the totals.
+	pairs := make([][]datagraph.Pair, len(rules))
+	nulls, edges := 0, 0
+	for ri := range rules {
+		pairs[ri] = srcPairs[ri].Sorted()
+		if word, _ := mat.cm.TargetWord(ri); len(word) > 0 {
+			nulls += len(pairs[ri]) * (len(word) - 1)
+			edges += len(pairs[ri]) * len(word)
+		}
+	}
+	// dom(M, Gs) comes first, so at maps a source index to its solution
+	// index.
+	dom := mat.DomNodes()
+	at := make([]int32, gs.NumNodes())
+	for d, n := range dom {
+		i, _ := gs.IndexOf(n.ID)
+		at[i] = int32(d)
+	}
+	nodes := make([]datagraph.Node, len(dom)+nulls)
+	copy(nodes, dom)
+	fresh := nodes[len(dom):]
+	freshNames(freshPrefix(gs, "_n", idOf), nulls, func(j int, id string) {
+		fresh[j] = datagraph.Node{ID: datagraph.NodeID(id), Value: datagraph.Null()}
+	})
+	if style == solutionFresh {
+		freshNames(freshPrefix(gs, "_fresh", rawValueOf), nulls, func(j int, v string) {
+			fresh[j].Value = datagraph.V(v)
+		})
+	}
+
+	es := make([]datagraph.IndexEdge, 0, edges)
+	next := int32(len(dom)) // the next null, in (rule, pair, hop) order
 	for ri, r := range rules {
 		// Fault point "core.chase": one per rule, mid-chase — exercises
-		// abandoning a partially built solution (the partial target graph
-		// is discarded, never published to the memo).
+		// abandoning a partially built solution (the partial arrays are
+		// discarded, never published to the memo).
 		if err := fault.Hit("core.chase"); err != nil {
 			return nil, err
 		}
@@ -230,30 +268,46 @@ func (mat *Materialization) buildSolution(ctx context.Context, style solutionSty
 			return nil, Canceled(err)
 		}
 		word, _ := mat.cm.TargetWord(ri)
-		pairs := pairsByRule[ri].Sorted()
-		for _, p := range pairs {
-			from := gs.Node(p.From)
-			to := gs.Node(p.To)
-			if len(word) == 0 {
-				if from.ID != to.ID {
-					return nil, fmt.Errorf(
-						"core: rule %s requires %s = %s via ε: %w", r, from.ID, to.ID, ErrNoSolution)
+		k := len(word)
+		// The only edges two rules can both emit run dom → dom: those of
+		// one-letter rules with the same letter. The earliest rule keeps
+		// such an edge, as insertion into an edge set would.
+		var earlier []*datagraph.PairSet
+		for rj := 0; k == 1 && rj < ri; rj++ {
+			if w, _ := mat.cm.TargetWord(rj); len(w) == 1 && w[0] == word[0] {
+				earlier = append(earlier, srcPairs[rj])
+			}
+		}
+	pairLoop:
+		for pi, p := range pairs[ri] {
+			if pi%chasePoll == chasePoll-1 {
+				if err := ctx.Err(); err != nil {
+					return nil, Canceled(err)
+				}
+			}
+			if k == 0 {
+				if p.From != p.To {
+					return nil, fmt.Errorf("core: rule %s requires %s = %s via ε: %w",
+						r, gs.Node(p.From).ID, gs.Node(p.To).ID, ErrNoSolution)
 				}
 				continue
 			}
-			prev := from.ID
-			for i := 0; i < len(word)-1; i++ {
-				id := ids.next()
-				gt.MustAddNode(id, newNodeValue())
-				gt.MustAddEdge(prev, word[i], id)
-				prev = id
+			for _, ps := range earlier {
+				if ps.Has(p.From, p.To) {
+					continue pairLoop
+				}
 			}
-			gt.MustAddEdge(prev, word[len(word)-1], to.ID)
+			prev := at[p.From]
+			for _, a := range word[:k-1] {
+				es = append(es, datagraph.IndexEdge{From: prev, Label: a, To: next})
+				prev = next
+				next++
+			}
+			es = append(es, datagraph.IndexEdge{From: prev, Label: word[k-1], To: at[p.To]})
 		}
 	}
-	// Freeze once so every downstream evaluation of this solution — the
-	// certain-answer batch, all engine workers — shares one interned
-	// snapshot.
-	gt.Freeze()
-	return gt, nil
+	if err := ctx.Err(); err != nil {
+		return nil, Canceled(err)
+	}
+	return datagraph.Build(nodes, es)
 }

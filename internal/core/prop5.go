@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -357,7 +358,7 @@ func buildChoiceSolution(gs *datagraph.Graph, domNodes []datagraph.Node, slots [
 	for _, n := range domNodes {
 		gt.MustAddNode(n.ID, n.Value)
 	}
-	ids := newFreshIDs(gs, "_n")
+	idPrefix, fresh := freshPrefix(gs, "_n", idOf), 0
 	for i, s := range slots {
 		word := s.words[choice[i]]
 		if len(word) == 1 && word[0] == longMarker[0] {
@@ -371,7 +372,8 @@ func buildChoiceSolution(gs *datagraph.Graph, domNodes []datagraph.Node, slots [
 		}
 		prev := s.from.ID
 		for j := 0; j < len(word)-1; j++ {
-			id := ids.next()
+			fresh++
+			id := datagraph.NodeID(idPrefix + strconv.Itoa(fresh))
 			gt.MustAddNode(id, datagraph.Null())
 			gt.MustAddEdge(prev, word[j], id)
 			prev = id
@@ -396,11 +398,7 @@ func pairCertainOverSpecializations(gs *datagraph.Graph, gt *datagraph.Graph,
 		return false, nil
 	}
 	sourceValues := gs.Values()
-	fresh := newFreshValues(gs, "_adv")
-	freshPool := make([]datagraph.Value, len(nulls))
-	for i := range freshPool {
-		freshPool[i] = fresh.next()
-	}
+	freshPool := freshValues(gs, "_adv", len(nulls))
 	spec := gt.Clone()
 	nullIdx := make([]int, len(nulls))
 	for i, id := range nulls {

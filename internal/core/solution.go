@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/datagraph"
 )
@@ -41,63 +42,56 @@ func DomIDs(m *Mapping, gs *datagraph.Graph) map[datagraph.NodeID]struct{} {
 	return mat.DomIDs()
 }
 
-// freshIDs hands out node ids that cannot collide with ids already present
-// in a graph.
-type freshIDs struct {
-	prefix string
-	n      int
-}
-
-func newFreshIDs(g *datagraph.Graph, base string) *freshIDs {
-	prefix := base
-	for {
-		collision := false
-		for _, n := range g.Nodes() {
-			if len(n.ID) >= len(prefix) && string(n.ID[:len(prefix)]) == prefix {
-				collision = true
-				break
-			}
+// freshPrefix returns base followed by the fewest underscores that make it
+// a prefix of key(n) for no node n of g, so that names built on it cannot
+// collide with g's ids (key idOf) or values (key rawValueOf). Only a run of
+// underscores right after base can push the answer further, so one pass
+// measures the longest such run.
+func freshPrefix(g *datagraph.Graph, base string, key func(datagraph.Node) string) string {
+	longest := -1
+	for i := 0; i < g.NumNodes(); i++ {
+		if rest, ok := strings.CutPrefix(key(g.Node(i)), base); ok {
+			longest = max(longest, len(rest)-len(strings.TrimLeft(rest, "_")))
 		}
-		if !collision {
-			return &freshIDs{prefix: prefix}
-		}
-		prefix += "_"
 	}
+	return base + strings.Repeat("_", longest+1)
 }
 
-func (f *freshIDs) next() datagraph.NodeID {
-	f.n++
-	return datagraph.NodeID(fmt.Sprintf("%s%d", f.prefix, f.n))
-}
+func idOf(n datagraph.Node) string { return string(n.ID) }
 
-// freshValues hands out data values distinct from every value in a graph
-// and from each other.
-type freshValues struct {
-	prefix string
-	n      int
-}
-
-func newFreshValues(g *datagraph.Graph, base string) *freshValues {
-	prefix := base
-	for {
-		collision := false
-		for _, v := range g.Values() {
-			raw := v.Raw()
-			if len(raw) >= len(prefix) && raw[:len(prefix)] == prefix {
-				collision = true
-				break
-			}
-		}
-		if !collision {
-			return &freshValues{prefix: prefix}
-		}
-		prefix += "_"
+func rawValueOf(n datagraph.Node) string {
+	if n.IsNullNode() {
+		return ""
 	}
+	return n.Value.Raw()
 }
 
-func (f *freshValues) next() datagraph.Value {
-	f.n++
-	return datagraph.V(fmt.Sprintf("%s%d", f.prefix, f.n))
+// freshValues returns n data values distinct from every value of g and
+// from each other.
+func freshValues(g *datagraph.Graph, base string, n int) []datagraph.Value {
+	out := make([]datagraph.Value, n)
+	freshNames(freshPrefix(g, base, rawValueOf), n, func(j int, v string) { out[j] = datagraph.V(v) })
+	return out
+}
+
+// freshNames cuts the n names prefix1 … prefixN out of one backing string
+// and hands name j+1 to set(j, …).
+func freshNames(prefix string, n int, set func(j int, name string)) {
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + len(strconv.Itoa(n))))
+	var num [20]byte
+	for j := 1; j <= n; j++ {
+		b.WriteString(prefix)
+		b.Write(strconv.AppendInt(num[:0], int64(j), 10))
+	}
+	all := b.String()
+	for j, at, width, tens := 1, 0, 1, 10; j <= n; j++ {
+		if j == tens {
+			width, tens = width+1, tens*10
+		}
+		set(j-1, all[at:at+len(prefix)+width])
+		at += len(prefix) + width
+	}
 }
 
 // UniversalSolution builds the Section 7 universal solution for a relational

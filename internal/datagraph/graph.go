@@ -1,6 +1,7 @@
 package datagraph
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"sort"
@@ -41,15 +42,16 @@ type HalfEdge struct {
 	To    int // dense node index of the other endpoint
 }
 
-// seqEdge is an edge in the global insertion-order log, with endpoints as
-// dense indices. The log is what derived structures (label indexes,
-// snapshots) are rebuilt from, deterministically. It is strictly
-// append-only — as is the node list — which is what lets a cached Snapshot
-// treat its (frozenNodes, frozenEdges) watermark as a prefix of the current
-// state and freeze incrementally (see buildDelta).
-type seqEdge struct {
-	from, to int32
-	label    string
+// IndexEdge is an edge with its endpoints as dense node indices: the entry
+// type of the graph's insertion-order edge log and of Build. The log is what
+// every derived structure (edge set, label indexes, snapshots) is rebuilt
+// from, deterministically. It is strictly append-only — as is the node list
+// — which is what lets a cached Snapshot treat its (frozenNodes,
+// frozenEdges) watermark as a prefix of the current state and freeze
+// incrementally (see buildDelta).
+type IndexEdge struct {
+	From, To int32
+	Label    string
 }
 
 // Graph is a data graph G = ⟨V, E⟩: a finite set of nodes with unique ids and
@@ -57,20 +59,24 @@ type seqEdge struct {
 // address nodes by their index (0-based insertion order), while the public
 // API also accepts NodeIDs.
 //
-// Mutation (AddNode/AddEdge/SetValue) maintains only the flat adjacency
-// lists and the edge set; the per-label string-keyed indexes behind
-// OutEdges/InEdges/LabelPairs are built lazily on first use and invalidated
-// by topology changes. The hot evaluation form is a frozen Snapshot (see
-// Freeze): interned labels and values with CSR adjacency, cached on the
-// graph and shared by concurrent evaluators.
+// Mutation (AddNode/AddEdge/SetValue) maintains only the node list, the id
+// index and the edge log; everything else is derived from them. The edge
+// set behind HasEdge, the flat adjacency behind Out/In and the per-label
+// string-keyed indexes behind OutEdges/InEdges/LabelPairs are built lazily
+// on first use. The hot evaluation form is a frozen Snapshot (see Freeze):
+// interned labels and values with CSR adjacency, cached on the graph and
+// shared by concurrent evaluators.
 //
 // The zero Graph is empty and ready to use. A Graph is safe for concurrent
 // readers once construction is complete; mutation is not synchronized.
 type Graph struct {
 	nodes []Node
 	index map[NodeID]int
-	edges map[Edge]struct{}
-	seq   []seqEdge
+	seq   []IndexEdge
+
+	// edges is the edge set, derived from seq on first need (see edgeSet)
+	// and from then on maintained by AddEdge.
+	edges atomic.Pointer[map[Edge]struct{}]
 
 	// topoVersion counts node/edge insertions, valVersion value overwrites;
 	// together they key the derived-structure caches below.
@@ -107,27 +113,53 @@ type labelIndex struct {
 
 // New returns an empty data graph.
 func New() *Graph {
-	return &Graph{
-		index: make(map[NodeID]int),
-		edges: make(map[Edge]struct{}),
-	}
+	return &Graph{index: make(map[NodeID]int)}
 }
 
-func (g *Graph) ensureInit() {
-	if g.index == nil {
-		g.index = make(map[NodeID]int)
+// The errors Build reports, each wrapped with the offending id or edge.
+var (
+	ErrDuplicateNode = errors.New("datagraph: duplicate node id")
+	ErrEdgeEndpoint  = errors.New("datagraph: edge endpoint out of range")
+	ErrDuplicateEdge = errors.New("datagraph: duplicate edge")
+)
+
+// Build constructs a graph from its complete node list and edge log
+// (endpoints as dense indices into nodes), taking ownership of both, and
+// returns it frozen by one counting sort over the log (see buildFull) —
+// the graph AddNode/AddEdge in the same order would make, minus the edge
+// set, which is derived on first need. It checks its input: a duplicate id,
+// an endpoint outside [0, len(nodes)) or a repeated (from, label, to) is an
+// error, never a silent no-op.
+func Build(nodes []Node, edges []IndexEdge) (*Graph, error) {
+	g := &Graph{nodes: nodes, index: make(map[NodeID]int, len(nodes)), seq: edges}
+	for i, n := range nodes {
+		if _, dup := g.index[n.ID]; dup {
+			return nil, fmt.Errorf("%w %q", ErrDuplicateNode, string(n.ID))
+		}
+		g.index[n.ID] = i
 	}
-	if g.edges == nil {
-		g.edges = make(map[Edge]struct{})
+	for _, e := range edges {
+		if e.From < 0 || int(e.From) >= len(nodes) || e.To < 0 || int(e.To) >= len(nodes) {
+			return nil, fmt.Errorf("%w: (%d, %s, %d) over %d nodes", ErrEdgeEndpoint, e.From, e.Label, e.To, len(nodes))
+		}
 	}
+	g.topoVersion = uint64(len(nodes) + len(edges))
+	s := buildFull(g)
+	if u, l, v, dup := s.out.repeated(); dup {
+		return nil, fmt.Errorf("%w %s", ErrDuplicateEdge, Edge{From: nodes[u].ID, Label: s.labels[l], To: nodes[v].ID})
+	}
+	g.snap.Store(s)
+	return g, nil
 }
 
 // AddNode inserts the node (id, value). It returns an error if the id is
 // already present (node ids are unique within a data graph).
 func (g *Graph) AddNode(id NodeID, value Value) error {
-	g.ensureInit()
+	if g.index == nil {
+		g.index = make(map[NodeID]int)
+	}
 	if _, dup := g.index[id]; dup {
-		return fmt.Errorf("datagraph: duplicate node id %q", string(id))
+		return fmt.Errorf("%w %q", ErrDuplicateNode, string(id))
 	}
 	g.index[id] = len(g.nodes)
 	g.nodes = append(g.nodes, Node{ID: id, Value: value})
@@ -146,7 +178,6 @@ func (g *Graph) MustAddNode(id NodeID, value Value) {
 // AddEdge inserts the edge (from, label, to). Both endpoints must exist.
 // Edges form a set: inserting an existing edge is a silent no-op.
 func (g *Graph) AddEdge(from NodeID, label string, to NodeID) error {
-	g.ensureInit()
 	fi, ok := g.index[from]
 	if !ok {
 		return fmt.Errorf("datagraph: edge source %q not in graph", string(from))
@@ -155,14 +186,30 @@ func (g *Graph) AddEdge(from NodeID, label string, to NodeID) error {
 	if !ok {
 		return fmt.Errorf("datagraph: edge target %q not in graph", string(to))
 	}
+	set := g.edgeSet()
 	e := Edge{From: from, Label: label, To: to}
-	if _, dup := g.edges[e]; dup {
+	if _, dup := set[e]; dup {
 		return nil
 	}
-	g.edges[e] = struct{}{}
-	g.seq = append(g.seq, seqEdge{from: int32(fi), to: int32(ti), label: label})
+	set[e] = struct{}{}
+	g.seq = append(g.seq, IndexEdge{From: int32(fi), To: int32(ti), Label: label})
 	g.topoVersion++
 	return nil
+}
+
+// edgeSet returns the edge set, deriving it from the log on first need.
+// Concurrent readers may derive it redundantly; the first one published
+// wins, so every caller sees the same map.
+func (g *Graph) edgeSet() map[Edge]struct{} {
+	if set := g.edges.Load(); set != nil {
+		return *set
+	}
+	set := make(map[Edge]struct{}, len(g.seq))
+	for _, e := range g.seq {
+		set[Edge{From: g.nodes[e.From].ID, Label: e.Label, To: g.nodes[e.To].ID}] = struct{}{}
+	}
+	g.edges.CompareAndSwap(nil, &set)
+	return *g.edges.Load()
 }
 
 // MustAddEdge is AddEdge that panics on error.
@@ -204,10 +251,7 @@ func (g *Graph) IndexOf(id NodeID) (int, bool) {
 
 // HasEdge reports whether the edge (from, label, to) is present.
 func (g *Graph) HasEdge(from NodeID, label string, to NodeID) bool {
-	if g.edges == nil {
-		return false
-	}
-	_, ok := g.edges[Edge{From: from, Label: label, To: to}]
+	_, ok := g.edgeSet()[Edge{From: from, Label: label, To: to}]
 	return ok
 }
 
@@ -226,8 +270,8 @@ func (g *Graph) adj() *adjIndex {
 	outDeg := make([]int32, n)
 	inDeg := make([]int32, n)
 	for i := range g.seq {
-		outDeg[g.seq[i].from]++
-		inDeg[g.seq[i].to]++
+		outDeg[g.seq[i].From]++
+		inDeg[g.seq[i].To]++
 	}
 	outBack := make([]HalfEdge, len(g.seq))
 	inBack := make([]HalfEdge, len(g.seq))
@@ -241,8 +285,8 @@ func (g *Graph) adj() *adjIndex {
 	// Forward pass keeps per-node insertion order in both directions.
 	for i := range g.seq {
 		e := &g.seq[i]
-		a.out[e.from] = append(a.out[e.from], HalfEdge{Label: e.label, To: int(e.to)})
-		a.in[e.to] = append(a.in[e.to], HalfEdge{Label: e.label, To: int(e.from)})
+		a.out[e.From] = append(a.out[e.From], HalfEdge{Label: e.Label, To: int(e.To)})
+		a.in[e.To] = append(a.in[e.To], HalfEdge{Label: e.Label, To: int(e.From)})
 	}
 	g.aidx.Store(a)
 	return a
@@ -292,7 +336,7 @@ func (g *Graph) labelIdx() *labelIndex {
 	}
 	for i := range g.seq {
 		e := &g.seq[i]
-		li.byLabel[e.label] = append(li.byLabel[e.label], Pair{From: int(e.from), To: int(e.to)})
+		li.byLabel[e.Label] = append(li.byLabel[e.Label], Pair{From: int(e.From), To: int(e.To)})
 	}
 	g.lidx.Store(li)
 	return li
@@ -431,7 +475,7 @@ func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, len(g.seq))
 	for i := range g.seq {
 		e := &g.seq[i]
-		out = append(out, Edge{From: g.nodes[e.from].ID, Label: e.label, To: g.nodes[e.to].ID})
+		out = append(out, Edge{From: g.nodes[e.From].ID, Label: e.Label, To: g.nodes[e.To].ID})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].From != out[j].From {
@@ -449,7 +493,7 @@ func (g *Graph) Edges() []Edge {
 func (g *Graph) Labels() []string {
 	set := make(map[string]struct{})
 	for i := range g.seq {
-		set[g.seq[i].label] = struct{}{}
+		set[g.seq[i].Label] = struct{}{}
 	}
 	out := make([]string, 0, len(set))
 	for l := range set {
@@ -476,16 +520,21 @@ func (g *Graph) Values() []Value {
 	return out
 }
 
-// Clone returns a deep copy of the graph. The node list, edge set and edge
-// log are copied directly — O(V + E), no sorting or re-hashing — and the
-// derived adjacency structures are rebuilt lazily on first use.
+// Clone returns a deep copy of the graph. The node list, id index and edge
+// log are copied directly — O(V + E), no sorting or re-hashing — and so is
+// the edge set if it has been derived; every other derived structure is
+// rebuilt lazily on first use.
 func (g *Graph) Clone() *Graph {
-	return &Graph{
+	c := &Graph{
 		nodes: append([]Node(nil), g.nodes...),
 		index: maps.Clone(g.index),
-		edges: maps.Clone(g.edges),
-		seq:   append([]seqEdge(nil), g.seq...),
+		seq:   append([]IndexEdge(nil), g.seq...),
 	}
+	if set := g.edges.Load(); set != nil {
+		cs := maps.Clone(*set)
+		c.edges.Store(&cs)
+	}
+	return c
 }
 
 // SetValue overwrites the data value of the node at dense index i. It is
@@ -517,7 +566,6 @@ func Union(g, h *Graph) (*Graph, error) {
 	// Start from a direct copy of g, then merge h through the normal
 	// insertion path (which deduplicates shared edges).
 	u := g.Clone()
-	u.ensureInit()
 	for _, n := range h.nodes {
 		if prev, ok := u.NodeByID(n.ID); ok {
 			if prev.Value != n.Value {
@@ -530,7 +578,7 @@ func Union(g, h *Graph) (*Graph, error) {
 	}
 	for i := range h.seq {
 		e := &h.seq[i]
-		u.MustAddEdge(h.nodes[e.from].ID, e.label, h.nodes[e.to].ID)
+		u.MustAddEdge(h.nodes[e.From].ID, e.Label, h.nodes[e.To].ID)
 	}
 	return u, nil
 }
@@ -545,8 +593,8 @@ func (g *Graph) ContainsAllEdges(sub *Graph) bool {
 			return false
 		}
 	}
-	for e := range sub.edges {
-		if !g.HasEdge(e.From, e.Label, e.To) {
+	for _, e := range sub.seq {
+		if !g.HasEdge(sub.nodes[e.From].ID, e.Label, sub.nodes[e.To].ID) {
 			return false
 		}
 	}

@@ -17,7 +17,7 @@ const (
 	halfEdgeBytes  = stringHeader + wordBytes
 	int32Bytes     = 4
 	csrRowBytes    = 12 // csrRow: seg + lo + hi
-	seqEdgeBytes   = 2*int32Bytes + stringHeader
+	indexEdgeBytes = 2*int32Bytes + stringHeader
 	pairEntryBytes = 8 // Pair: two int32 dense indices
 )
 
@@ -34,8 +34,8 @@ func valueBytes(v Value) int64 { return stringBytes(v.s) + wordBytes }
 func nodeBytes(n Node) int64 { return stringBytes(string(n.ID)) + valueBytes(n.Value) }
 
 // SizeBytes estimates the resident footprint of the graph: the node list,
-// the id index, the edge set and log, plus every derived structure
-// currently cached on it (flat adjacency, label index, snapshot). It is the
+// the id index and the edge log, plus every derived structure currently
+// built on it (edge set, flat adjacency, label index, snapshot). It is the
 // unit of account the server's memory governor sums per backend.
 func (g *Graph) SizeBytes() int64 {
 	var b int64
@@ -45,11 +45,14 @@ func (g *Graph) SizeBytes() int64 {
 		b += nodeBytes(n) + mapEntryBytes
 	}
 	for _, e := range g.seq {
-		// One edge-log entry plus its edge-set entry (Edge holds three
-		// string headers; label content counted via the log entry).
-		b += seqEdgeBytes + stringBytes(e.label) + mapEntryBytes + 3*stringHeader
+		// One edge-log entry; label content counted here.
+		b += indexEdgeBytes + stringBytes(e.Label)
 	}
-	b += 2 * mapBaseBytes
+	b += mapBaseBytes
+	if g.edges.Load() != nil {
+		// The derived edge set: one entry of three string headers per edge.
+		b += mapBaseBytes + int64(len(g.seq))*(mapEntryBytes+3*stringHeader)
+	}
 	if a := g.aidx.Load(); a != nil {
 		for _, row := range a.out {
 			b += sliceHeader + int64(len(row))*halfEdgeBytes

@@ -301,47 +301,53 @@ func buildSnapshot(g *Graph, prev *Snapshot) *Snapshot {
 }
 
 // buildFull compiles the graph from scratch: one CSR segment per direction,
-// one span per label, fresh interners.
+// one span per label, fresh interners. Everything comes out of two stable
+// counting sorts over the edge log — no per-node adjacency lists, no
+// comparison sort.
 func buildFull(g *Graph) *Snapshot {
 	g.snapFull.Add(1)
-	n := len(g.nodes)
+	n, m := len(g.nodes), len(g.seq)
 	s := &Snapshot{
 		g: g, n: n,
 		frozenNodes: n,
-		frozenEdges: len(g.seq),
+		frozenEdges: m,
 		labelIDs:    make(map[string]Label),
 		topoVersion: g.topoVersion,
 		valVersion:  g.valVersion,
 	}
-	// Intern labels in edge-insertion order (deterministic).
+	// Intern labels in edge-insertion order (deterministic), noting each
+	// edge's label id so the passes below hash no strings.
+	lab := make([]Label, m)
 	for i := range g.seq {
-		name := g.seq[i].label
-		if _, ok := s.labelIDs[name]; !ok {
-			s.labelIDs[name] = Label(len(s.labels))
+		name := g.seq[i].Label
+		l, ok := s.labelIDs[name]
+		if !ok {
+			l = Label(len(s.labels))
+			s.labelIDs[name] = l
 			s.labels = append(s.labels, name)
 		}
+		lab[i] = l
 	}
 	nl := len(s.labels)
 
-	// Per-label edge lists: counting pass, then fill in insertion order,
-	// then carve one span per label out of the two backing arrays.
+	// Per-label edge lists: sort the log by label, stably so each list
+	// keeps insertion order, then carve one span per label out of the two
+	// backing arrays.
 	pairOff := make([]int32, nl+1)
-	for i := range g.seq {
-		pairOff[s.labelIDs[g.seq[i].label]+1]++
+	for _, l := range lab {
+		pairOff[l+1]++
 	}
 	for l := 0; l < nl; l++ {
 		pairOff[l+1] += pairOff[l]
 	}
-	pairFrom := make([]int32, len(g.seq))
-	pairTo := make([]int32, len(g.seq))
-	fill := make([]int32, nl)
+	pairFrom := make([]int32, m)
+	pairTo := make([]int32, m)
+	fill := append([]int32(nil), pairOff[:nl]...)
 	for i := range g.seq {
-		e := &g.seq[i]
-		l := s.labelIDs[e.label]
-		at := pairOff[l] + fill[l]
-		fill[l]++
-		pairFrom[at] = e.from
-		pairTo[at] = e.to
+		at := fill[lab[i]]
+		fill[lab[i]]++
+		pairFrom[at] = g.seq[i].From
+		pairTo[at] = g.seq[i].To
 	}
 	s.pairs = make([]labelPairList, nl)
 	for l := 0; l < nl; l++ {
@@ -352,11 +358,87 @@ func buildFull(g *Graph) *Snapshot {
 		}
 	}
 
-	adj := g.adj()
-	s.out = buildCSR(n, adj.out, s.labelIDs)
-	s.in = buildCSR(n, adj.in, s.labelIDs)
+	// CSR in both directions: sort the label-grouped lists by endpoint.
+	rowOff := make([]int32, n+1)
+	s.out = countCSR(pairOff, pairFrom, pairTo, rowOff, lab)
+	s.in = countCSR(pairOff, pairTo, pairFrom, rowOff, lab)
 	s.internValuesFull()
 	return s
+}
+
+// countCSR compiles one CSR direction by a stable counting sort, on the row
+// endpoint key, of edge lists already grouped by label (labelOff bounds
+// each label's run of key/val) and in insertion order within a label. Rows
+// therefore come out grouped by node, slots ascending by label, and targets
+// in insertion order within a slot — what Graph.OutEdges/InEdges return.
+// rowOff (one entry per node plus one) and lab (one per edge) are scratch.
+func countCSR(labelOff, key, val, rowOff []int32, lab []Label) csrDir {
+	n := len(rowOff) - 1
+	clear(rowOff)
+	for _, k := range key {
+		rowOff[k+1]++
+	}
+	for u := 0; u < n; u++ {
+		rowOff[u+1] += rowOff[u]
+	}
+	seg := &csrSeg{targets: make([]int32, len(key))}
+	for l := 0; l+1 < len(labelOff); l++ {
+		for i := labelOff[l]; i < labelOff[l+1]; i++ {
+			at := rowOff[key[i]]
+			rowOff[key[i]]++
+			seg.targets[at] = val[i]
+			lab[at] = Label(l)
+		}
+	}
+	// Each cursor stopped at its row's end, the next row's start.
+	copy(rowOff[1:], rowOff[:n])
+	rowOff[0] = 0
+
+	// A slot starts wherever the label changes within a row: count them,
+	// then lay them out.
+	opens := func(u int, at int32) bool { return at == rowOff[u] || lab[at] != lab[at-1] }
+	slots := 0
+	for u := 0; u < n; u++ {
+		for at := rowOff[u]; at < rowOff[u+1]; at++ {
+			if opens(u, at) {
+				slots++
+			}
+		}
+	}
+	seg.labels = make([]Label, 0, slots)
+	seg.slotOff = make([]int32, 0, slots+1)
+	d := csrDir{rows: make([]csrRow, n), segs: []*csrSeg{seg}}
+	for u := 0; u < n; u++ {
+		lo := int32(len(seg.labels))
+		for at := rowOff[u]; at < rowOff[u+1]; at++ {
+			if opens(u, at) {
+				seg.labels = append(seg.labels, lab[at])
+				seg.slotOff = append(seg.slotOff, at)
+			}
+		}
+		d.rows[u] = csrRow{lo: lo, hi: int32(len(seg.labels))}
+	}
+	seg.slotOff = append(seg.slotOff, int32(len(key)))
+	return d
+}
+
+// repeated finds an edge a single-segment CSR direction holds twice — a
+// slot listing one target twice — and returns it as (row, label, target).
+// One stamp per node records the last slot that listed it.
+func (d *csrDir) repeated() (u int, l Label, v int32, ok bool) {
+	seg := d.segs[0]
+	stamp := make([]int32, len(d.rows))
+	for u, r := range d.rows {
+		for slot := r.lo; slot < r.hi; slot++ {
+			for _, v := range seg.targets[seg.slotOff[slot]:seg.slotOff[slot+1]] {
+				if stamp[v] == slot+1 {
+					return u, seg.labels[slot], v, true
+				}
+				stamp[v] = slot + 1
+			}
+		}
+	}
+	return 0, 0, 0, false
 }
 
 // buildDelta extends prev to cover the appended suffix of the graph's node
@@ -389,7 +471,7 @@ func buildDelta(g *Graph, prev *Snapshot) *Snapshot {
 	// actually appears.
 	internerCloned := false
 	for i := range delta {
-		name := delta[i].label
+		name := delta[i].Label
 		if _, ok := s.labelIDs[name]; !ok {
 			if !internerCloned {
 				s.labelIDs = maps.Clone(s.labelIDs)
@@ -406,7 +488,7 @@ func buildDelta(g *Graph, prev *Snapshot) *Snapshot {
 	// appended to the (shared) chain.
 	cnt := make([]int32, nl)
 	for i := range delta {
-		cnt[s.labelIDs[delta[i].label]]++
+		cnt[s.labelIDs[delta[i].Label]]++
 	}
 	off := make([]int32, nl+1)
 	for l := 0; l < nl; l++ {
@@ -417,11 +499,11 @@ func buildDelta(g *Graph, prev *Snapshot) *Snapshot {
 	fill := make([]int32, nl)
 	for i := range delta {
 		e := &delta[i]
-		l := s.labelIDs[e.label]
+		l := s.labelIDs[e.Label]
 		at := off[l] + fill[l]
 		fill[l]++
-		dFrom[at] = e.from
-		dTo[at] = e.to
+		dFrom[at] = e.From
+		dTo[at] = e.To
 	}
 	s.pairs = make([]labelPairList, nl)
 	copy(s.pairs, prev.pairs)
@@ -443,9 +525,9 @@ func buildDelta(g *Graph, prev *Snapshot) *Snapshot {
 	dIn := make(map[int32][]slotEdge)
 	for i := range delta {
 		e := &delta[i]
-		l := s.labelIDs[e.label]
-		dOut[e.from] = append(dOut[e.from], slotEdge{label: l, to: e.to})
-		dIn[e.to] = append(dIn[e.to], slotEdge{label: l, to: e.from})
+		l := s.labelIDs[e.Label]
+		dOut[e.From] = append(dOut[e.From], slotEdge{label: l, to: e.To})
+		dIn[e.To] = append(dIn[e.To], slotEdge{label: l, to: e.From})
 	}
 	s.out = deltaCSR(&prev.out, n0, n1, dOut)
 	s.in = deltaCSR(&prev.in, n0, n1, dIn)
@@ -549,34 +631,6 @@ func appendRow(seg *csrSeg, des []slotEdge) {
 			i++
 		}
 	}
-}
-
-// buildCSR compiles one direction of per-node half-edge lists into a
-// single-segment label-grouped CSR. Within a (node, label) slot, targets
-// keep their insertion order, matching Graph.OutEdges/InEdges.
-func buildCSR(n int, adj [][]HalfEdge, labelIDs map[string]Label) csrDir {
-	totalEdges := 0
-	for _, hes := range adj {
-		totalEdges += len(hes)
-	}
-	seg := &csrSeg{targets: make([]int32, 0, totalEdges)}
-	d := csrDir{
-		rows: make([]csrRow, n),
-		segs: []*csrSeg{seg},
-	}
-	var scratch []slotEdge
-	for u := 0; u < n; u++ {
-		scratch = scratch[:0]
-		for _, he := range adj[u] {
-			scratch = append(scratch, slotEdge{label: labelIDs[he.Label], to: int32(he.To)})
-		}
-		sortSlotEdges(scratch)
-		lo := int32(len(seg.labels))
-		appendRow(seg, scratch)
-		d.rows[u] = csrRow{seg: 0, lo: lo, hi: int32(len(seg.labels))}
-	}
-	seg.slotOff = append(seg.slotOff, int32(len(seg.targets)))
-	return d
 }
 
 type slotEdge struct {
