@@ -83,11 +83,12 @@ ingest-smoke:
 overload-smoke:
 	sh scripts/overload-smoke.sh
 
-# Documentation link check: every local markdown link in README.md and
+# Documentation check: every local markdown link in README.md and
 # docs/*.md, and every markdown file they name in code quotes, must resolve
-# to an existing file, and every #fragment to a heading of its target.
+# to an existing file, every #fragment to a heading of its target, and
+# every repro.Name they quote in code to a line of api.txt.
 docs-check:
-	$(GO) test -run TestDocsLinks .
+	$(GO) test -run 'TestDocsLinks|TestDocsFacadeNames' .
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -2,8 +2,8 @@ package repro
 
 // Session-API benchmarks (the serving scenario of the session redesign): a
 // stream of 50 distinct queries against one fixed (M, Gs) pair, as a
-// certain-answer service would run it. The legacy path rebuilds the
-// universal solution per call; the session memoizes it for the whole
+// certain-answer service would run it. A per-call session rebuilds the
+// universal solution per query; one session memoizes it for the whole
 // stream. Run with -bench QueryStream to reproduce the speedup reported in
 // CHANGES.md (acceptance bar: ≥5×).
 
@@ -20,7 +20,7 @@ const sessionBenchQueries = 50
 // lives in two high-volume relations (a, b) plus one small hot relation
 // (c), a mapping exchanging all three, and a stream of 50 selective
 // path-with-tests queries against the hot relation's target labels. Per
-// call, the legacy path pays solution materialization (proportional to the
+// call, a per-call session pays solution materialization (proportional to the
 // bulk); the queries themselves are cheap — the regime session memoization
 // targets.
 func sessionBenchWorkload() (*Graph, *Mapping, []Query) {
@@ -40,15 +40,21 @@ func sessionBenchWorkload() (*Graph, *Mapping, []Query) {
 	return gs, m, out
 }
 
-// BenchmarkLegacyQueryStream is the pre-session serving cost: one
-// CertainNull free-function call per query, each re-deriving the universal
-// solution and its snapshot.
-func BenchmarkLegacyQueryStream(b *testing.B) {
+// BenchmarkPerCallQueryStream is the unamortized serving cost: a fresh
+// session per query, each re-deriving the universal solution and its
+// snapshot.
+func BenchmarkPerCallQueryStream(b *testing.B) {
 	gs, m, queries := sessionBenchWorkload()
+	cm := MustCompile(m)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			if _, err := CertainNull(m, gs, q); err != nil {
+			s, err := NewSession(cm, gs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.CertainNull(ctx, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -139,7 +145,7 @@ func BenchmarkSessionScanCycle(b *testing.B) {
 }
 
 // BenchmarkSessionExchangeCold is the benchmark harness's exchange-cold op
-// without the server: a throwaway session on the canonical serving pair and
+// without the server: a one-shot session on the canonical serving pair and
 // its first certain-answer query, which pays source pairs, the chase and
 // the solution's freeze. It is where the exchange-cold profiles in
 // docs/BENCHMARKS.md come from.

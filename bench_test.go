@@ -28,6 +28,14 @@ import (
 	"repro/internal/workload"
 )
 
+var ctx = context.Background()
+
+// mat opens a fresh materialization of (m, gs). The benchmarks open one per
+// iteration, so every iteration pays for its solutions.
+func mat(m *core.Mapping, gs *datagraph.Graph) *core.Materialization {
+	return core.NewMaterialization(core.MustCompile(m), gs)
+}
+
 // E1 — Figure 1: GXPath-core~ evaluation on a random graph.
 func BenchmarkE1GXPathEval(b *testing.B) {
 	g := workload.RandomGraph(workload.GraphSpec{
@@ -76,7 +84,7 @@ func BenchmarkE3ExactCoNP(b *testing.B) {
 	q := ree.MustParseQuery("(p q)!=")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CertainExact(m, gs, q, core.ExactOptions{MaxNulls: 3}); err != nil {
+		if _, err := mat(m, gs).CertainExact(ctx, q, core.ExactOptions{MaxNulls: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +114,7 @@ func BenchmarkE5OneInequality(b *testing.B) {
 	q := ree.MustParseQuery("(p q)!=")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CertainOneInequality(m, gs, q, "n0", "n1", core.OneNeqOptions{}); err != nil {
+		if _, err := mat(m, gs).CertainOneInequality(ctx, q, "n0", "n1", core.OneNeqOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,7 +128,7 @@ func BenchmarkE6CertainNull(b *testing.B) {
 	q := ree.MustParseQuery("(p q)!= | (p q)=")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CertainNull(m, gs, q); err != nil {
+		if _, err := mat(m, gs).CertainNull(ctx, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,11 +148,12 @@ func BenchmarkE7Approximation(b *testing.B) {
 	}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exact, err := core.CertainExact(m, gs, q, core.ExactOptions{MaxNulls: 8})
+		mt := mat(m, gs)
+		exact, err := mt.CertainExact(ctx, q, core.ExactOptions{MaxNulls: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
-		nullAns, err := core.CertainNull(m, gs, q)
+		nullAns, err := mt.CertainNull(ctx, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +170,7 @@ func BenchmarkE8EqualityOnly(b *testing.B) {
 	q := rem.MustParseQuery("!x.(p (q[x=])?) q*")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CertainLeastInformative(m, gs, q); err != nil {
+		if _, err := mat(m, gs).CertainLeastInformative(ctx, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +186,7 @@ func BenchmarkE9RelationalEncoding(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	u, err := core.UniversalSolution(m, gs)
+	u, err := mat(m, gs).UniversalCtx(ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,14 +315,15 @@ func engineWorkload() (*datagraph.Graph, *core.Mapping, []core.Query) {
 	return gs, m, queries
 }
 
-// BenchmarkEngineCertainSequential is the baseline: one core.CertainNull
-// call per query, single-goroutine, as the pre-engine code ran.
+// BenchmarkEngineCertainSequential is the baseline: one sequential
+// Materialization.CertainNull per query on a fresh materialization,
+// single-goroutine, as the pre-engine code ran.
 func BenchmarkEngineCertainSequential(b *testing.B) {
 	gs, m, queries := engineWorkload()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			if _, err := core.CertainNull(m, gs, q); err != nil {
+			if _, err := mat(m, gs).CertainNull(ctx, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -321,27 +331,27 @@ func BenchmarkEngineCertainSequential(b *testing.B) {
 }
 
 // BenchmarkEngineCertainParallel runs the same workload through
-// engine.Eval: queries and source-node frontiers sharded across GOMAXPROCS
-// workers over the shared universal solution.
+// engine.EvalSolution: queries and source-node frontiers sharded across
+// GOMAXPROCS workers over one universal solution per iteration.
 func BenchmarkEngineCertainParallel(b *testing.B) {
-	gs, m, queries := engineWorkload()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Eval(ctx, m, gs, queries...); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEngineCertain(b, engine.Options{})
 }
 
 // BenchmarkEngineCertainOneWorker isolates the index win from the
 // parallelism win: the engine pipeline pinned to a single worker.
 func BenchmarkEngineCertainOneWorker(b *testing.B) {
+	benchEngineCertain(b, engine.Options{Workers: 1})
+}
+
+func benchEngineCertain(b *testing.B, opts engine.Options) {
 	gs, m, queries := engineWorkload()
-	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.EvalOpts(ctx, m, gs, engine.Options{Workers: 1}, queries...); err != nil {
+		u, err := mat(m, gs).UniversalCtx(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engine.EvalSolution(ctx, u, opts, queries...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -216,25 +216,25 @@ func cmdConj(args []string, out io.Writer) error {
 	if *graphPath == "" || *queryText == "" {
 		return fmt.Errorf("conj: -graph and -query are required")
 	}
-	g, err := loadGraph(*graphPath)
-	if err != nil {
-		return err
-	}
 	q, err := repro.ParseConjunctive(*queryText)
 	if err != nil {
 		return err
 	}
 	var res *repro.TupleSet
 	if *mappingPath != "" {
-		m, err := loadMapping(*mappingPath)
+		s, err := openSession(*graphPath, *mappingPath)
 		if err != nil {
 			return err
 		}
-		res, err = repro.CertainConjunctive(m, g, q)
+		res, err = s.CertainConjunctive(context.Background(), q)
 		if err != nil {
 			return err
 		}
 	} else {
+		g, err := loadGraph(*graphPath)
+		if err != nil {
+			return err
+		}
 		mode, err := parseMode(*modeText)
 		if err != nil {
 			return err
@@ -341,16 +341,12 @@ func cmdCertain(args []string, out io.Writer) error {
 	toID := fs.String("to", "", "pair target (oneneq only)")
 	maxNulls := fs.Int("maxnulls", 10, "exact-search budget")
 	timeout := fs.Duration("timeout", time.Duration(0), "per-call timeout (0 = none)")
-	parallel := fs.Bool("parallel", false, "deprecated: null and least always run on the worker-pool engine")
 	workers := fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *graphPath == "" || *mappingPath == "" || len(queryTexts) == 0 {
 		return fmt.Errorf("certain: -graph, -mapping and -query are required")
-	}
-	if *parallel && (*algo == "exact" || *algo == "oneneq") {
-		return fmt.Errorf("certain: -parallel supports -algo null and least only")
 	}
 	var opts []repro.Option
 	if *workers > 0 {

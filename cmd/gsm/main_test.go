@@ -154,22 +154,13 @@ func TestCLICertainParallel(t *testing.T) {
 			t.Fatalf("%s: %v", algo, err)
 		}
 		got, err := runCLI(t, "certain", "-graph", graph, "-mapping", mapping,
-			"-query", "f f", "-algo", algo, "-parallel", "-workers", "4")
+			"-query", "f f", "-algo", algo, "-workers", "4")
 		if err != nil {
-			t.Fatalf("%s -parallel: %v", algo, err)
+			t.Fatalf("%s -workers 4: %v", algo, err)
 		}
 		if got != want {
-			t.Fatalf("%s: parallel output %q differs from sequential %q", algo, got, want)
+			t.Fatalf("%s: -workers 4 output %q differs from the default %q", algo, got, want)
 		}
-	}
-	if _, err := runCLI(t, "certain", "-graph", graph, "-mapping", mapping,
-		"-query", "f", "-algo", "exact", "-parallel"); err == nil {
-		t.Fatal("-parallel with -algo exact should fail")
-	}
-	if _, err := runCLI(t, "certain", "-graph", graph, "-mapping", mapping,
-		"-query", "(f f)!=", "-algo", "oneneq", "-from", "ann", "-to", "bob",
-		"-parallel"); err == nil {
-		t.Fatal("-parallel with -algo oneneq should fail")
 	}
 }
 

@@ -24,7 +24,7 @@
 //     of the stream through it — solutions are materialized once per
 //     (mapping, graph) pair and shared by all clients;
 //   - oneshot: every request goes through POST /v1/query, which builds a
-//     throwaway session per call — the amortization baseline;
+//     fresh session per call — the amortization baseline;
 //   - both: oneshot first, then session, reporting the speedup.
 //
 // All traffic goes through the shared retrying client

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagraph"
-	"repro/internal/engine"
 	"repro/internal/ree"
 	"repro/internal/workload"
 )
@@ -35,16 +34,21 @@ func TestWorkloadCertainAnswerCrossValidation(t *testing.T) {
 			})))
 		}
 
+		cm := MustCompile(m)
 		want := make([]*core.Answers, len(queries))
 		for i, q := range queries {
-			w, err := core.CertainNull(m, gs, q)
+			w, err := core.NewMaterialization(cm, gs).CertainNull(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want[i] = w
 		}
 		for _, workers := range []int{1, 4} {
-			got, err := engine.EvalOpts(ctx, m, gs, engine.Options{Workers: workers}, queries...)
+			s, err := NewSession(cm, gs, WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Eval(ctx, queries...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,13 +70,13 @@ func TestWorkloadEvalSnapshotStability(t *testing.T) {
 		Nodes: 30, Edges: 90, Labels: []string{"a", "b"}, Values: 6, Seed: 99,
 	})
 	m := core.NewMapping(core.R("a", "p q"), core.R("b", "r"))
-	u, err := core.UniversalSolution(m, gs)
+	u, err := core.NewMaterialization(MustCompile(m), gs).UniversalCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := u.Snapshot()
 	if snap == nil {
-		t.Fatal("UniversalSolution must return a frozen graph")
+		t.Fatal("the universal solution must be frozen")
 	}
 	q := ree.MustParseQuery("(p q)= | r")
 	first := q.Eval(u, datagraph.SQLNulls)

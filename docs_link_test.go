@@ -18,6 +18,13 @@ var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 // are not names.
 var mdName = regexp.MustCompile("`([^`\\s*<>]+\\.md)`")
 
+// mdCode matches a fenced code block or an inline code span.
+var mdCode = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+
+// facadeName matches an exported name of the facade package, like
+// repro.Compile, and captures the name.
+var facadeName = regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
+
 // mdHeading matches an ATX heading line and captures its text.
 var mdHeading = regexp.MustCompile(`^#{1,6}\s+(.*?)\s*#*\s*$`)
 
@@ -65,18 +72,8 @@ func anchors(doc string) map[string]bool {
 // move. CI runs this via `make docs-check` (it is also part of the ordinary
 // test suite).
 func TestDocsLinks(t *testing.T) {
-	files := []string{"README.md"}
-	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	files = append(files, docs...)
-	if len(files) < 4 {
-		t.Fatalf("expected README.md plus at least 3 files under docs/, got %v", files)
-	}
-
 	checked := 0
-	for _, f := range files {
+	for _, f := range docFiles(t) {
 		b, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
@@ -122,4 +119,58 @@ func TestDocsLinks(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no local links found across README.md and docs/ — the check is vacuous")
 	}
+}
+
+// TestDocsFacadeNames verifies that every exported facade name README.md
+// and docs/*.md quote in code — an inline `repro.Compile`, or a call in a
+// fenced example — is part of the public surface recorded in api.txt, so
+// removing or renaming a public symbol fails the build until the docs stop
+// citing it.
+func TestDocsFacadeNames(t *testing.T) {
+	api, err := os.ReadFile("api.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	public := map[string]bool{}
+	for _, line := range strings.Split(string(api), "\n") {
+		kind, decl, ok := strings.Cut(line, " ")
+		if !ok || kind == "method" {
+			continue
+		}
+		name, _, _ := strings.Cut(decl, "(") // func Name(...) ...
+		name, _, _ = strings.Cut(name, " ")  // type Name = alias
+		public[name] = true
+	}
+	cited := 0
+	for _, f := range docFiles(t) {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range mdCode.FindAllString(string(b), -1) {
+			for _, m := range facadeName.FindAllStringSubmatch(code, -1) {
+				if !public[m[1]] {
+					t.Errorf("%s: cites repro.%s, which api.txt does not list", f, m[1])
+				}
+				cited++
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no facade names found across README.md and docs/ — the check is vacuous")
+	}
+}
+
+// docFiles returns README.md and every markdown file under docs/.
+func docFiles(t *testing.T) []string {
+	t.Helper()
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := append([]string{"README.md"}, docs...)
+	if len(files) < 4 {
+		t.Fatalf("expected README.md plus at least 3 files under docs/, got %v", files)
+	}
+	return files
 }

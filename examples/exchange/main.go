@@ -17,29 +17,41 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/datagraph"
+	"repro"
 	"repro/internal/ree"
 )
 
 func main() {
+	ctx := context.Background()
+
 	// Source: a service that monitors itself (self-loop).
-	source := datagraph.New()
-	source.MustAddNode("svc", datagraph.V("api-gateway"))
-	source.MustAddNode("db", datagraph.V("orders"))
+	source := repro.NewGraph()
+	source.MustAddNode("svc", repro.V("api-gateway"))
+	source.MustAddNode("db", repro.V("orders"))
 	source.MustAddEdge("svc", "monitors", "svc")
 	source.MustAddEdge("svc", "reads", "db")
 
 	// Exchange into a deployment schema: monitoring goes through some probe
 	// (unknown), reads through some connection pool (unknown).
-	mapping := core.NewMapping(
-		core.R("monitors", "probes probes"),
-		core.R("reads", "pool pool"),
+	mapping := repro.NewMapping(
+		repro.R("monitors", "probes probes"),
+		repro.R("reads", "pool pool"),
 	)
 	fmt.Printf("source:\n%s\nmapping:\n%s\n", source, mapping)
+	cm, err := repro.Compile(mapping)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// One session answers every query below from the same memoized
+	// solutions; the exact search keeps its default budget of 10 nulls.
+	session, err := repro.NewSession(cm, source)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	queries := []string{
 		// Certain navigationally.
@@ -57,16 +69,16 @@ func main() {
 	}
 
 	for _, text := range queries {
-		q := ree.MustParseQuery(text)
-		exact, err := core.CertainExact(mapping, source, q, core.DefaultExactOptions())
+		q := repro.MustREE(text)
+		exact, err := session.CertainExact(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		null, err := core.CertainNull(mapping, source, q)
+		null, err := session.CertainNull(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		li, err := core.CertainLeastInformative(mapping, source, q)
+		li, err := session.CertainLeastInformative(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}

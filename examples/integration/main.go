@@ -12,25 +12,25 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/datagraph"
-	"repro/internal/ree"
-	"repro/internal/rem"
+	"repro"
 )
 
 func main() {
+	ctx := context.Background()
+
 	// The sources are kept as one data graph whose edge labels name the
 	// source they come from — the paper's "view the source graphs as
 	// relations E_a of a virtual graph database G".
-	sources := datagraph.New()
+	sources := repro.NewGraph()
 	for _, city := range []struct{ id, pop string }{
 		{"edinburgh", "500k"}, {"london", "9000k"}, {"paris", "2100k"},
 		{"lyon", "500k"}, {"glasgow", "600k"},
 	} {
-		sources.MustAddNode(datagraph.NodeID(city.id), datagraph.V(city.pop))
+		sources.MustAddNode(repro.NodeID(city.id), repro.V(city.pop))
 	}
 	// airlineA routes.
 	sources.MustAddEdge("edinburgh", "airlineA", "london")
@@ -44,26 +44,34 @@ func main() {
 	// LAV mapping into the global schema: each source relation is a view
 	// over the global graph. A flight is a direct 'hop'; a train segment is
 	// a 'hop' via some unknown intermediate station (two hops).
-	mapping := core.NewMapping(
-		core.R("airlineA", "hop"),
-		core.R("airlineB", "hop"),
-		core.R("train", "hop hop"),
+	mapping := repro.NewMapping(
+		repro.R("airlineA", "hop"),
+		repro.R("airlineB", "hop"),
+		repro.R("train", "hop hop"),
 	)
 	fmt.Printf("LAV: %v  GAV: %v  relational: %v\n\n",
 		mapping.IsLAV(), mapping.IsGAV(), mapping.IsRelational())
+	cm, err := repro.Compile(mapping)
+	if err != nil {
+		log.Fatal(err)
+	}
+	session, err := repro.NewSession(cm, sources)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Queries over the global schema, answered with certainty across ALL
 	// global graphs consistent with the sources.
 	queries := []struct {
 		text string
-		q    core.Query
+		q    repro.Query
 	}{
-		{"hop hop (REE)", ree.MustParseQuery("hop hop")},
-		{"hop+ between equal-population cities", ree.MustParseQuery("(hop+)=")},
-		{"↓x.(hop[x!=])+ (all hops change population)", rem.MustParseQuery("!x.(hop[x!=])+")},
+		{"hop hop (REE)", repro.MustREE("hop hop")},
+		{"hop+ between equal-population cities", repro.MustREE("(hop+)=")},
+		{"↓x.(hop[x!=])+ (all hops change population)", repro.MustREM("!x.(hop[x!=])+")},
 	}
 	for _, qq := range queries {
-		answers, err := core.CertainNull(mapping, sources, qq.q)
+		answers, err := session.CertainNull(ctx, qq.q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -79,8 +87,7 @@ func main() {
 
 	// The integration view never exposes the nulls: queries landing on the
 	// unknown intermediate train stations are not certain.
-	q := ree.MustParseQuery("hop")
-	answers, err := core.CertainNull(mapping, sources, q)
+	answers, err := session.CertainNull(ctx, repro.MustREE("hop"))
 	if err != nil {
 		log.Fatal(err)
 	}

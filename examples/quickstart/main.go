@@ -1,4 +1,4 @@
-// Quickstart: the end-to-end data-exchange loop of the paper in ~60 lines.
+// Quickstart: the end-to-end data-exchange loop of the paper in ~80 lines.
 //
 //  1. Build a source data graph (a small social network).
 //  2. Declare a relational graph schema mapping (Definition 1 / 3).
@@ -10,21 +10,22 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/datagraph"
-	"repro/internal/ree"
+	"repro"
 )
 
 func main() {
+	ctx := context.Background()
+
 	// 1. Source: people with ages, knows/likes edges.
-	source := datagraph.New()
-	source.MustAddNode("ann", datagraph.V("30"))
-	source.MustAddNode("bob", datagraph.V("25"))
-	source.MustAddNode("carl", datagraph.V("30"))
-	source.MustAddNode("post1", datagraph.V("graphs"))
+	source := repro.NewGraph()
+	source.MustAddNode("ann", repro.V("30"))
+	source.MustAddNode("bob", repro.V("25"))
+	source.MustAddNode("carl", repro.V("30"))
+	source.MustAddNode("post1", repro.V("graphs"))
 	source.MustAddEdge("ann", "knows", "bob")
 	source.MustAddEdge("bob", "knows", "carl")
 	source.MustAddEdge("ann", "likes", "post1")
@@ -33,21 +34,35 @@ func main() {
 	// 2. Mapping to the target schema: 'knows' becomes a two-hop
 	// 'follows·follows' path (the intermediate account is unknown), 'likes'
 	// is copied as 'endorses'.
-	mapping := core.NewMapping(
-		core.R("knows", "follows follows"),
-		core.R("likes", "endorses"),
+	mapping := repro.NewMapping(
+		repro.R("knows", "follows follows"),
+		repro.R("likes", "endorses"),
 	)
 	fmt.Printf("mapping (LAV: %v, relational: %v):\n%s\n",
 		mapping.IsLAV(), mapping.IsRelational(), mapping)
-
-	// 3. Universal solution: fresh null accounts in the middle of each
-	// follows·follows path.
-	target, err := core.UniversalSolution(mapping, source)
+	cm, err := repro.Compile(mapping)
 	if err != nil {
 		log.Fatal(err)
 	}
+	session, err := repro.NewSession(cm, source)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// 3. Universal solution: fresh null accounts in the middle of each
+	// follows·follows path.
+	target, err := session.UniversalSolution(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	nulls := 0
+	for _, n := range target.Nodes() {
+		if n.IsNullNode() {
+			nulls++
+		}
+	}
 	fmt.Printf("universal solution (%d nodes, %d nulls):\n%s\n",
-		target.NumNodes(), len(core.NullNodes(target)), target)
+		target.NumNodes(), nulls, target)
 
 	// 4. Certain answers. "follows follows" is certain wherever the source
 	// had 'knows'; "(follows follows)!=" additionally demands different
@@ -58,8 +73,7 @@ func main() {
 		"(follows follows)!=",
 		"(follows follows follows follows)=",
 	} {
-		query := ree.MustParseQuery(q)
-		answers, err := core.CertainNull(mapping, source, query)
+		answers, err := session.CertainNull(ctx, repro.MustREE(q))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,9 +7,9 @@ package repro
 // conjunctive queries — with the paper's invariants asserted at each stage.
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/crpq"
 	"repro/internal/datagraph"
 	"repro/internal/relational"
@@ -29,11 +29,16 @@ func TestEndToEndExchangePipeline(t *testing.T) {
 
 	// 3. Solutions. Both must satisfy the mapping; Lemma 1 homomorphism
 	// from the universal into the least informative one.
-	u, err := UniversalSolution(m, gs)
+	ctx := context.Background()
+	s, err := NewSession(MustCompile(m), gs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	li, err := LeastInformativeSolution(m, gs)
+	u, err := s.UniversalSolution(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, err := s.LeastInformativeSolution(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func TestEndToEndExchangePipeline(t *testing.T) {
 		t.Fatal("solutions must satisfy the mapping")
 	}
 	fixed := map[datagraph.NodeID]datagraph.NodeID{}
-	for id := range core.DomIDs(m, gs) {
+	for id := range s.mat.DomIDs() {
 		fixed[id] = id
 	}
 	if _, ok := datagraph.FindHomomorphismNulls(u, li, fixed); !ok {
@@ -53,11 +58,11 @@ func TestEndToEndExchangePipeline(t *testing.T) {
 	withData := MustREE("(follows follows)!=")
 	equalityOnly := MustREE("(follows follows)=")
 
-	nullNav, err := CertainNull(m, gs, navigational)
+	nullNav, err := s.CertainNull(ctx, navigational)
 	if err != nil {
 		t.Fatal(err)
 	}
-	liNav, err := CertainLeastInformative(m, gs, navigational)
+	liNav, err := s.CertainLeastInformative(ctx, navigational)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +85,11 @@ func TestEndToEndExchangePipeline(t *testing.T) {
 		t.Fatalf("unexpected extra certain answers: %d vs %d", nullNav.Len(), knowsPairs)
 	}
 
-	nullData, err := CertainNull(m, gs, withData)
+	nullData, err := s.CertainNull(ctx, withData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	liEq, err := CertainLeastInformative(m, gs, equalityOnly)
+	liEq, err := s.CertainLeastInformative(ctx, equalityOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func TestEndToEndExchangePipeline(t *testing.T) {
 		if i >= 5 {
 			break
 		}
-		got, err := CertainOneInequality(m, gs, withData, a.From.ID, a.To.ID)
+		got, err := s.CertainOneInequality(ctx, withData, a.From.ID, a.To.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +140,7 @@ func TestEndToEndExchangePipeline(t *testing.T) {
 	// 7. Conjunctive certain answers: same-post endorsers two hops apart.
 	cq := crpq.MustParse(
 		"ans(x, y) :- x -[follows follows]-> y, x -[endorses]-> p, y -[endorses]-> p")
-	tuples, err := crpq.Certain(m, gs, cq)
+	tuples, err := s.CertainConjunctive(ctx, cq)
 	if err != nil {
 		t.Fatal(err)
 	}

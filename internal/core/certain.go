@@ -41,19 +41,6 @@ func (n NavQuery) StartLabels() ([]string, bool) { return n.Q.StartLabels() }
 // AcceptsEmptyPath exposes the RPQ's frontier metadata for schedulers.
 func (n NavQuery) AcceptsEmptyPath() bool { return n.Q.AcceptsEmptyPath() }
 
-// EvalFunc evaluates a query over a graph under a comparison mode. The
-// certain-answer algorithms accept one so an execution engine (see
-// internal/engine) can substitute a parallel, frontier-sharded evaluator
-// for the sequential q.Eval; nil means q.Eval.
-type EvalFunc func(g *datagraph.Graph, q Query, mode datagraph.CompareMode) *datagraph.PairSet
-
-func runEval(eval EvalFunc, g *datagraph.Graph, q Query, mode datagraph.CompareMode) *datagraph.PairSet {
-	if eval == nil {
-		return q.Eval(g, mode)
-	}
-	return eval(g, q, mode)
-}
-
 // FilterNullAnswers keeps the pairs of res whose endpoints are non-null
 // nodes of u, as Answers — the final filtering step of the Theorem 4
 // algorithm, shared between the sequential path and the parallel engine.
@@ -70,62 +57,31 @@ func FilterNullAnswers(u *datagraph.Graph, res *datagraph.PairSet) *Answers {
 }
 
 // CertainNull computes 2ⁿ_M(Q, Gs), the certain answers over target graphs
-// with SQL-null nodes (Theorem 4): build the universal solution, evaluate Q
-// under SQL-null semantics, and keep only tuples without null nodes. Exact
-// for queries preserved under homomorphisms (all data RPQs, Proposition 6);
-// in general an underapproximation of 2_M(Q, Gs) (Section 7).
-func CertainNull(m *Mapping, gs *datagraph.Graph, q Query) (*Answers, error) {
-	return CertainNullEval(m, gs, q, nil)
-}
-
-// CertainNullEval is CertainNull with a pluggable evaluator.
-func CertainNullEval(m *Mapping, gs *datagraph.Graph, q Query, eval EvalFunc) (*Answers, error) {
-	mat, err := throwaway(m, gs)
+// with SQL-null nodes (Theorem 4): evaluate Q under SQL-null semantics on
+// the memoized universal solution and keep only tuples without null nodes.
+// Exact for queries preserved under homomorphisms (all data RPQs,
+// Proposition 6); in general an underapproximation of 2_M(Q, Gs) (Section
+// 7). It is the sequential reference the parallel engine is checked
+// against.
+func (mat *Materialization) CertainNull(ctx context.Context, q Query) (*Answers, error) {
+	u, err := mat.UniversalCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return mat.CertainNull(q, eval)
-}
-
-// CertainNull computes 2ⁿ_M(Q, Gs) on the memoized universal solution; the
-// materialization variant of the package-level CertainNull.
-func (mat *Materialization) CertainNull(q Query, eval EvalFunc) (*Answers, error) {
-	u, err := mat.Universal()
-	if err != nil {
-		return nil, err
-	}
-	return FilterNullAnswers(u, runEval(eval, u, q, datagraph.SQLNulls)), nil
+	return FilterNullAnswers(u, q.Eval(u, datagraph.SQLNulls)), nil
 }
 
 // CertainLeastInformative computes 2_M(Q, Gs) for REM= and REE= queries
-// (Theorem 5): evaluate Q on the least informative solution and keep only
-// tuples over dom(M, Gs). The caller is responsible for Q being
+// (Theorem 5): evaluate Q on the memoized least informative solution and
+// keep only tuples over dom(M, Gs). The caller is responsible for Q being
 // equality-only (rem.IsEqualityOnly / ree.IsEqualityOnly); for queries with
 // inequalities the result may overapproximate.
-func CertainLeastInformative(m *Mapping, gs *datagraph.Graph, q Query) (*Answers, error) {
-	return CertainLeastInformativeEval(m, gs, q, nil)
-}
-
-// CertainLeastInformativeEval is CertainLeastInformative with a pluggable
-// evaluator.
-func CertainLeastInformativeEval(m *Mapping, gs *datagraph.Graph, q Query, eval EvalFunc) (*Answers, error) {
-	mat, err := throwaway(m, gs)
+func (mat *Materialization) CertainLeastInformative(ctx context.Context, q Query) (*Answers, error) {
+	li, err := mat.LeastInformativeCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return mat.CertainLeastInformative(q, eval)
-}
-
-// CertainLeastInformative computes 2_M(Q, Gs) for equality-only queries on
-// the memoized least informative solution; the materialization variant of
-// the package-level CertainLeastInformative.
-func (mat *Materialization) CertainLeastInformative(q Query, eval EvalFunc) (*Answers, error) {
-	li, err := mat.LeastInformative()
-	if err != nil {
-		return nil, err
-	}
-	res := runEval(eval, li, q, datagraph.MarkedNulls)
-	return FilterDomAnswers(li, mat.DomIDs(), res), nil
+	return FilterDomAnswers(li, mat.DomIDs(), q.Eval(li, datagraph.MarkedNulls)), nil
 }
 
 // FilterDomAnswers keeps the pairs of res whose endpoints lie in dom, as
@@ -158,9 +114,8 @@ type ExactOptions struct {
 func DefaultExactOptions() ExactOptions { return ExactOptions{MaxNulls: 10} }
 
 // Normalized validates the options once, up front: a negative MaxNulls is
-// ErrBadOptions, zero selects the default. Sessions call this at
-// construction; the legacy free functions call it at entry — either way the
-// search loops below never re-check.
+// ErrBadOptions, zero selects the default. The exact searches call it at
+// entry, so their loops never re-check.
 func (o ExactOptions) Normalized() (ExactOptions, error) {
 	if o.MaxNulls < 0 {
 		return o, badOptionf("MaxNulls %d is negative", o.MaxNulls)
@@ -181,20 +136,12 @@ func (o ExactOptions) Normalized() (ExactOptions, error) {
 // coNP upper bound of Theorem 2/Proposition 2 as a deterministic
 // exponential search and serves as the ground-truth oracle for the
 // tractable algorithms.
-func CertainExact(m *Mapping, gs *datagraph.Graph, q Query, opts ExactOptions) (*Answers, error) {
-	mat, err := throwaway(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return mat.CertainExact(context.Background(), q, opts)
-}
-
-// CertainExact is the materialization variant of the package-level
-// CertainExact: the universal solution, dom and the source value pool come
-// from the memoized artifacts, so repeated exact queries against one (M, Gs)
-// pay for solution building once. The search clones the shared universal
-// solution, making concurrent calls safe, and honors ctx between
-// specializations (returning an ErrCanceled wrap).
+//
+// The universal solution, dom and the source value pool come from the
+// memoized artifacts, so repeated exact queries against one (M, Gs) pay for
+// solution building once. The search clones the shared universal solution,
+// making concurrent calls safe, and honors ctx between specializations
+// (returning an ErrCanceled wrap).
 func (mat *Materialization) CertainExact(ctx context.Context, q Query, opts ExactOptions) (*Answers, error) {
 	opts, err := opts.Normalized()
 	if err != nil {
@@ -315,18 +262,6 @@ type RangeEvaluator interface {
 // each specialization only from the asked node and stopping at the first
 // counterexample specialization. This is the oracle used by the
 // coNP-hardness experiments, where only one pair matters.
-func CertainExactPair(m *Mapping, gs *datagraph.Graph, q Query,
-	from, to datagraph.NodeID, opts ExactOptions) (bool, error) {
-
-	mat, err := throwaway(m, gs)
-	if err != nil {
-		return false, err
-	}
-	return mat.CertainExactPair(context.Background(), q, from, to, opts)
-}
-
-// CertainExactPair is the materialization variant of the package-level
-// CertainExactPair, sharing the memoized universal solution and dom.
 func (mat *Materialization) CertainExactPair(ctx context.Context, q Query,
 	from, to datagraph.NodeID, opts ExactOptions) (bool, error) {
 

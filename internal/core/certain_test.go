@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datagraph"
@@ -8,6 +9,13 @@ import (
 	"repro/internal/rem"
 	"repro/internal/rpq"
 )
+
+var ctx = context.Background()
+
+// mat opens a fresh materialization of (m, gs).
+func mat(m *Mapping, gs *datagraph.Graph) *Materialization {
+	return NewMaterialization(MustCompile(m), gs)
+}
 
 // selfLoopSource builds x -a-> x with value "vx".
 func selfLoopSource(t *testing.T) *datagraph.Graph {
@@ -23,7 +31,7 @@ func TestCertainNullNavigational(t *testing.T) {
 	m := NewMapping(R("knows", "f f"), R("likes", "l"))
 	// Navigational query f f from ann reaches bob in every solution.
 	q := NavQuery{Q: rpq.MustParse("f f")}
-	ans, err := CertainNull(m, gs, q)
+	ans, err := mat(m, gs).CertainNull(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +39,7 @@ func TestCertainNullNavigational(t *testing.T) {
 		t.Fatalf("certain = %v", ans)
 	}
 	// f alone ends at a null node: no certain answers.
-	ans2, err := CertainNull(m, gs, NavQuery{Q: rpq.MustParse("f")})
+	ans2, err := mat(m, gs).CertainNull(ctx, NavQuery{Q: rpq.MustParse("f")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +53,7 @@ func TestCertainNullDataQuery(t *testing.T) {
 	m := NewMapping(R("knows", "f f"))
 	// (f f)!=: endpoints ann(30), bob(25) differ — certain.
 	q := ree.MustParseQuery("(f f)!=")
-	ans, err := CertainNull(m, gs, q)
+	ans, err := mat(m, gs).CertainNull(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func TestCertainNullDataQuery(t *testing.T) {
 		t.Fatalf("(f f)!= should be certain: %v", ans)
 	}
 	// (f f)=: endpoints differ — not certain (and in fact never true).
-	ans2, err := CertainNull(m, gs, ree.MustParseQuery("(f f)="))
+	ans2, err := mat(m, gs).CertainNull(ctx, ree.MustParseQuery("(f f)="))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +70,7 @@ func TestCertainNullDataQuery(t *testing.T) {
 	}
 	// f=: would compare a constant with a null — never true under SQL
 	// semantics, and indeed not certain (the null can be anything).
-	ans3, err := CertainNull(m, gs, ree.MustParseQuery("f="))
+	ans3, err := mat(m, gs).CertainNull(ctx, ree.MustParseQuery("f="))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +84,11 @@ func TestCertainExactAgreesOnSimpleCases(t *testing.T) {
 	m := NewMapping(R("knows", "f f"))
 	for _, expr := range []string{"(f f)!=", "(f f)=", "f="} {
 		q := ree.MustParseQuery(expr)
-		exact, err := CertainExact(m, gs, q, DefaultExactOptions())
+		exact, err := mat(m, gs).CertainExact(ctx, q, DefaultExactOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		null, err := CertainNull(m, gs, q)
+		null, err := mat(m, gs).CertainNull(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +110,7 @@ func TestApproximationGapSelfEquality(t *testing.T) {
 	// x b v b x b v b x whose positions 1 and 3 are the same node v —
 	// values equal. Certain under the exact semantics.
 	q := ree.MustParseQuery("b (b b)= b")
-	exact, err := CertainExact(m, gs, q, DefaultExactOptions())
+	exact, err := mat(m, gs).CertainExact(ctx, q, DefaultExactOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +118,7 @@ func TestApproximationGapSelfEquality(t *testing.T) {
 		t.Fatalf("exact semantics should certify (x,x): %v", exact)
 	}
 	// Theorem 5: least-informative computes it too (query is REE=).
-	li, err := CertainLeastInformative(m, gs, q)
+	li, err := mat(m, gs).CertainLeastInformative(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +126,7 @@ func TestApproximationGapSelfEquality(t *testing.T) {
 		t.Fatalf("least-informative should certify (x,x): %v", li)
 	}
 	// SQL nulls miss it: n = n is not true under SQL semantics.
-	null, err := CertainNull(m, gs, q)
+	null, err := mat(m, gs).CertainNull(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +140,7 @@ func TestCertainLeastInformativeEqualityOnly(t *testing.T) {
 	m := NewMapping(R("knows", "f f"), R("likes", "l"))
 	// REE= query l= : ann likes p1 and bob likes p1; values differ from p1's
 	// so l= is never certain.
-	li, err := CertainLeastInformative(m, gs, ree.MustParseQuery("l="))
+	li, err := mat(m, gs).CertainLeastInformative(ctx, ree.MustParseQuery("l="))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +148,7 @@ func TestCertainLeastInformativeEqualityOnly(t *testing.T) {
 		t.Fatalf("l= should have no certain answers: %v", li)
 	}
 	// Navigational f f is certain (ann, bob).
-	li2, err := CertainLeastInformative(m, gs, ree.MustParseQuery("f f"))
+	li2, err := mat(m, gs).CertainLeastInformative(ctx, ree.MustParseQuery("f f"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +161,11 @@ func TestCertainLeastInformativeEqualityOnly(t *testing.T) {
 		if !ree.IsEqualityOnly(q.Expr()) {
 			t.Fatalf("%s should be REE=", expr)
 		}
-		exact, err := CertainExact(m, gs, q, DefaultExactOptions())
+		exact, err := mat(m, gs).CertainExact(ctx, q, DefaultExactOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		liAns, err := CertainLeastInformative(m, gs, q)
+		liAns, err := mat(m, gs).CertainLeastInformative(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,14 +180,14 @@ func TestCertainWithREMQuery(t *testing.T) {
 	m := NewMapping(R("knows", "f f"))
 	// REM query ↓x.((f f)[x≠]) ≡ (f f)!=.
 	q := rem.MustParseQuery("!x.((f f)[x!=])")
-	ans, err := CertainNull(m, gs, q)
+	ans, err := mat(m, gs).CertainNull(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ans.Has("ann", "bob") {
 		t.Fatalf("REM inequality should be certain: %v", ans)
 	}
-	exact, err := CertainExact(m, gs, q, DefaultExactOptions())
+	exact, err := mat(m, gs).CertainExact(ctx, q, DefaultExactOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +206,10 @@ func TestCertainExactBudget(t *testing.T) {
 		gs.MustAddEdge(datagraph.NodeID(string(rune('a'+i))), "e", datagraph.NodeID(string(rune('a'+i+1))))
 	}
 	m := NewMapping(R("e", "p q r")) // 2 nulls per source edge = 4 nulls
-	if _, err := CertainExact(m, gs, ree.MustParseQuery("p"), ExactOptions{MaxNulls: 3}); err == nil {
+	if _, err := mat(m, gs).CertainExact(ctx, ree.MustParseQuery("p"), ExactOptions{MaxNulls: 3}); err == nil {
 		t.Fatal("budget must be enforced")
 	}
-	if _, err := CertainExact(m, gs, ree.MustParseQuery("p q r"), ExactOptions{MaxNulls: 4}); err != nil {
+	if _, err := mat(m, gs).CertainExact(ctx, ree.MustParseQuery("p q r"), ExactOptions{MaxNulls: 4}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -228,7 +236,7 @@ func TestCertainExactEarlyStopAndEmpty(t *testing.T) {
 	gs := sourceGraph(t)
 	m := NewMapping(R("knows", "f f"))
 	// A query that never matches: certain answers empty, early stop path.
-	ans, err := CertainExact(m, gs, ree.MustParseQuery("zz"), DefaultExactOptions())
+	ans, err := mat(m, gs).CertainExact(ctx, ree.MustParseQuery("zz"), DefaultExactOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +250,13 @@ func TestCertainExactPairAgreesWithFullSearch(t *testing.T) {
 	m := NewMapping(R("knows", "f f"), R("likes", "l"))
 	for _, expr := range []string{"(f f)!=", "(f f)=", "f f", "l", "f= f"} {
 		q := ree.MustParseQuery(expr)
-		full, err := CertainExact(m, gs, q, DefaultExactOptions())
+		full, err := mat(m, gs).CertainExact(ctx, q, DefaultExactOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range Dom(m, gs) {
-			for _, b := range Dom(m, gs) {
-				got, err := CertainExactPair(m, gs, q, a.ID, b.ID, DefaultExactOptions())
+		for _, a := range mat(m, gs).DomNodes() {
+			for _, b := range mat(m, gs).DomNodes() {
+				got, err := mat(m, gs).CertainExactPair(ctx, q, a.ID, b.ID, DefaultExactOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -259,7 +267,7 @@ func TestCertainExactPairAgreesWithFullSearch(t *testing.T) {
 		}
 	}
 	// Non-dom endpoints are never certain.
-	got, err := CertainExactPair(m, gs, ree.MustParseQuery("f f"), "p1", "zz", DefaultExactOptions())
+	got, err := mat(m, gs).CertainExactPair(ctx, ree.MustParseQuery("f f"), "p1", "zz", DefaultExactOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +275,7 @@ func TestCertainExactPairAgreesWithFullSearch(t *testing.T) {
 		t.Fatal("missing endpoint cannot be certain")
 	}
 	// Budget enforcement.
-	if _, err := CertainExactPair(m, gs, ree.MustParseQuery("f f"), "ann", "bob",
+	if _, err := mat(m, gs).CertainExactPair(ctx, ree.MustParseQuery("f f"), "ann", "bob",
 		ExactOptions{MaxNulls: -1}); err == nil {
 		// MaxNulls -1 means fewer than the single null present... -1 < 1.
 		t.Fatal("budget must be enforced")

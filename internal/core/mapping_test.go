@@ -185,11 +185,11 @@ func TestDom(t *testing.T) {
 	gs := sourceGraph(t)
 	// Only 'knows' endpoints are in dom.
 	m := NewMapping(R("knows", "k"))
-	dom := Dom(m, gs)
+	dom := mat(m, gs).DomNodes()
 	if len(dom) != 2 {
 		t.Fatalf("dom = %v", dom)
 	}
-	ids := DomIDs(m, gs)
+	ids := mat(m, gs).DomIDs()
 	if _, ok := ids["ann"]; !ok {
 		t.Fatal("ann should be in dom")
 	}
@@ -198,7 +198,7 @@ func TestDom(t *testing.T) {
 	}
 	// Adding the likes rule brings p1 in.
 	m2 := NewMapping(R("knows", "k"), R("likes", "l"))
-	if len(Dom(m2, gs)) != 3 {
+	if len(mat(m2, gs).DomNodes()) != 3 {
 		t.Fatal("likes endpoints should join dom")
 	}
 }

@@ -136,16 +136,25 @@ func (mat *Materialization) DomIDs() map[datagraph.NodeID]struct{} {
 	return out
 }
 
-// Universal returns the memoized SQL-null universal solution (Section 7).
+// Universal is UniversalCtx without a deadline. It is kept for the
+// benchmark harness under bench/, which calls it; everything else passes a
+// context to UniversalCtx.
 func (mat *Materialization) Universal() (*datagraph.Graph, error) {
 	return mat.UniversalCtx(context.Background())
 }
 
-// UniversalCtx is Universal with a deadline: the chase that builds a
-// missing solution checks ctx at every rule and every chasePoll pairs, so a
-// canceled request abandons a cold materialization promptly instead of
-// finishing it. The partial build is discarded (errors are never memoized)
-// and the next caller retries under its own deadline.
+// UniversalCtx returns the memoized SQL-null universal solution of Section
+// 7: dom(M, Gs) is copied, and for each rule (q, a₁…aₖ) and each pair
+// (v, v′) ∈ q(Gs), a path v a₁ n₁ a₂ … aₖ v′ is added whose k−1
+// intermediate nodes are fresh null nodes. It errors with ErrInfinite if the
+// mapping is not relational, or with ErrNoSolution if a rule with target ε
+// demands v = v′ for a pair with v ≠ v′.
+//
+// The chase that builds a missing solution checks ctx at every rule and
+// every chasePoll pairs, so a canceled request abandons a cold
+// materialization promptly instead of finishing it. The partial build is
+// discarded (errors are never memoized) and the next caller retries under
+// its own deadline.
 func (mat *Materialization) UniversalCtx(ctx context.Context) (*datagraph.Graph, error) {
 	return mat.uni.get(func() (*datagraph.Graph, error) {
 		// Fault point "core.memo": the memoization gate, the moment a
@@ -157,14 +166,10 @@ func (mat *Materialization) UniversalCtx(ctx context.Context) (*datagraph.Graph,
 	})
 }
 
-// LeastInformative returns the memoized fresh-value least informative
-// solution (Section 8).
-func (mat *Materialization) LeastInformative() (*datagraph.Graph, error) {
-	return mat.LeastInformativeCtx(context.Background())
-}
-
-// LeastInformativeCtx is LeastInformative with a deadline (see
-// UniversalCtx).
+// LeastInformativeCtx returns the memoized least informative solution of
+// Section 8: the universal solution with fresh, pairwise distinct data
+// values on its intermediate nodes instead of nulls. ctx bounds the chase as
+// in UniversalCtx.
 func (mat *Materialization) LeastInformativeCtx(ctx context.Context) (*datagraph.Graph, error) {
 	return mat.li.get(func() (*datagraph.Graph, error) {
 		if err := fault.Hit("core.memo"); err != nil {
@@ -174,13 +179,8 @@ func (mat *Materialization) LeastInformativeCtx(ctx context.Context) (*datagraph
 	})
 }
 
-// UniversalNulls returns the null-node ids of the universal solution.
-func (mat *Materialization) UniversalNulls() ([]datagraph.NodeID, error) {
-	return mat.UniversalNullsCtx(context.Background())
-}
-
-// UniversalNullsCtx is UniversalNulls with a deadline on any chase it
-// triggers.
+// UniversalNullsCtx returns the null-node ids of the universal solution,
+// with ctx bounding any chase it triggers.
 func (mat *Materialization) UniversalNullsCtx(ctx context.Context) ([]datagraph.NodeID, error) {
 	return mat.nulls.get(func() ([]datagraph.NodeID, error) {
 		u, err := mat.UniversalCtx(ctx)

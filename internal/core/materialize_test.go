@@ -29,7 +29,7 @@ func referenceChase(m *core.Mapping, gs *datagraph.Graph, freshValues bool) (*da
 	}
 	idPrefix, valPrefix := referencePrefix("_n", ids), referencePrefix("_fresh", vals)
 	gt := datagraph.New()
-	for _, n := range core.Dom(m, gs) {
+	for _, n := range mat(m, gs).DomNodes() {
 		gt.MustAddNode(n.ID, n.Value)
 	}
 	fresh := 0
@@ -118,11 +118,12 @@ func TestChaseMatchesTupleAtATime(t *testing.T) {
 			for _, fresh := range []bool{false, true} {
 				name := fmt.Sprintf("graph %d, mapping %d, fresh values %v", gi, mi, fresh)
 				want, wantErr := referenceChase(m, gs, fresh)
-				build := core.UniversalSolution
+				mt := mat(m, gs)
+				build := mt.UniversalCtx
 				if fresh {
-					build = core.LeastInformativeSolution
+					build = mt.LeastInformativeCtx
 				}
-				got, err := build(m, gs)
+				got, err := build(ctx)
 				if wantErr != nil || err != nil {
 					if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 						t.Fatalf("%s: error %v, want %v", name, err, wantErr)
@@ -199,7 +200,7 @@ func TestChaseCancelsMidRule(t *testing.T) {
 	if took > baseline/2 {
 		t.Errorf("canceled chase returned after %v, want within %v (half the uncanceled run)", took, baseline/2)
 	}
-	if _, err := mat.Universal(); err != nil {
+	if _, err := mat.UniversalCtx(context.Background()); err != nil {
 		t.Fatalf("chase after a canceled one: %v", err)
 	}
 }
@@ -215,7 +216,7 @@ func TestUniversalAllocations(t *testing.T) {
 	cm := core.MustCompile(sc.Mapping)
 	core.NewMaterialization(cm, sc.Graph).SourcePairs() // freeze the source once, as a registered graph is
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := core.NewMaterialization(cm, sc.Graph).Universal(); err != nil {
+		if _, err := core.NewMaterialization(cm, sc.Graph).UniversalCtx(ctx); err != nil {
 			t.Fatal(err)
 		}
 	})

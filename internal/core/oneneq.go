@@ -46,21 +46,9 @@ func (o OneNeqOptions) Normalized() (OneNeqOptions, error) {
 }
 
 // CertainOneInequality decides whether (from, to) ∈ 2_M(Q, Gs) for a
-// relational GSM and a path-with-tests Q with at most one inequality.
-func CertainOneInequality(m *Mapping, gs *datagraph.Graph, q *ree.Query,
-	from, to datagraph.NodeID, opts OneNeqOptions) (bool, error) {
-
-	mat, err := throwaway(m, gs)
-	if err != nil {
-		return false, err
-	}
-	return mat.CertainOneInequality(context.Background(), q, from, to, opts)
-}
-
-// CertainOneInequality is the materialization variant of the package-level
-// CertainOneInequality, sharing the memoized universal solution. ctx is
-// honored during path enumeration and the merge fixpoint (returning an
-// ErrCanceled wrap).
+// relational GSM and a path-with-tests Q with at most one inequality, on the
+// memoized universal solution. ctx is honored during path enumeration and
+// the merge fixpoint (returning an ErrCanceled wrap).
 func (mat *Materialization) CertainOneInequality(ctx context.Context, q *ree.Query,
 	from, to datagraph.NodeID, opts OneNeqOptions) (bool, error) {
 
@@ -139,27 +127,6 @@ func (mat *Materialization) CertainOneInequality(ctx context.Context, q *ree.Que
 			return false, nil
 		}
 	}
-}
-
-// CertainOneInequalityAll computes all certain pairs over dom(M, Gs)²; used
-// by tests and experiments on small instances.
-func CertainOneInequalityAll(m *Mapping, gs *datagraph.Graph, q *ree.Query,
-	opts OneNeqOptions) (*Answers, error) {
-
-	dom := Dom(m, gs)
-	out := NewAnswers()
-	for _, a := range dom {
-		for _, b := range dom {
-			ok, err := CertainOneInequality(m, gs, q, a.ID, b.ID, opts)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out.Add(Answer{From: a, To: b})
-			}
-		}
-	}
-	return out, nil
 }
 
 // matchingPaths enumerates node sequences of the universal solution

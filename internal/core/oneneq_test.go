@@ -22,7 +22,7 @@ func TestOneNeqEndpointConstants(t *testing.T) {
 	m := NewMapping(R("a", "b b"))
 	// (b b)!=: endpoints are constants 1 ≠ 2 — unkillable threat, certain.
 	q := ree.MustParseQuery("(b b)!=")
-	got, err := CertainOneInequality(m, gs, q, "x", "y", OneNeqOptions{})
+	got, err := mat(m, gs).CertainOneInequality(ctx, q, "x", "y", OneNeqOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestOneNeqEndpointConstants(t *testing.T) {
 		t.Fatal("(b b)!= must be certain over distinct constants")
 	}
 	// Agreement with the exact oracle.
-	exact, err := CertainExact(m, gs, q, DefaultExactOptions())
+	exact, err := mat(m, gs).CertainExact(ctx, q, DefaultExactOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,14 @@ func TestOneNeqKillableThreat(t *testing.T) {
 	// b!= b: compares x's constant with the null — adversary sets the null
 	// equal to x's value and kills the match.
 	q := ree.MustParseQuery("b!= b")
-	got, err := CertainOneInequality(m, gs, q, "x", "y", OneNeqOptions{})
+	got, err := mat(m, gs).CertainOneInequality(ctx, q, "x", "y", OneNeqOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got {
 		t.Fatal("b!= b should not be certain (null can equal x)")
 	}
-	exact, err := CertainExact(m, gs, q, DefaultExactOptions())
+	exact, err := mat(m, gs).CertainExact(ctx, q, DefaultExactOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestOneNeqEqualityPropagation(t *testing.T) {
 	// paths' midpoints equalling x's value — easy: set both to anything
 	// else. Not certain.
 	q := ree.MustParseQuery("b= b")
-	got, err := CertainOneInequality(m, gs, q, "x", "y", OneNeqOptions{})
+	got, err := mat(m, gs).CertainOneInequality(ctx, q, "x", "y", OneNeqOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestOneNeqEqualityPropagation(t *testing.T) {
 		t.Fatal("b= b should not be certain")
 	}
 	// Query with zero tests: plain b b is certain.
-	got2, err := CertainOneInequality(m, gs, ree.MustParseQuery("b b"), "x", "y", OneNeqOptions{})
+	got2, err := mat(m, gs).CertainOneInequality(ctx, ree.MustParseQuery("b b"), "x", "y", OneNeqOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func TestOneNeqForcedMergeCascade(t *testing.T) {
 	gs.MustAddEdge("x", "e", "z")
 	m := NewMapping(R("a", "b b"), R("e", "b b"))
 
-	got, err := CertainOneInequality(m, gs, ree.MustParseQuery("b!= b"), "x", "x", OneNeqOptions{})
+	got, err := mat(m, gs).CertainOneInequality(ctx, ree.MustParseQuery("b!= b"), "x", "x", OneNeqOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got {
 		t.Fatal("adversary can set n1 = 1 to kill the only threat")
 	}
-	got2, err := CertainOneInequality(m, gs, ree.MustParseQuery("(b b)!="), "x", "z", OneNeqOptions{})
+	got2, err := mat(m, gs).CertainOneInequality(ctx, ree.MustParseQuery("(b b)!="), "x", "z", OneNeqOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,20 +126,39 @@ func TestOneNeqForcedMergeCascade(t *testing.T) {
 		t.Fatal("distinct constants make (b b)!= certain")
 	}
 	// Cross-check both with the oracle.
-	exact, err := CertainExact(m, gs, ree.MustParseQuery("b!= b"), DefaultExactOptions())
+	exact, err := mat(m, gs).CertainExact(ctx, ree.MustParseQuery("b!= b"), DefaultExactOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exact.Has("x", "x") {
 		t.Fatal("oracle: b!= b should not be certain")
 	}
-	exact2, err := CertainExact(m, gs, ree.MustParseQuery("(b b)!="), DefaultExactOptions())
+	exact2, err := mat(m, gs).CertainExact(ctx, ree.MustParseQuery("(b b)!="), DefaultExactOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !exact2.Has("x", "z") {
 		t.Fatal("oracle: (b b)!= should be certain")
 	}
+}
+
+// certainOneInequalityAll collects the certain pairs over dom(M, Gs)² of
+// the Proposition 4 algorithm, on one shared materialization.
+func certainOneInequalityAll(mt *Materialization, q *ree.Query) (*Answers, error) {
+	dom := mt.DomNodes()
+	out := NewAnswers()
+	for _, a := range dom {
+		for _, b := range dom {
+			ok, err := mt.CertainOneInequality(ctx, q, a.ID, b.ID, OneNeqOptions{})
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out.Add(Answer{From: a, To: b})
+			}
+		}
+	}
+	return out, nil
 }
 
 // Exhaustive agreement between the fixpoint algorithm and the exponential
@@ -162,11 +181,11 @@ func TestOneNeqAgreesWithOracle(t *testing.T) {
 		if ree.CountNeq(q.Expr()) > 1 {
 			continue
 		}
-		exact, err := CertainExact(m, gs, q, DefaultExactOptions())
+		exact, err := mat(m, gs).CertainExact(ctx, q, DefaultExactOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := CertainOneInequalityAll(m, gs, q, OneNeqOptions{})
+		all, err := certainOneInequalityAll(mat(m, gs), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,10 +198,10 @@ func TestOneNeqAgreesWithOracle(t *testing.T) {
 func TestOneNeqRejectsWrongQueries(t *testing.T) {
 	gs := edgeSource(t)
 	m := NewMapping(R("a", "b"))
-	if _, err := CertainOneInequality(m, gs, ree.MustParseQuery("b*"), "x", "y", OneNeqOptions{}); err == nil {
+	if _, err := mat(m, gs).CertainOneInequality(ctx, ree.MustParseQuery("b*"), "x", "y", OneNeqOptions{}); err == nil {
 		t.Fatal("star is not a path with tests")
 	}
-	if _, err := CertainOneInequality(m, gs, ree.MustParseQuery("b!= b!="), "x", "y", OneNeqOptions{}); err == nil {
+	if _, err := mat(m, gs).CertainOneInequality(ctx, ree.MustParseQuery("b!= b!="), "x", "y", OneNeqOptions{}); err == nil {
 		t.Fatal("two inequalities must be rejected")
 	}
 }
@@ -192,7 +211,7 @@ func TestOneNeqMissingEndpoints(t *testing.T) {
 	gs.MustAddNode("lonely", datagraph.V("9"))
 	m := NewMapping(R("a", "b"))
 	// lonely is not in dom: not certain for any pair involving it.
-	got, err := CertainOneInequality(m, gs, ree.MustParseQuery("b"), "lonely", "y", OneNeqOptions{})
+	got, err := mat(m, gs).CertainOneInequality(ctx, ree.MustParseQuery("b"), "lonely", "y", OneNeqOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,8 @@ type Prop5Options struct {
 	MaxNulls int
 	// Workers is the number of goroutines sharding the adversary's choice
 	// combinations (each combination is checked independently, so the search
-	// parallelizes perfectly). ≤ 1 runs sequentially. internal/engine sets
-	// this to GOMAXPROCS.
+	// parallelizes perfectly). ≤ 1 runs sequentially. Sessions set this to
+	// their worker count, GOMAXPROCS by default.
 	Workers int
 }
 
@@ -78,21 +78,9 @@ func (o Prop5Options) Normalized() (Prop5Options, error) {
 }
 
 // CertainDataPathArbitrary decides (from, to) ∈ 2_M(Q, Gs) for an arbitrary
-// GSM and a path-with-tests query.
-func CertainDataPathArbitrary(m *Mapping, gs *datagraph.Graph, q *ree.Query,
-	from, to datagraph.NodeID, opts Prop5Options) (bool, error) {
-
-	mat, err := throwaway(m, gs)
-	if err != nil {
-		return false, err
-	}
-	return mat.CertainDataPathArbitrary(context.Background(), q, from, to, opts)
-}
-
-// CertainDataPathArbitrary is the materialization variant of the
-// package-level CertainDataPathArbitrary: the memoized per-rule source
-// results and dom are shared, and ctx is honored between adversary
-// combinations (returning an ErrCanceled wrap).
+// GSM and a path-with-tests query. The memoized per-rule source results and
+// dom are shared, and ctx is honored between adversary combinations
+// (returning an ErrCanceled wrap).
 func (mat *Materialization) CertainDataPathArbitrary(ctx context.Context, q *ree.Query,
 	from, to datagraph.NodeID, opts Prop5Options) (bool, error) {
 

@@ -27,11 +27,11 @@ func TestProp5AgreesWithRelationalOracle(t *testing.T) {
 	m := NewMapping(R("a", "b c"))
 	for _, expr := range []string{"b c", "(b c)=", "(b c)!=", "b", "b= c"} {
 		q := ree.MustParseQuery(expr)
-		want, err := CertainExactPair(m, gs, q, "x", "y", DefaultExactOptions())
+		want, err := mat(m, gs).CertainExactPair(ctx, q, "x", "y", DefaultExactOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CertainDataPathArbitrary(m, gs, q, "x", "y", Prop5Options{})
+		got, err := mat(m, gs).CertainDataPathArbitrary(ctx, q, "x", "y", Prop5Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestProp5ReachabilityRule(t *testing.T) {
 	// Σ* target: the adversary can always realise the requirement with a
 	// path avoiding the query labels, so nothing is certain.
 	m := NewMapping(R("a", ".*"))
-	got, err := CertainDataPathArbitrary(m, gs, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
+	got, err := mat(m, gs).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestProp5UnionChoice(t *testing.T) {
 	gs := prop5Source(t, false)
 	// Target b | c c: the adversary picks whichever word avoids the query.
 	m := NewMapping(R("a", "b|c c"))
-	got, err := CertainDataPathArbitrary(m, gs, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
+	got, err := mat(m, gs).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestProp5UnionChoice(t *testing.T) {
 	}
 	// But the disjunction-free demand b is certain when the only word is b.
 	m2 := NewMapping(R("a", "b"))
-	got2, err := CertainDataPathArbitrary(m2, gs, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
+	got2, err := mat(m2, gs).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestProp5StarTarget(t *testing.T) {
 	// Target b⁺ (written b b*): words b, bb, bbb, … The query b·b is
 	// dodged by choosing b (or any length ≠ 2 — including LONG).
 	m := NewMapping(R("a", "b b*"))
-	got, err := CertainDataPathArbitrary(m, gs, ree.MustParseQuery("b b"), "x", "y", Prop5Options{})
+	got, err := mat(m, gs).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b b"), "x", "y", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestProp5StarTarget(t *testing.T) {
 	// Query ⋆-free single b against target b: the one-letter prefix of
 	// every b⁺ word... a match needs the full inserted path to have length
 	// exactly 1, and the adversary picks longer: not certain either.
-	got2, err := CertainDataPathArbitrary(m, gs, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
+	got2, err := mat(m, gs).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestProp5DataTests(t *testing.T) {
 	// and the endpoints carry equal values.
 	gsSame := prop5Source(t, true)
 	m := NewMapping(R("a", "b c"))
-	got, err := CertainDataPathArbitrary(m, gsSame, ree.MustParseQuery("(b c)="), "x", "y", Prop5Options{})
+	got, err := mat(m, gsSame).CertainDataPathArbitrary(ctx, ree.MustParseQuery("(b c)="), "x", "y", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestProp5DataTests(t *testing.T) {
 	}
 	// Distinct endpoint values: never.
 	gsDiff := prop5Source(t, false)
-	got2, err := CertainDataPathArbitrary(m, gsDiff, ree.MustParseQuery("(b c)="), "x", "y", Prop5Options{})
+	got2, err := mat(m, gsDiff).CertainDataPathArbitrary(ctx, ree.MustParseQuery("(b c)="), "x", "y", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestProp5DataTests(t *testing.T) {
 	}
 	// Midpoint test: (b= c) compares x with the fresh midpoint — the
 	// adversary gives the midpoint a different value.
-	got3, err := CertainDataPathArbitrary(m, gsSame, ree.MustParseQuery("b= c"), "x", "y", Prop5Options{})
+	got3, err := mat(m, gsSame).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b= c"), "x", "y", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestProp5Guards(t *testing.T) {
 	gs := prop5Source(t, false)
 	m := NewMapping(R("a", "b"))
 	// Non-path query rejected.
-	if _, err := CertainDataPathArbitrary(m, gs, ree.MustParseQuery("b*"), "x", "y", Prop5Options{}); err == nil {
+	if _, err := mat(m, gs).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b*"), "x", "y", Prop5Options{}); err == nil {
 		t.Fatal("star query is not a path with tests")
 	}
 	// Missing endpoints are not certain.
-	got, err := CertainDataPathArbitrary(m, gs, ree.MustParseQuery("b"), "x", "ghost", Prop5Options{})
+	got, err := mat(m, gs).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b"), "x", "ghost", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestProp5Guards(t *testing.T) {
 	big.MustAddNode("y", datagraph.V("2"))
 	big.MustAddEdge("x", "a", "y")
 	wide := NewMapping(R("a", "b|c|d|e b|c c|d d"), R("a", "b|c|d|e b|c c|d d"))
-	if _, err := CertainDataPathArbitrary(wide, big, ree.MustParseQuery("b b"), "x", "y",
+	if _, err := mat(wide, big).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b b"), "x", "y",
 		Prop5Options{MaxChoices: 2}); err == nil {
 		t.Fatal("choice budget must be enforced")
 	}
@@ -167,7 +167,7 @@ func TestProp5EpsilonWords(t *testing.T) {
 	gs.MustAddNode("x", datagraph.V("1"))
 	gs.MustAddEdge("x", "a", "x")
 	m := NewMapping(R("a", "()|b"))
-	got, err := CertainDataPathArbitrary(m, gs, ree.MustParseQuery("b"), "x", "x", Prop5Options{})
+	got, err := mat(m, gs).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b"), "x", "x", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,35 @@ func TestProp5EpsilonWords(t *testing.T) {
 	// Distinct endpoints make ε unusable: b becomes forced.
 	gs2 := prop5Source(t, false)
 	m2 := NewMapping(R("a", "()|b"))
-	got2, err := CertainDataPathArbitrary(m2, gs2, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
+	got2, err := mat(m2, gs2).CertainDataPathArbitrary(ctx, ree.MustParseQuery("b"), "x", "y", Prop5Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got2 {
 		t.Fatal("ε demands x = y; with x ≠ y the b word is forced")
+	}
+}
+
+// TestProp5Parallel cross-checks the parallel Proposition 5 search against
+// the sequential one on a small arbitrary (non-relational) mapping.
+func TestProp5Parallel(t *testing.T) {
+	gs := datagraph.New()
+	gs.MustAddNode("u", datagraph.V("1"))
+	gs.MustAddNode("v", datagraph.V("2"))
+	gs.MustAddEdge("u", "a", "v")
+	mt := mat(NewMapping(R("a", "p | q q")), gs)
+	q := ree.MustParseQuery("(p)=")
+	for _, pair := range [][2]datagraph.NodeID{{"u", "v"}, {"u", "u"}} {
+		seq, err := mt.CertainDataPathArbitrary(ctx, q, pair[0], pair[1], Prop5Options{Workers: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := mt.CertainDataPathArbitrary(ctx, q, pair[0], pair[1], Prop5Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != par {
+			t.Fatalf("pair %v: parallel Prop5 = %v, sequential = %v", pair, par, seq)
+		}
 	}
 }

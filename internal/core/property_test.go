@@ -6,6 +6,7 @@ package core_test
 // on dozens of random (graph, mapping, query) triples.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -13,6 +14,13 @@ import (
 	"repro/internal/ree"
 	"repro/internal/workload"
 )
+
+var ctx = context.Background()
+
+// mat opens a fresh materialization of (m, gs).
+func mat(m *core.Mapping, gs *datagraph.Graph) *core.Materialization {
+	return core.NewMaterialization(core.MustCompile(m), gs)
+}
 
 func randomInstance(seed int64) (*datagraph.Graph, *core.Mapping) {
 	gs := workload.RandomGraph(workload.GraphSpec{
@@ -33,11 +41,11 @@ func TestPropertyUnderapproximation(t *testing.T) {
 		q := ree.New(workload.RandomREEQuery(workload.QuerySpec{
 			Labels: []string{"p", "q"}, Depth: 3, AllowNeq: true, Seed: seed,
 		}))
-		exact, err := core.CertainExact(m, gs, q, core.ExactOptions{MaxNulls: 8})
+		exact, err := mat(m, gs).CertainExact(ctx, q, core.ExactOptions{MaxNulls: 8})
 		if err != nil {
 			continue // too many nulls for the oracle budget
 		}
-		nullAns, err := core.CertainNull(m, gs, q)
+		nullAns, err := mat(m, gs).CertainNull(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,11 +66,11 @@ func TestPropertyEqualityOnlyExact(t *testing.T) {
 			t.Fatalf("generator violated AllowNeq=false: %s", expr)
 		}
 		q := ree.New(expr)
-		exact, err := core.CertainExact(m, gs, q, core.ExactOptions{MaxNulls: 8})
+		exact, err := mat(m, gs).CertainExact(ctx, q, core.ExactOptions{MaxNulls: 8})
 		if err != nil {
 			continue
 		}
-		li, err := core.CertainLeastInformative(m, gs, q)
+		li, err := mat(m, gs).CertainLeastInformative(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +86,11 @@ func TestPropertyEqualityOnlyExact(t *testing.T) {
 func TestPropertySolutionsAndLemma1(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		gs, m := randomInstance(seed)
-		u, err := core.UniversalSolution(m, gs)
+		u, err := mat(m, gs).UniversalCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		li, err := core.LeastInformativeSolution(m, gs)
+		li, err := mat(m, gs).LeastInformativeCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +101,7 @@ func TestPropertySolutionsAndLemma1(t *testing.T) {
 			t.Fatalf("seed %d: least informative solution does not satisfy mapping", seed)
 		}
 		fixed := map[datagraph.NodeID]datagraph.NodeID{}
-		for id := range core.DomIDs(m, gs) {
+		for id := range mat(m, gs).DomIDs() {
 			fixed[id] = id
 		}
 		hom, ok := datagraph.FindHomomorphismNulls(u, li, fixed)
@@ -117,17 +125,17 @@ func TestPropertyOneNeqAgreesWithOracle(t *testing.T) {
 		gs, m := randomInstance(seed)
 		expr := workload.RandomPathWithTests([]string{"p", "q"}, 2+int(seed%3), 1, seed)
 		q := ree.New(expr)
-		dom := core.Dom(m, gs)
+		dom := mat(m, gs).DomNodes()
 		if len(dom) == 0 {
 			continue
 		}
 		from := dom[0].ID
 		to := dom[len(dom)-1].ID
-		exact, err := core.CertainExactPair(m, gs, q, from, to, core.ExactOptions{MaxNulls: 8})
+		exact, err := mat(m, gs).CertainExactPair(ctx, q, from, to, core.ExactOptions{MaxNulls: 8})
 		if err != nil {
 			continue
 		}
-		got, err := core.CertainOneInequality(m, gs, q, from, to, core.OneNeqOptions{})
+		got, err := mat(m, gs).CertainOneInequality(ctx, q, from, to, core.OneNeqOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,17 +162,17 @@ func TestPropertyProp5AgreesWithOracle(t *testing.T) {
 		gs, m := randomInstance(seed)
 		expr := workload.RandomPathWithTests([]string{"p", "q"}, 1+int(seed%3), 2, seed)
 		q := ree.New(expr)
-		dom := core.Dom(m, gs)
+		dom := mat(m, gs).DomNodes()
 		if len(dom) == 0 {
 			continue
 		}
 		from := dom[0].ID
 		to := dom[len(dom)-1].ID
-		want, err := core.CertainExactPair(m, gs, q, from, to, core.ExactOptions{MaxNulls: 8})
+		want, err := mat(m, gs).CertainExactPair(ctx, q, from, to, core.ExactOptions{MaxNulls: 8})
 		if err != nil {
 			continue
 		}
-		got, err := core.CertainDataPathArbitrary(m, gs, q, from, to,
+		got, err := mat(m, gs).CertainDataPathArbitrary(ctx, q, from, to,
 			core.Prop5Options{MaxChoices: 100000})
 		if err != nil {
 			continue // choice budget; skip
@@ -188,7 +196,7 @@ func TestPropertyProp5AgreesWithOracle(t *testing.T) {
 func TestPropertyEvalMonotoneUnderUnion(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		gs, m := randomInstance(seed)
-		u, err := core.UniversalSolution(m, gs)
+		u, err := mat(m, gs).UniversalCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

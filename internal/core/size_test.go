@@ -28,7 +28,7 @@ func TestSizeBytesWithNullValues(t *testing.T) {
 		t.Fatalf("Materialization.SizeBytes = %d, want > 0", b)
 	}
 
-	ans, err := CertainLeastInformative(NewMapping(R("city", "located-in")), gs, NavQuery{Q: rpq.MustParse("located-in")})
+	ans, err := mat.CertainLeastInformative(ctx, NavQuery{Q: rpq.MustParse("located-in")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,40 +7,9 @@ import (
 	"repro/internal/datagraph"
 )
 
-// This file implements the solution-building procedures of Sections 7 and 8:
-// dom(M, Gs), universal solutions populated with SQL-null nodes, and least
-// informative solutions populated with fresh distinct data values.
-
-// throwaway builds a single-use materialization for the legacy free
-// functions, which recompute everything per call by design.
-func throwaway(m *Mapping, gs *datagraph.Graph) (*Materialization, error) {
-	cm, err := Compile(m)
-	if err != nil {
-		return nil, err
-	}
-	return NewMaterialization(cm, gs), nil
-}
-
-// Dom computes dom(M, Gs): all source nodes appearing in some query result
-// q(Gs) for (q, q′) ∈ M, in dense-index order of Gs. An invalid mapping
-// (nil, or nil rule queries) panics, matching the pre-session behavior of
-// evaluating a nil query.
-func Dom(m *Mapping, gs *datagraph.Graph) []datagraph.Node {
-	mat, err := throwaway(m, gs)
-	if err != nil {
-		panic(err)
-	}
-	return mat.DomNodes()
-}
-
-// DomIDs returns the ids of Dom as a set.
-func DomIDs(m *Mapping, gs *datagraph.Graph) map[datagraph.NodeID]struct{} {
-	mat, err := throwaway(m, gs)
-	if err != nil {
-		panic(err)
-	}
-	return mat.DomIDs()
-}
+// This file holds the naming helpers of the Section 7 and 8 solutions built
+// by Materialization.chase: fresh node ids for the null nodes of universal
+// solutions and fresh distinct data values for least informative ones.
 
 // freshPrefix returns base followed by the fewest underscores that make it
 // a prefix of key(n) for no node n of g, so that names built on it cannot
@@ -92,32 +61,6 @@ func freshNames(prefix string, n int, set func(j int, name string)) {
 		set(j-1, all[at:at+len(prefix)+width])
 		at += len(prefix) + width
 	}
-}
-
-// UniversalSolution builds the Section 7 universal solution for a relational
-// GSM: dom(M, Gs) is copied, and for each rule (q, a₁…aₖ) and each pair
-// (v, v′) ∈ q(Gs), a path v a₁ n₁ a₂ … aₖ v′ is added whose k−1 intermediate
-// nodes are fresh null nodes (value n). It errors with ErrInfinite if the
-// mapping is not relational, or with ErrNoSolution if a rule with target ε
-// demands v = v′ for a pair with v ≠ v′ (in which case no solution exists at
-// all).
-func UniversalSolution(m *Mapping, gs *datagraph.Graph) (*datagraph.Graph, error) {
-	mat, err := throwaway(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return mat.Universal()
-}
-
-// LeastInformativeSolution builds the Section 8 least informative solution:
-// identical to the universal solution except that the fresh intermediate
-// nodes carry fresh, pairwise distinct data values instead of nulls.
-func LeastInformativeSolution(m *Mapping, gs *datagraph.Graph) (*datagraph.Graph, error) {
-	mat, err := throwaway(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return mat.LeastInformative()
 }
 
 type solutionStyle int

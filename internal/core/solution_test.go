@@ -10,7 +10,7 @@ import (
 func TestUniversalSolutionShape(t *testing.T) {
 	gs := sourceGraph(t)
 	m := NewMapping(R("knows", "f f"), R("likes", "likes"))
-	u, err := UniversalSolution(m, gs)
+	u, err := mat(m, gs).UniversalCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,10 @@ func TestUniversalSolutionShape(t *testing.T) {
 func TestUniversalSolutionRequiresRelational(t *testing.T) {
 	gs := sourceGraph(t)
 	m := NewMapping(R("knows", ".*"))
-	if _, err := UniversalSolution(m, gs); err == nil {
+	if _, err := mat(m, gs).UniversalCtx(ctx); err == nil {
 		t.Fatal("non-relational mapping must be rejected")
 	}
-	if _, err := LeastInformativeSolution(m, gs); err == nil {
+	if _, err := mat(m, gs).LeastInformativeCtx(ctx); err == nil {
 		t.Fatal("non-relational mapping must be rejected")
 	}
 }
@@ -55,14 +55,14 @@ func TestEpsilonRuleUnsatisfiable(t *testing.T) {
 	gs := sourceGraph(t)
 	// knows maps to the empty word: demands ann = bob, impossible.
 	m := NewMapping(R("knows", "()"))
-	if _, err := UniversalSolution(m, gs); err == nil {
+	if _, err := mat(m, gs).UniversalCtx(ctx); err == nil {
 		t.Fatal("ε target over distinct endpoints has no solution")
 	}
 	// Self-loop source is fine with ε target.
 	g2 := datagraph.New()
 	g2.MustAddNode("x", datagraph.V("1"))
 	g2.MustAddEdge("x", "knows", "x")
-	u, err := UniversalSolution(NewMapping(R("knows", "()")), g2)
+	u, err := mat(m, g2).UniversalCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestEpsilonRuleUnsatisfiable(t *testing.T) {
 func TestLeastInformativeSolutionValues(t *testing.T) {
 	gs := sourceGraph(t)
 	m := NewMapping(R("knows", "f f f")) // two fresh nodes
-	li, err := LeastInformativeSolution(m, gs)
+	li, err := mat(m, gs).LeastInformativeCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestLeastInformativeSolutionValues(t *testing.T) {
 func TestLemma1UniversalityHomomorphism(t *testing.T) {
 	gs := sourceGraph(t)
 	m := NewMapping(R("knows", "f f"))
-	u, err := UniversalSolution(m, gs)
+	u, err := mat(m, gs).UniversalCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestLemma1UniversalityHomomorphism(t *testing.T) {
 		t.Fatal("hand-built solution should satisfy the mapping")
 	}
 	fixed := map[datagraph.NodeID]datagraph.NodeID{}
-	for id := range DomIDs(m, gs) {
+	for id := range mat(m, gs).DomIDs() {
 		fixed[id] = id
 	}
 	hom, ok := datagraph.FindHomomorphismNulls(u, sol, fixed)
@@ -146,7 +146,7 @@ func TestFreshIDsAvoidCollision(t *testing.T) {
 	gs.MustAddNode("b", datagraph.V("2"))
 	gs.MustAddEdge("_n1", "a", "b")
 	m := NewMapping(R("a", "x y"))
-	u, err := UniversalSolution(m, gs)
+	u, err := mat(m, gs).UniversalCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFreshValuesAvoidCollision(t *testing.T) {
 	gs.MustAddNode("b", datagraph.V("2"))
 	gs.MustAddEdge("a", "e", "b")
 	m := NewMapping(R("e", "x y"))
-	li, err := LeastInformativeSolution(m, gs)
+	li, err := mat(m, gs).LeastInformativeCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestUniversalSolutionSeparatePaths(t *testing.T) {
 	gs.MustAddNode("y", datagraph.V("2"))
 	gs.MustAddEdge("x", "a", "y")
 	m := NewMapping(R("a", "p q"), R("a", "p q")) // two identical rules
-	u, err := UniversalSolution(m, gs)
+	u, err := mat(m, gs).UniversalCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,13 +300,9 @@ func joinOrder(atoms []Atom) []int {
 
 // Certain computes the certain answers over SQL-null targets (the
 // Theorem 4 route, lifted to conjunctions of homomorphism-closed atoms):
-// evaluate on the universal solution under SQL-null semantics and keep only
-// tuples without null nodes.
-func Certain(m *core.Mapping, gs *datagraph.Graph, q *Query) (*TupleSet, error) {
-	u, err := core.UniversalSolution(m, gs)
-	if err != nil {
-		return nil, err
-	}
+// evaluate on the universal solution u under SQL-null semantics and keep
+// only tuples without null nodes.
+func Certain(u *datagraph.Graph, q *Query) (*TupleSet, error) {
 	res, err := q.Eval(u, datagraph.SQLNulls)
 	if err != nil {
 		return nil, err

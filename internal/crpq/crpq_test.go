@@ -1,6 +1,7 @@
 package crpq
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -132,12 +133,16 @@ func TestDisconnectedConjuncts(t *testing.T) {
 func TestCertainConjunctive(t *testing.T) {
 	gs := triangleGraph(t)
 	m := core.NewMapping(core.R("knows", "f f"), core.R("likes", "l"))
+	u, err := core.NewMaterialization(core.MustCompile(m), gs).UniversalCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Certain: two-hop-squared pairs that both like a shared post.
 	q := MustParse("ans(x, y) :- x -[f f]-> y, x -[l]-> w, y -[l]-> w")
 	// In every solution ann -f·f-> bob; but bob likes nothing, so only
 	// pairs with shared likes survive... ann/carl are not f·f-connected
 	// (they are f·f·f·f). Expect empty.
-	res, err := Certain(m, gs, q)
+	res, err := Certain(u, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func TestCertainConjunctive(t *testing.T) {
 	}
 	// Four-hop: ann to carl, both like p: certain.
 	q2 := MustParse("ans(x, y) :- x -[f f f f]-> y, x -[l]-> w, y -[l]-> w")
-	res2, err := Certain(m, gs, q2)
+	res2, err := Certain(u, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +160,7 @@ func TestCertainConjunctive(t *testing.T) {
 	}
 	// Tuples through null nodes are dropped.
 	q3 := MustParse("ans(x, y) :- x -[f]-> y")
-	res3, err := Certain(m, gs, q3)
+	res3, err := Certain(u, q3)
 	if err != nil {
 		t.Fatal(err)
 	}

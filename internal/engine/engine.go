@@ -1,14 +1,19 @@
-// Package engine is the indexed, concurrent evaluation engine for
-// certain-answer computation. It executes the paper's tractable algorithms
-// (the Theorem 4 SQL-null procedure, the Theorem 5 least-informative
-// procedure, and the Proposition 5 choice search) on top of the per-label
-// adjacency indexes of internal/datagraph, sharding two independent
-// dimensions of work across a pool of GOMAXPROCS goroutines:
+// Package engine is the indexed, concurrent query evaluator beneath
+// sessions. It evaluates queries over one frozen graph — a source graph or a
+// memoized solution — on top of the per-label adjacency indexes of
+// internal/datagraph, sharding two independent dimensions of work across a
+// pool of GOMAXPROCS goroutines:
 //
 //   - queries: each query in a batch is evaluated independently;
 //   - source-node frontiers: a query that can evaluate from a single start
 //     node (core.FromEvaluator — REE, REM and navigational RPQs all can) has
 //     its start frontier split into chunks, one chunk per work item.
+//
+// It has two entry points: EvalGraph evaluates one query over any graph,
+// and EvalSolution runs a Theorem 4 batch over a universal solution. The
+// certain-answer algorithms themselves — which solution to build, how to
+// filter its answers, the exact and Proposition 4/5 searches — live on
+// core.Materialization.
 //
 // Start nodes that cannot begin a match are pruned before evaluation using
 // the queries' StartLabels metadata against the graph's per-label adjacency
@@ -27,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagraph"
-	"repro/internal/ree"
 )
 
 // Options configure the worker pool.
@@ -81,23 +85,6 @@ func canSkipStart(g *datagraph.Graph, q core.Query, u int) bool {
 	return true
 }
 
-// Eval computes the certain answers 2ⁿ_M(Q, Gs) (the Theorem 4 algorithm)
-// for every query concurrently and returns one answer set per query, index-
-// aligned with the input. The universal solution is built once and shared
-// read-only by all workers.
-func Eval(ctx context.Context, m *core.Mapping, gs *datagraph.Graph, queries ...core.Query) ([]*core.Answers, error) {
-	return EvalOpts(ctx, m, gs, Options{}, queries...)
-}
-
-// EvalOpts is Eval with explicit worker-pool options.
-func EvalOpts(ctx context.Context, m *core.Mapping, gs *datagraph.Graph, opts Options, queries ...core.Query) ([]*core.Answers, error) {
-	u, err := core.UniversalSolution(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return EvalSolution(ctx, u, opts, queries...)
-}
-
 // EvalSolution runs the Theorem 4 batch over an already materialized
 // universal solution: evaluate every query concurrently under SQL-null
 // semantics and filter null-node endpoints. Sessions use it so a stream of
@@ -115,42 +102,6 @@ func EvalSolution(ctx context.Context, u *datagraph.Graph, opts Options, queries
 	return out, nil
 }
 
-// CertainNull is the engine-backed counterpart of core.CertainNull: one
-// query, parallel frontier evaluation over the universal solution.
-func CertainNull(ctx context.Context, m *core.Mapping, gs *datagraph.Graph, q core.Query, opts Options) (*core.Answers, error) {
-	eval, evalErr := captureEvalFunc(ctx, opts)
-	ans, err := core.CertainNullEval(m, gs, q, eval)
-	if err != nil {
-		return nil, err
-	}
-	if *evalErr != nil {
-		return nil, *evalErr
-	}
-	return ans, nil
-}
-
-// CertainLeastInformative is the engine-backed counterpart of
-// core.CertainLeastInformative (the Theorem 5 algorithm).
-func CertainLeastInformative(ctx context.Context, m *core.Mapping, gs *datagraph.Graph, q core.Query, opts Options) (*core.Answers, error) {
-	eval, evalErr := captureEvalFunc(ctx, opts)
-	ans, err := core.CertainLeastInformativeEval(m, gs, q, eval)
-	if err != nil {
-		return nil, err
-	}
-	if *evalErr != nil {
-		return nil, *evalErr
-	}
-	return ans, nil
-}
-
-// CertainDataPathArbitrary runs the Proposition 5 procedure with the
-// adversary's word-choice combinations sharded across the worker pool.
-func CertainDataPathArbitrary(m *core.Mapping, gs *datagraph.Graph, q *ree.Query,
-	from, to datagraph.NodeID, opts Options) (bool, error) {
-	return core.CertainDataPathArbitrary(m, gs, q, from, to,
-		core.Prop5Options{Workers: opts.workers()})
-}
-
 // EvalGraph evaluates one query over one graph with the start-node frontier
 // sharded across the worker pool. It is the parallel counterpart of
 // q.Eval(g, mode) and falls back to it when the query cannot evaluate from
@@ -161,30 +112,6 @@ func EvalGraph(ctx context.Context, g *datagraph.Graph, q core.Query, mode datag
 		return nil, err
 	}
 	return sets[0], nil
-}
-
-// captureEvalFunc adapts the engine to the core.EvalFunc hook. The hook's
-// signature has no error return, so evaluation errors (context
-// cancellation) are parked in the returned error slot; callers must check
-// it after the core algorithm returns and discard the (truncated) answers
-// when it is set. Once an error is parked the hook short-circuits: later
-// calls return an empty set immediately instead of re-entering EvalGraph,
-// so a cancelled core algorithm winds down without doing further
-// evaluation work, and the first error is preserved rather than
-// overwritten by the cascade that follows it.
-func captureEvalFunc(ctx context.Context, opts Options) (core.EvalFunc, *error) {
-	evalErr := new(error)
-	return func(g *datagraph.Graph, q core.Query, mode datagraph.CompareMode) *datagraph.PairSet {
-		if *evalErr != nil {
-			return datagraph.NewPairSet()
-		}
-		res, err := EvalGraph(ctx, g, q, mode, opts)
-		if err != nil {
-			*evalErr = err
-			return datagraph.NewPairSet()
-		}
-		return res
-	}, evalErr
 }
 
 // job is one unit of work: evaluate query qi on start nodes [lo, hi) of the

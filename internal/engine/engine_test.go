@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -15,8 +14,10 @@ import (
 	"repro/internal/workload"
 )
 
-func testMapping() *core.Mapping {
-	return core.NewMapping(core.R("a", "p q"), core.R("b", "r"))
+// testMaterialization opens a fresh materialization of the test mapping
+// over gs.
+func testMaterialization(gs *datagraph.Graph) *core.Materialization {
+	return core.NewMaterialization(core.MustCompile(core.NewMapping(core.R("a", "p q"), core.R("b", "r"))), gs)
 }
 
 func testGraph(seed int64) *datagraph.Graph {
@@ -43,20 +44,24 @@ func testQueries(t *testing.T) []core.Query {
 // exactly the certain answers of the sequential Theorem 4 algorithm, for
 // every query language and several worker counts.
 func TestEvalMatchesSequential(t *testing.T) {
-	m := testMapping()
+	ctx := context.Background()
 	queries := testQueries(t)
 	for seed := int64(1); seed <= 5; seed++ {
-		gs := testGraph(seed)
+		mat := testMaterialization(testGraph(seed))
 		var want []*core.Answers
 		for _, q := range queries {
-			w, err := core.CertainNull(m, gs, q)
+			w, err := mat.CertainNull(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, w)
 		}
+		u, err := mat.UniversalCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := EvalOpts(context.Background(), m, gs, Options{Workers: workers}, queries...)
+			got, err := EvalSolution(ctx, u, Options{Workers: workers}, queries...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,14 +91,16 @@ func TestEvalGraphMatchesEval(t *testing.T) {
 	}
 }
 
-// TestEvalConcurrentCallers runs many engine.Eval calls concurrently over
-// one shared graph, mapping and query set — the scenario the race detector
-// must pass (compiled queries and graphs are shared read-only).
+// TestEvalConcurrentCallers runs many EvalSolution calls concurrently over
+// one shared solution and query set — the scenario the race detector must
+// pass (compiled queries and graphs are shared read-only).
 func TestEvalConcurrentCallers(t *testing.T) {
-	m := testMapping()
-	gs := testGraph(3)
+	u, err := testMaterialization(testGraph(3)).UniversalCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	queries := testQueries(t)
-	want, err := Eval(context.Background(), m, gs, queries...)
+	want, err := EvalSolution(context.Background(), u, Options{}, queries...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +110,7 @@ func TestEvalConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := Eval(context.Background(), m, gs, queries...)
+			got, err := EvalSolution(context.Background(), u, Options{}, queries...)
 			if err != nil {
 				errs <- err
 				return
@@ -123,77 +130,59 @@ func TestEvalConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestEvalCancellation checks that a cancelled context aborts every
-// engine entry point with an error rather than returning empty answers.
+// TestEvalCancellation checks that a cancelled context aborts both engine
+// entry points with an error rather than returning empty answers.
 func TestEvalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, gs := testMapping(), testGraph(1)
+	g := testGraph(1)
 	q := testQueries(t)[0]
-	if _, err := Eval(ctx, m, gs, q); err == nil {
-		t.Fatal("expected a context error from a cancelled Eval")
+	if _, err := EvalSolution(ctx, g, Options{}, q); err == nil {
+		t.Fatal("expected a context error from a cancelled EvalSolution")
 	}
-	if _, err := CertainNull(ctx, m, gs, q, Options{}); err == nil {
-		t.Fatal("expected a context error from a cancelled CertainNull")
-	}
-	if _, err := CertainLeastInformative(ctx, m, gs, q, Options{}); err == nil {
-		t.Fatal("expected a context error from a cancelled CertainLeastInformative")
+	if _, err := EvalGraph(ctx, g, q, datagraph.MarkedNulls, Options{}); err == nil {
+		t.Fatal("expected a context error from a cancelled EvalGraph")
 	}
 }
 
-// TestCertainVariants checks the engine-backed certain-answer entry points
-// against their sequential counterparts.
+// TestCertainVariants checks the engine over both solutions, filtered as
+// the Theorem 4 and Theorem 5 algorithms filter, against the sequential
+// materialization methods.
 func TestCertainVariants(t *testing.T) {
-	m := testMapping()
-	gs := testGraph(9)
+	ctx := context.Background()
+	mat := testMaterialization(testGraph(9))
 	q := ree.MustParseQuery("(p q)=")
 
-	seqNull, err := core.CertainNull(m, gs, q)
+	seqNull, err := mat.CertainNull(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parNull, err := CertainNull(context.Background(), m, gs, q, Options{})
+	u, err := mat.UniversalCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parNull.Equal(seqNull) {
-		t.Fatal("engine CertainNull differs from core.CertainNull")
+	res, err := EvalGraph(ctx, u, q, datagraph.SQLNulls, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.FilterNullAnswers(u, res).Equal(seqNull) {
+		t.Fatal("engine over the universal solution differs from Materialization.CertainNull")
 	}
 
-	seqLI, err := core.CertainLeastInformative(m, gs, q)
+	seqLI, err := mat.CertainLeastInformative(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parLI, err := CertainLeastInformative(context.Background(), m, gs, q, Options{})
+	li, err := mat.LeastInformativeCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parLI.Equal(seqLI) {
-		t.Fatal("engine CertainLeastInformative differs from core")
+	res, err = EvalGraph(ctx, li, q, datagraph.MarkedNulls, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestProp5Parallel cross-checks the parallel Proposition 5 search against
-// the sequential one on a small arbitrary (non-relational) mapping.
-func TestProp5Parallel(t *testing.T) {
-	gs := datagraph.New()
-	gs.MustAddNode("u", datagraph.V("1"))
-	gs.MustAddNode("v", datagraph.V("2"))
-	gs.MustAddEdge("u", "a", "v")
-	m := core.NewMapping(core.R("a", "p | q q"))
-	q := ree.MustParseQuery("(p)=")
-	for _, pair := range [][2]datagraph.NodeID{{"u", "v"}, {"u", "u"}} {
-		seq, err := core.CertainDataPathArbitrary(m, gs, q, pair[0], pair[1], core.Prop5Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := CertainDataPathArbitrary(m, gs, q, pair[0], pair[1], Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != par {
-			t.Fatalf("pair %v: parallel Prop5 = %v, sequential = %v", pair, par, seq)
-		}
+	if !core.FilterDomAnswers(li, mat.DomIDs(), res).Equal(seqLI) {
+		t.Fatal("engine over the least informative solution differs from Materialization.CertainLeastInformative")
 	}
 }
 
@@ -220,63 +209,5 @@ func TestFrontierPruning(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatalf("pruned evaluation differs: got %d pairs, want %d", got.Len(), want.Len())
-	}
-}
-
-// cancellingQuery is a frontier-sharded fake query that counts evaluation
-// calls and cancels its context on the first one — the scenario where an
-// engine-backed certain-answer computation is torn down mid-flight.
-type cancellingQuery struct {
-	evals  *atomic.Int32
-	cancel context.CancelFunc
-}
-
-func (q *cancellingQuery) Eval(g *datagraph.Graph, mode datagraph.CompareMode) *datagraph.PairSet {
-	q.evals.Add(1)
-	q.cancel()
-	return datagraph.NewPairSet()
-}
-
-func (q *cancellingQuery) EvalFrom(g *datagraph.Graph, u int, mode datagraph.CompareMode) []int {
-	q.evals.Add(1)
-	q.cancel()
-	return nil
-}
-
-// TestCaptureEvalFuncShortCircuits checks the error-parking contract of the
-// core.EvalFunc adapter: after the first evaluation error the hook must
-// stop doing evaluation work entirely — every later call returns an empty
-// set without re-entering EvalGraph — and the first parked error survives.
-func TestCaptureEvalFuncShortCircuits(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	g := testGraph(7)
-	var evals atomic.Int32
-	q := &cancellingQuery{evals: &evals, cancel: cancel}
-	eval, evalErr := captureEvalFunc(ctx, Options{Workers: 2, ChunkSize: 4})
-
-	if res := eval(g, q, datagraph.SQLNulls); res.Len() != 0 {
-		t.Fatal("a failed evaluation must contribute no answers")
-	}
-	if *evalErr == nil {
-		t.Fatal("cancellation during evaluation must park an error")
-	}
-	first := *evalErr
-	baseline := evals.Load()
-	if baseline == 0 {
-		t.Fatal("the fake query was never evaluated")
-	}
-	// The core algorithms keep calling the hook for every remaining
-	// specialization; none of those calls may do evaluation work.
-	for i := 0; i < 5; i++ {
-		if res := eval(g, q, datagraph.SQLNulls); res.Len() != 0 {
-			t.Fatal("short-circuited hook must return an empty set")
-		}
-	}
-	if got := evals.Load(); got != baseline {
-		t.Fatalf("hook re-entered evaluation after an error was parked (%d calls, want %d)", got, baseline)
-	}
-	if *evalErr != first {
-		t.Fatal("the first parked error must be preserved")
 	}
 }

@@ -13,10 +13,10 @@ import (
 
 // E15SessionAmortization measures the serving-API scenario behind the
 // session redesign: a stream of distinct queries against one fixed
-// (mapping, source graph) pair. The legacy free functions re-derive the
-// universal solution — dom computation, path materialisation, snapshot
-// interning — once per query; a session materialises it once and evaluates
-// the whole stream against the shared memoized artifacts. The gap is the
+// (mapping, source graph) pair. A fresh materialization per query re-derives
+// the universal solution — dom computation, path materialisation, snapshot
+// interning — every time; a session materialises it once and evaluates the
+// whole stream against the shared memoized artifacts. The gap is the
 // amortized cost of solution construction, which dominates for selective
 // queries.
 //
@@ -60,27 +60,28 @@ func E15SessionAmortization(quick bool) (Table, error) {
 			Shape: workload.ShapePaths, Depth: 2, AllowNeq: true, Seed: 15,
 		})
 
-		// Legacy path: one throwaway materialization per call.
-		legacyStart := time.Now()
-		legacyAns := make([]*core.Answers, len(queries))
-		for i, q := range queries {
-			ans, err := core.CertainNull(m, gs, q)
-			if err != nil {
-				return t, err
-			}
-			legacyAns[i] = ans
-		}
-		legacy := time.Since(legacyStart)
-
-		// Session path: one materialization for the whole stream.
 		cm, err := core.Compile(m)
 		if err != nil {
 			return t, err
 		}
+
+		// Per-call path: a fresh materialization per query.
+		perCallStart := time.Now()
+		perCallAns := make([]*core.Answers, len(queries))
+		for i, q := range queries {
+			ans, err := core.NewMaterialization(cm, gs).CertainNull(ctx, q)
+			if err != nil {
+				return t, err
+			}
+			perCallAns[i] = ans
+		}
+		perCall := time.Since(perCallStart)
+
+		// Session path: one materialization for the whole stream.
 		sessionStart := time.Now()
 		mat := core.NewMaterialization(cm, gs)
 		for i, q := range queries {
-			u, err := mat.Universal()
+			u, err := mat.UniversalCtx(ctx)
 			if err != nil {
 				return t, err
 			}
@@ -89,8 +90,8 @@ func E15SessionAmortization(quick bool) (Table, error) {
 				return t, err
 			}
 			ans := core.FilterNullAnswers(u, res)
-			if !ans.Equal(legacyAns[i]) {
-				return t, fmt.Errorf("E15: session answers diverged from legacy on query %d", i)
+			if !ans.Equal(perCallAns[i]) {
+				return t, fmt.Errorf("E15: session answers diverged from per-call on query %d", i)
 			}
 		}
 		session := time.Since(sessionStart)
@@ -98,13 +99,13 @@ func E15SessionAmortization(quick bool) (Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("V=%d E=%d", sc.nodes, sc.edges),
 			fmt.Sprintf("%d", sc.queries),
-			legacy.Round(time.Microsecond).String(),
+			perCall.Round(time.Microsecond).String(),
 			session.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.1fx", ratio(legacy, session)),
+			fmt.Sprintf("%.1fx", ratio(perCall, session)),
 		})
 	}
 	t.Notes = append(t.Notes,
-		"per-call rebuilds the universal solution per query (the legacy free functions);",
+		"per-call rebuilds the universal solution per query (a fresh materialization each);",
 		"session materialises it once (core.Materialization behind repro.Session) and",
 		"evaluates the stream on the worker-pool engine over the shared snapshot.")
 	return t, nil

@@ -20,7 +20,7 @@ import (
 // in-process gsmd (internal/server over httptest) with the canonical
 // serving pair registered, hammered by concurrent clients replaying the
 // workload.Serving query stream over real HTTP. The "oneshot" rows issue
-// every query through POST /v1/query, which builds a throwaway session —
+// every query through POST /v1/query, which builds a fresh session —
 // and thus re-materializes the pair's solution — per request; the
 // "session" rows open one server session per client, all of which derive
 // from a single shared backend, so the whole run pays for one
@@ -185,7 +185,7 @@ func E16Serving(quick bool) (Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
-		"oneshot: POST /v1/query builds a throwaway session (full re-materialization) per request;",
+		"oneshot: POST /v1/query builds a fresh session (full re-materialization) per request;",
 		"session: per-client server sessions all derive from one shared backend (one materialization);",
 		"every response byte-for-byte equal to the embedded repro.Session wire encoding.")
 	return t, nil

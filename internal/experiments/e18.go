@@ -80,7 +80,7 @@ func E18RelationalIngest(quick bool) (Table, error) {
 			return t, err
 		}
 		start = time.Now()
-		u, err := core.NewMaterialization(cm, g).Universal()
+		u, err := core.NewMaterialization(cm, g).UniversalCtx(ctx)
 		if err != nil {
 			return t, fmt.Errorf("E18: exchange: %w", err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -126,6 +127,7 @@ func E2PCPGadget(quick bool) (Table, error) {
 // E3ExactCoNP measures the exact certain-answer search cost against the
 // number of nulls — the coNP-shaped exponential of Theorem 2.
 func E3ExactCoNP(quick bool) (Table, error) {
+	ctx := context.TODO()
 	t := Table{
 		ID:     "E3",
 		Title:  "exact certain answers: cost vs null count",
@@ -147,7 +149,7 @@ func E3ExactCoNP(quick bool) (Table, error) {
 		}
 		m := core.NewMapping(core.R("e", "p q")) // one null per source edge
 		start := time.Now()
-		ans, err := core.CertainExact(m, gs, q, core.ExactOptions{MaxNulls: edges})
+		ans, err := core.NewMaterialization(core.MustCompile(m), gs).CertainExact(ctx, q, core.ExactOptions{MaxNulls: edges})
 		if err != nil {
 			return t, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 // polynomially on chain sources where the exact oracle would be exponential,
 // and cross-checks both on small instances.
 func E5OneInequality(quick bool) (Table, error) {
+	ctx := context.TODO()
 	t := Table{
 		ID:     "E5",
 		Title:  "one-inequality paths with tests",
@@ -32,7 +34,8 @@ func E5OneInequality(quick bool) (Table, error) {
 		from := datagraph.NodeID("n0")
 		to := datagraph.NodeID("n1")
 		start := time.Now()
-		got, err := core.CertainOneInequality(m, gs, q, from, to, core.OneNeqOptions{})
+		mat := core.NewMaterialization(core.MustCompile(m), gs)
+		got, err := mat.CertainOneInequality(ctx, q, from, to, core.OneNeqOptions{})
 		if err != nil {
 			return t, err
 		}
@@ -41,7 +44,7 @@ func E5OneInequality(quick bool) (Table, error) {
 		if n <= 4 {
 			// The oracle is exponential in nulls (= chain length here), so
 			// cross-check only the tiniest size.
-			exact, err := core.CertainExactPair(m, gs, q, from, to, core.ExactOptions{MaxNulls: n})
+			exact, err := mat.CertainExactPair(ctx, q, from, to, core.ExactOptions{MaxNulls: n})
 			if err != nil {
 				return t, err
 			}
@@ -59,6 +62,7 @@ func E5OneInequality(quick bool) (Table, error) {
 // E6CertainNull pits the SQL-null algorithm (Thm 3/4) against the exact
 // exponential oracle on the same instances: the tractability crossover.
 func E6CertainNull(quick bool) (Table, error) {
+	ctx := context.TODO()
 	t := Table{
 		ID:     "E6",
 		Title:  "SQL-null certain answers vs exact oracle",
@@ -74,7 +78,8 @@ func E6CertainNull(quick bool) (Table, error) {
 		gs := workload.Chain(n, "e", 3)
 		m := core.NewMapping(core.R("e", "p q"))
 		start := time.Now()
-		nullAns, err := core.CertainNull(m, gs, q)
+		mat := core.NewMaterialization(core.MustCompile(m), gs)
+		nullAns, err := mat.CertainNull(ctx, q)
 		if err != nil {
 			return t, err
 		}
@@ -83,7 +88,7 @@ func E6CertainNull(quick bool) (Table, error) {
 		subset := "-"
 		if n <= 6 {
 			start = time.Now()
-			exact, err := core.CertainExact(m, gs, q, core.ExactOptions{MaxNulls: n})
+			exact, err := mat.CertainExact(ctx, q, core.ExactOptions{MaxNulls: n})
 			if err != nil {
 				return t, err
 			}
@@ -103,6 +108,7 @@ func E6CertainNull(quick bool) (Table, error) {
 // underapproximation 2ⁿ misses certain answers found by the exact semantics
 // (the experimental study Remark 1 calls for).
 func E7Approximation(quick bool) (Table, error) {
+	ctx := context.TODO()
 	t := Table{
 		ID:     "E7",
 		Title:  "approximation quality of SQL-null certain answers",
@@ -132,11 +138,12 @@ func E7Approximation(quick bool) (Table, error) {
 				Labels: []string{"p", "q"}, Depth: 3, AllowNeq: cfg.allowNeq, Seed: seed,
 			})
 			q := ree.New(expr)
-			exact, err := core.CertainExact(m, gs, q, core.ExactOptions{MaxNulls: 8})
+			mat := core.NewMaterialization(core.MustCompile(m), gs)
+			exact, err := mat.CertainExact(ctx, q, core.ExactOptions{MaxNulls: 8})
 			if err != nil {
 				continue // too many nulls for the oracle; skip sample
 			}
-			nullAns, err := core.CertainNull(m, gs, q)
+			nullAns, err := mat.CertainNull(ctx, q)
 			if err != nil {
 				return t, err
 			}
@@ -173,11 +180,12 @@ func E7Approximation(quick bool) (Table, error) {
 		}
 		m := core.NewMapping(core.R("a", "b b"))
 		q := ree.MustParseQuery("b (b b)= b")
-		exact, err := core.CertainExact(m, gs, q, core.ExactOptions{MaxNulls: 8})
+		mat := core.NewMaterialization(core.MustCompile(m), gs)
+		exact, err := mat.CertainExact(ctx, q, core.ExactOptions{MaxNulls: 8})
 		if err != nil {
 			continue
 		}
-		nullAns, err := core.CertainNull(m, gs, q)
+		nullAns, err := mat.CertainNull(ctx, q)
 		if err != nil {
 			return t, err
 		}
@@ -200,6 +208,7 @@ func E7Approximation(quick bool) (Table, error) {
 // E8EqualityOnly validates Theorem 5 (least-informative solutions are exact
 // for REM=/REE=) and shows its tractable scaling.
 func E8EqualityOnly(quick bool) (Table, error) {
+	ctx := context.TODO()
 	t := Table{
 		ID:     "E8",
 		Title:  "equality-only queries via least informative solutions",
@@ -224,11 +233,12 @@ func E8EqualityOnly(quick bool) (Table, error) {
 			Labels: []string{"p", "q"}, Depth: 3, AllowNeq: false, Seed: seed,
 		})
 		q := ree.New(expr)
-		exact, err := core.CertainExact(m, gs, q, core.ExactOptions{MaxNulls: 8})
+		mat := core.NewMaterialization(core.MustCompile(m), gs)
+		exact, err := mat.CertainExact(ctx, q, core.ExactOptions{MaxNulls: 8})
 		if err != nil {
 			continue
 		}
-		li, err := core.CertainLeastInformative(m, gs, q)
+		li, err := mat.CertainLeastInformative(ctx, q)
 		if err != nil {
 			return t, err
 		}
@@ -247,7 +257,7 @@ func E8EqualityOnly(quick bool) (Table, error) {
 		gs := workload.Chain(n, "e", 4)
 		m := core.NewMapping(core.R("e", "p q"))
 		start := time.Now()
-		ans, err := core.CertainLeastInformative(m, gs, remQ)
+		ans, err := core.NewMaterialization(core.MustCompile(m), gs).CertainLeastInformative(ctx, remQ)
 		if err != nil {
 			return t, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -19,6 +20,7 @@ import (
 // views agree on solutionhood across random mappings, solutions and
 // mutations.
 func E9Relational(quick bool) (Table, error) {
+	ctx := context.TODO()
 	t := Table{
 		ID:     "E9",
 		Title:  "relational encoding M_rel",
@@ -41,7 +43,7 @@ func E9Relational(quick bool) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		u, err := core.UniversalSolution(m, gs)
+		u, err := core.NewMaterialization(core.MustCompile(m), gs).UniversalCtx(ctx)
 		if err != nil {
 			return t, err
 		}

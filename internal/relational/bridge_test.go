@@ -120,7 +120,7 @@ func TestProp1OnIngestedFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := core.UniversalSolution(m, gs)
+	u, err := mat(m, gs).UniversalCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,18 @@
 package relational
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagraph"
 )
+
+// mat opens a fresh materialization of (m, gs).
+func mat(m *core.Mapping, gs *datagraph.Graph) *core.Materialization {
+	return core.NewMaterialization(core.MustCompile(m), gs)
+}
 
 func sample(t *testing.T) (*datagraph.Graph, *core.Mapping) {
 	t.Helper()
@@ -74,11 +80,11 @@ func TestProp1SolutionsSatisfyMrel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := core.UniversalSolution(m, gs)
+	u, err := mat(m, gs).UniversalCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	li, err := core.LeastInformativeSolution(m, gs)
+	li, err := mat(m, gs).LeastInformativeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestProp1ViolationsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := core.UniversalSolution(m, gs)
+	u, err := mat(m, gs).UniversalCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

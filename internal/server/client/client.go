@@ -286,7 +286,7 @@ func (c *Client) Prepare(ctx context.Context, sessionID string, req server.Prepa
 	return resp, err
 }
 
-// OneShot runs a throwaway-session query (read-only, idempotent).
+// OneShot runs a query on a fresh server-side session (read-only, idempotent).
 func (c *Client) OneShot(ctx context.Context, req server.OneShotRequest) (server.QueryResponse, error) {
 	var resp server.QueryResponse
 	err := c.do(ctx, http.MethodPost, "/v1/query", req, &resp, true)

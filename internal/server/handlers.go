@@ -544,16 +544,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var ans *repro.Answers
 	err = s.runBackend(as.be, func() error {
-		switch req.Algo {
-		case "null", "":
-			ans, err = sess.CertainNull(ctx, q)
-		case "least":
-			ans, err = sess.CertainLeastInformative(ctx, q)
-		case "exact":
-			ans, err = sess.CertainExact(ctx, q)
-		default:
-			err = fmt.Errorf("%w: unknown algo %q (want null, least or exact)", repro.ErrBadOptions, req.Algo)
-		}
+		ans, err = certainAnswers(ctx, sess, req.Algo, q)
 		return err
 	})
 	if err != nil {
@@ -572,6 +563,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Answers:   AnswersWire(ans),
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	})
+}
+
+// certainAnswers runs the batch algorithm a query request names — null
+// (the default), least or exact — on sess.
+func certainAnswers(ctx context.Context, sess *repro.Session, algo string, q repro.Query) (*repro.Answers, error) {
+	switch algo {
+	case "null", "":
+		return sess.CertainNull(ctx, q)
+	case "least":
+		return sess.CertainLeastInformative(ctx, q)
+	case "exact":
+		return sess.CertainExact(ctx, q)
+	}
+	return nil, fmt.Errorf("%w: unknown algo %q (want null, least or exact)", repro.ErrBadOptions, algo)
 }
 
 // streamFlushEvery is how many NDJSON answer lines are buffered between
@@ -687,7 +692,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	flush()
 }
 
-// handleOneShot is the amortization baseline: a throwaway session per
+// handleOneShot is the amortization baseline: a fresh session per
 // request, re-materializing the pair's solution every time. It reuses the
 // registered compiled mapping, so the measured gap against session queries
 // is exactly the solution/materialization reuse.
@@ -724,17 +729,7 @@ func (s *Server) handleOneShot(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	var ans *repro.Answers
-	switch req.Algo {
-	case "null", "":
-		ans, err = sess.CertainNull(ctx, q)
-	case "least":
-		ans, err = sess.CertainLeastInformative(ctx, q)
-	case "exact":
-		ans, err = sess.CertainExact(ctx, q)
-	default:
-		err = fmt.Errorf("%w: unknown algo %q (want null, least or exact)", repro.ErrBadOptions, req.Algo)
-	}
+	ans, err := certainAnswers(ctx, sess, req.Algo, q)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -317,6 +317,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"unknown session", "POST", "/v1/sessions/s-999/query", "bob", QueryRequest{Query: "s"}, 404, "not_found"},
 		{"foreign tenant session", "POST", "/v1/sessions/" + si.ID + "/query", "mallory", QueryRequest{Query: "s"}, 404, "not_found"},
 		{"unknown algo", "POST", "/v1/sessions/" + si.ID + "/query", "bob", QueryRequest{Query: "s", Algo: "magic"}, 400, "bad_options"},
+		{"one-shot unknown algo", "POST", "/v1/query", "bob", OneShotRequest{Mapping: "m", Graph: "g", Query: "s", Algo: "magic"}, 400, "bad_options"},
 		{"unknown lang", "POST", "/v1/sessions/" + si.ID + "/query", "bob", QueryRequest{Query: "s", Lang: "sparql"}, 400, "bad_options"},
 		{"unparsable query", "POST", "/v1/sessions/" + si.ID + "/query", "bob", QueryRequest{Query: "((("}, 400, "bad_options"},
 		{"query and prepared", "POST", "/v1/sessions/" + si.ID + "/query", "bob", QueryRequest{Query: "s", Prepared: "p-1"}, 400, "bad_options"},

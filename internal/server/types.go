@@ -190,7 +190,7 @@ type QueryResponse struct {
 }
 
 // OneShotRequest is the body of POST /v1/query: a single certain-answer
-// call that builds a throwaway session (and thus re-materializes the
+// call that builds a fresh session (and thus re-materializes the
 // solution) per request. It exists as the amortization baseline the load
 // generator compares sessions against — prefer sessions for anything that
 // asks twice.

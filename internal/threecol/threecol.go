@@ -29,6 +29,7 @@
 package threecol
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -171,7 +172,8 @@ func CertainNon3Colorable(g Graph, opts core.ExactOptions) (bool, error) {
 	if opts.MaxNulls == 0 {
 		opts.MaxNulls = g.N
 	}
-	return core.CertainExactPair(red.Mapping, red.Source, red.Query, red.From, red.To, opts)
+	mat := core.NewMaterialization(core.MustCompile(red.Mapping), red.Source)
+	return mat.CertainExactPair(context.TODO(), red.Query, red.From, red.To, opts)
 }
 
 // ProperColouringSolution builds the adversary's solution for a 3-colourable
@@ -188,7 +190,8 @@ func ProperColouringSolution(g Graph) (*datagraph.Graph, error) {
 	if !ok {
 		return nil, fmt.Errorf("threecol: graph is not 3-colourable")
 	}
-	u, err := core.UniversalSolution(red.Mapping, red.Source)
+	mat := core.NewMaterialization(core.MustCompile(red.Mapping), red.Source)
+	u, err := mat.UniversalCtx(context.TODO())
 	if err != nil {
 		return nil, err
 	}

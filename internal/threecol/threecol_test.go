@@ -1,6 +1,7 @@
 package threecol
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -153,7 +154,8 @@ func TestSQLNullsMissHardInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := core.CertainNull(red.Mapping, red.Source, red.Query)
+	mat := core.NewMaterialization(core.MustCompile(red.Mapping), red.Source)
+	ans, err := mat.CertainNull(context.Background(), red.Query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type ServingScenario struct {
 // Serving generates the canonical serving workload: bulk relations a and b
 // dominate the exchange (and hence solution materialization), and the
 // stream asks selective paths-with-tests against the small hot relation c —
-// the regime where per-request throwaway sessions pay the full
+// the regime where per-request fresh sessions pay the full
 // materialization cost on every call and a shared server session pays it
 // once.
 func Serving(spec ServingSpec) ServingScenario {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -39,7 +40,7 @@ func TestServingRoundTrips(t *testing.T) {
 	}
 	// Evaluate original and re-parsed queries over the universal solution
 	// of the scenario itself.
-	u, err := core.UniversalSolution(sc.Mapping, sc.Graph)
+	u, err := core.NewMaterialization(core.MustCompile(sc.Mapping), sc.Graph).UniversalCtx(context.Background())
 	if err != nil {
 		t.Fatalf("universal solution: %v", err)
 	}

@@ -16,23 +16,18 @@
 //	s, err := repro.NewSession(cm, gs)
 //	answers, err := s.CertainNull(ctx, repro.MustREE("(follows follows)!="))
 //
-// The free functions below (CertainNull, UniversalSolution, ...) predate
-// sessions; they remain as thin wrappers that build a throwaway session per
-// call, re-deriving every solution. Prefer sessions for anything that asks
-// more than one question of the same (mapping, source graph) pair.
+// Every certain-answer algorithm is a Session method: a one-off question
+// opens a session for it, and repeated questions of the same (mapping,
+// source graph) pair share its memoized solutions.
 //
 // See docs/ARCHITECTURE.md for the architecture and internal/experiments
 // for the reproduction results; the subsystems live in internal/ packages.
 package repro
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/crpq"
 	"repro/internal/datagraph"
-	"repro/internal/engine"
 	"repro/internal/gxpath"
 	"repro/internal/ree"
 	"repro/internal/rem"
@@ -85,8 +80,6 @@ type (
 	Answers = core.Answers
 	// Query is the interface certain-answer algorithms accept.
 	Query = core.Query
-	// ExactOptions bounds the exponential exact search.
-	ExactOptions = core.ExactOptions
 )
 
 // NewMapping builds a mapping from rules.
@@ -100,181 +93,6 @@ func R(source, target string) Rule { return core.R(source, target) }
 
 // ParseMapping reads the line-based mapping text format.
 func ParseMapping(s string) (*Mapping, error) { return core.ParseMappingString(s) }
-
-// throwawaySession builds the single-use session behind the deprecated free
-// functions.
-func throwawaySession(m *Mapping, gs *Graph, opts ...Option) (*Session, error) {
-	cm, err := Compile(m)
-	if err != nil {
-		return nil, err
-	}
-	return NewSession(cm, gs, opts...)
-}
-
-// UniversalSolution builds the SQL-null universal solution (Section 7).
-//
-// Deprecated: use [NewSession] and [Session.UniversalSolution], which
-// memoize the solution for reuse; this wrapper rebuilds it per call.
-func UniversalSolution(m *Mapping, gs *Graph) (*Graph, error) {
-	s, err := throwawaySession(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return s.UniversalSolution(context.Background())
-}
-
-// LeastInformativeSolution builds the fresh-value solution (Section 8).
-//
-// Deprecated: use [NewSession] and [Session.LeastInformativeSolution].
-func LeastInformativeSolution(m *Mapping, gs *Graph) (*Graph, error) {
-	s, err := throwawaySession(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return s.LeastInformativeSolution(context.Background())
-}
-
-// CertainNull computes 2ⁿ_M(Q, Gs) via the universal solution (Theorem 4):
-// tractable, exact for data RPQs over targets with SQL nulls, and an
-// underapproximation of the classical certain answers.
-//
-// Deprecated: use [NewSession] and [Session.CertainNull], which share the
-// universal solution across calls; this wrapper rebuilds it per call.
-func CertainNull(m *Mapping, gs *Graph, q Query) (*Answers, error) {
-	s, err := throwawaySession(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return s.CertainNull(context.Background(), q)
-}
-
-// CertainLeastInformative computes 2_M(Q, Gs) for equality-only queries
-// (REM=/REE=, Theorem 5).
-//
-// Deprecated: use [NewSession] and [Session.CertainLeastInformative].
-func CertainLeastInformative(m *Mapping, gs *Graph, q Query) (*Answers, error) {
-	s, err := throwawaySession(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return s.CertainLeastInformative(context.Background(), q)
-}
-
-// CertainExact computes 2_M(Q, Gs) exactly by exponential search
-// (Theorem 2's coNP bound made deterministic); see ExactOptions.
-//
-// Deprecated: use [NewSession] with [WithMaxNulls] and
-// [Session.CertainExact]; this wrapper rebuilds the universal solution per
-// call.
-func CertainExact(m *Mapping, gs *Graph, q Query, opts ExactOptions) (*Answers, error) {
-	var sopts []Option
-	if opts.MaxNulls != 0 {
-		if opts.MaxNulls < 0 {
-			return nil, fmt.Errorf("%w: MaxNulls %d is negative", ErrBadOptions, opts.MaxNulls)
-		}
-		sopts = append(sopts, WithMaxNulls(opts.MaxNulls))
-	}
-	s, err := throwawaySession(m, gs, sopts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.CertainExact(context.Background(), q)
-}
-
-// CertainOneInequality decides one pair for paths-with-tests with at most
-// one inequality in polynomial time (Proposition 4).
-//
-// Deprecated: use [NewSession] and [Session.CertainOneInequality].
-func CertainOneInequality(m *Mapping, gs *Graph, q *REEQuery, from, to NodeID) (bool, error) {
-	s, err := throwawaySession(m, gs)
-	if err != nil {
-		return false, err
-	}
-	return s.CertainOneInequality(context.Background(), q, from, to)
-}
-
-// CertainDataPathArbitrary decides one pair for a path-with-tests query
-// under an *arbitrary* (possibly non-relational) GSM — the Proposition 5
-// procedure, exponential in the mapping's word choices and fresh nodes.
-//
-// Deprecated: use [NewSession] and [Session.CertainDataPathArbitrary].
-func CertainDataPathArbitrary(m *Mapping, gs *Graph, q *REEQuery, from, to NodeID) (bool, error) {
-	s, err := throwawaySession(m, gs)
-	if err != nil {
-		return false, err
-	}
-	return s.CertainDataPathArbitrary(context.Background(), q, from, to)
-}
-
-// The concurrent evaluation engine (internal/engine): certain answers
-// computed over the per-label adjacency indexes by a pool of GOMAXPROCS
-// workers, sharding independent queries and independent source-node
-// frontiers. Output is deterministic and identical to the sequential
-// algorithms.
-type (
-	// EngineOptions configure the engine's worker pool.
-	EngineOptions = engine.Options
-)
-
-// Eval computes the certain answers 2ⁿ_M(Q, Gs) (Theorem 4) for every
-// query concurrently, returning one answer set per query, index-aligned.
-// The universal solution is built once and shared by all workers.
-//
-// Deprecated: use [NewSession] and [Session.Eval], which share the
-// universal solution across batches; this wrapper rebuilds it per call.
-func Eval(ctx context.Context, m *Mapping, gs *Graph, queries ...Query) ([]*Answers, error) {
-	return EvalOpts(ctx, m, gs, EngineOptions{}, queries...)
-}
-
-// EvalOpts is Eval with explicit worker-pool options.
-//
-// Deprecated: use [NewSession] with [WithWorkers]/[WithChunkSize] and
-// [Session.Eval].
-func EvalOpts(ctx context.Context, m *Mapping, gs *Graph, opts EngineOptions, queries ...Query) ([]*Answers, error) {
-	var sopts []Option
-	if opts.Workers > 0 {
-		sopts = append(sopts, WithWorkers(opts.Workers))
-	}
-	if opts.ChunkSize > 0 {
-		sopts = append(sopts, WithChunkSize(opts.ChunkSize))
-	}
-	s, err := throwawaySession(m, gs, sopts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Eval(ctx, queries...)
-}
-
-// CertainNullParallel is CertainNull on the worker-pool engine.
-//
-// Deprecated: use [NewSession] and [Session.CertainNull], which is
-// engine-backed and shares the universal solution across calls.
-func CertainNullParallel(ctx context.Context, m *Mapping, gs *Graph, q Query) (*Answers, error) {
-	s, err := throwawaySession(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return s.CertainNull(ctx, q)
-}
-
-// CertainLeastInformativeParallel is CertainLeastInformative on the
-// worker-pool engine.
-//
-// Deprecated: use [NewSession] and [Session.CertainLeastInformative].
-func CertainLeastInformativeParallel(ctx context.Context, m *Mapping, gs *Graph, q Query) (*Answers, error) {
-	s, err := throwawaySession(m, gs)
-	if err != nil {
-		return nil, err
-	}
-	return s.CertainLeastInformative(ctx, q)
-}
-
-// EvalGraphParallel evaluates one query over one graph with the start-node
-// frontier sharded across the worker pool — the parallel counterpart of
-// q.Eval(g, mode).
-func EvalGraphParallel(ctx context.Context, g *Graph, q Query, mode CompareMode) (*PairSet, error) {
-	return engine.EvalGraph(ctx, g, q, mode, EngineOptions{})
-}
 
 // Query languages.
 type (
@@ -337,9 +155,3 @@ type (
 
 // ParseConjunctive parses e.g. "ans(x, y) :- x -[knows knows]-> z, z -[(likes)=]-> y".
 func ParseConjunctive(s string) (*ConjunctiveQuery, error) { return crpq.Parse(s) }
-
-// CertainConjunctive computes certain answers of a conjunctive data RPQ
-// over SQL-null targets (Theorem 4 lifted to conjunctions).
-func CertainConjunctive(m *Mapping, gs *Graph, q *ConjunctiveQuery) (*TupleSet, error) {
-	return crpq.Certain(m, gs, q)
-}

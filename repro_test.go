@@ -1,6 +1,9 @@
 package repro
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestFacadeEndToEnd exercises the public API exactly as the package
 // documentation advertises.
@@ -15,14 +18,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal("classification broken through facade")
 	}
 
-	u, err := UniversalSolution(m, gs)
+	ctx := context.Background()
+	s, err := NewSession(MustCompile(m), gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := s.UniversalSolution(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.NumNodes() != 3 {
 		t.Fatalf("universal solution nodes = %d", u.NumNodes())
 	}
-	li, err := LeastInformativeSolution(m, gs)
+	li, err := s.LeastInformativeSolution(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,35 +39,35 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	q := MustREE("(follows follows)!=")
-	ans, err := CertainNull(m, gs, q)
+	ans, err := s.CertainNull(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ans.Has("ann", "bob") {
 		t.Fatalf("certain = %v", ans)
 	}
-	exact, err := CertainExact(m, gs, q, ExactOptions{})
+	exact, err := s.CertainExact(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ans.Equal(exact) {
 		t.Fatal("facade algorithms disagree")
 	}
-	liAns, err := CertainLeastInformative(m, gs, MustREE("follows follows"))
+	liAns, err := s.CertainLeastInformative(ctx, MustREE("follows follows"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !liAns.Has("ann", "bob") {
 		t.Fatal("least-informative missing navigational answer")
 	}
-	got, err := CertainOneInequality(m, gs, q, "ann", "bob")
+	got, err := s.CertainOneInequality(ctx, q, "ann", "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got {
 		t.Fatal("one-inequality algorithm disagrees")
 	}
-	got5, err := CertainDataPathArbitrary(m, gs, q, "ann", "bob")
+	got5, err := s.CertainDataPathArbitrary(ctx, q, "ann", "bob")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/crpq"
 	"repro/internal/datagraph"
 	"repro/internal/engine"
 )
@@ -41,8 +42,8 @@ type CompiledMapping = core.CompiledMapping
 // Answer is one certain-answer tuple: a pair of source nodes (id, value).
 type Answer = core.Answer
 
-// Typed sentinel errors; every error returned by sessions (and the legacy
-// free functions) wraps one of these.
+// Typed sentinel errors; every error returned by sessions wraps one of
+// these.
 var (
 	// ErrInfinite: no finite universal solution exists (mapping not relational).
 	ErrInfinite = core.ErrInfinite
@@ -261,8 +262,8 @@ func (s *Session) engineOpts() engine.Options {
 	return engine.Options{Workers: s.cfg.workers, ChunkSize: s.cfg.chunkSize}
 }
 
-func (s *Session) exactOpts() ExactOptions {
-	return ExactOptions{MaxNulls: s.cfg.maxNulls}
+func (s *Session) exactOpts() core.ExactOptions {
+	return core.ExactOptions{MaxNulls: s.cfg.maxNulls}
 }
 
 // UniversalSolution returns the memoized SQL-null universal solution
@@ -401,6 +402,26 @@ func (s *Session) Eval(ctx context.Context, queries ...Query) ([]*Answers, error
 		return nil, err
 	}
 	return engine.EvalSolution(ctx, u, s.engineOpts(), queries...)
+}
+
+// CertainConjunctive computes the certain answers of a conjunctive data RPQ
+// over SQL-null targets (Theorem 4 lifted to conjunctions) on the memoized
+// universal solution.
+func (s *Session) CertainConjunctive(ctx context.Context, q *ConjunctiveQuery) (*TupleSet, error) {
+	ctx, cancel, err := s.begin(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer cancel()
+	u, err := s.mat.UniversalCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	// The conjunctive join does not poll ctx, so check it once before it.
+	if err := ctx.Err(); err != nil {
+		return nil, core.Canceled(err)
+	}
+	return crpq.Certain(u, q)
 }
 
 // EvalSource evaluates one query directly over the frozen source graph

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/crpq"
 	"repro/internal/workload"
 )
 
@@ -32,6 +33,12 @@ func sessionTestWorkload(t testing.TB) (*Graph, *Mapping, []Query) {
 	return gs, m, append(queries, rpq)
 }
 
+// mat opens a fresh materialization of (m, gs): the sequential reference
+// sessions are checked against.
+func mat(m *Mapping, gs *Graph) *core.Materialization {
+	return core.NewMaterialization(MustCompile(m), gs)
+}
+
 func newTestSession(t testing.TB, gs *Graph, m *Mapping, opts ...Option) *Session {
 	t.Helper()
 	cm, err := Compile(m)
@@ -51,9 +58,10 @@ func newTestSession(t testing.TB, gs *Graph, m *Mapping, opts ...Option) *Sessio
 func TestSessionMatchesSequentialCore(t *testing.T) {
 	gs, m, queries := sessionTestWorkload(t)
 	s := newTestSession(t, gs, m)
+	ref := mat(m, gs)
 	ctx := context.Background()
 	for i, q := range queries {
-		want, err := core.CertainNull(m, gs, q)
+		want, err := ref.CertainNull(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +72,7 @@ func TestSessionMatchesSequentialCore(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("query %d: session CertainNull %v != sequential %v", i, got, want)
 		}
-		wantLI, err := core.CertainLeastInformative(m, gs, q)
+		wantLI, err := ref.CertainLeastInformative(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +101,9 @@ func TestSessionMatchesSequentialCore(t *testing.T) {
 }
 
 // TestSessionMatchesLegacyOverQueryStream cross-validates a whole
-// workload-generated query stream: the session must return exactly what the
-// legacy free functions return, query by query, across stream shapes.
+// workload-generated query stream: the session must return exactly what a
+// fresh materialization per query returns, query by query, across stream
+// shapes.
 func TestSessionMatchesLegacyOverQueryStream(t *testing.T) {
 	gs := workload.RandomGraph(workload.GraphSpec{
 		Nodes: 80, Edges: 240, Labels: []string{"a", "b", "c"},
@@ -109,7 +118,7 @@ func TestSessionMatchesLegacyOverQueryStream(t *testing.T) {
 			Depth: 2, AllowNeq: true, Seed: 53,
 		})
 		for i, q := range queries {
-			want, err := CertainNull(m, gs, q)
+			want, err := mat(m, gs).CertainNull(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,19 +127,19 @@ func TestSessionMatchesLegacyOverQueryStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("shape %v query %d: session %v != legacy %v", shape, i, got, want)
+				t.Fatalf("shape %v query %d: session %v != per-query %v", shape, i, got, want)
 			}
 		}
 	}
 }
 
-// TestSessionExactMatchesLegacy pins the memoized exact search to the
-// legacy free function on a small instance.
+// TestSessionExactMatchesLegacy pins the session's exact search to a fresh
+// materialization's on a small instance.
 func TestSessionExactMatchesLegacy(t *testing.T) {
 	gs := workload.Chain(3, "e", 2)
 	m := NewMapping(R("e", "p q"))
 	q := MustREE("(p q)!=")
-	want, err := core.CertainExact(m, gs, q, ExactOptions{MaxNulls: 5})
+	want, err := mat(m, gs).CertainExact(context.Background(), q, core.ExactOptions{MaxNulls: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +149,7 @@ func TestSessionExactMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Fatalf("session exact %v != legacy %v", got, want)
+		t.Fatalf("session exact %v != per-call %v", got, want)
 	}
 	// Pairwise decisions agree too.
 	for _, a := range want.Sorted() {
@@ -163,9 +172,10 @@ func TestSessionSharedRace(t *testing.T) {
 	ctx := context.Background()
 
 	// Expected results, computed single-threaded.
+	ref := mat(m, gs)
 	want := make([]*Answers, len(queries))
 	for i, q := range queries {
-		ans, err := core.CertainNull(m, gs, q)
+		ans, err := ref.CertainNull(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,9 +273,10 @@ func TestSessionSharedScratchRace(t *testing.T) {
 	onSource = append(onSource, nav)
 
 	// Expected results from the sequential algorithms, no engine involved.
+	ref := mat(m, gs)
 	want := make([]*Answers, len(queries))
 	for i, q := range queries {
-		if want[i], err = core.CertainNull(m, gs, q); err != nil {
+		if want[i], err = ref.CertainNull(ctx, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,9 +400,10 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := NewSession(cm, nil); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("nil graph: got %v", err)
 	}
-	// The legacy free function validates too, without silent clamping.
-	if _, err := CertainExact(m, gs, MustREE("(p q)="), ExactOptions{MaxNulls: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("legacy CertainExact with negative MaxNulls: got %v, want ErrBadOptions", err)
+	// The materialization validates its search options too, without silent
+	// clamping.
+	if _, err := mat(m, gs).CertainExact(context.Background(), MustREE("(p q)="), core.ExactOptions{MaxNulls: -1}); !errors.Is(err, ErrBadOptions) {
+		t.Errorf("CertainExact with negative MaxNulls: got %v, want ErrBadOptions", err)
 	}
 }
 
@@ -500,5 +512,84 @@ func TestSessionEvalSource(t *testing.T) {
 		if got.Len() != want.Len() {
 			t.Fatalf("mode %v: engine source eval %d pairs, sequential %d", mode, got.Len(), want.Len())
 		}
+	}
+}
+
+// TestSessionCertainConjunctive checks conjunctive certain answers through a
+// session on the crpq package's fixture: the answers equal crpq.Certain over
+// a fresh universal solution, every call shares the session's memoized
+// solution, and the session's cancellation and mutation guards apply.
+func TestSessionCertainConjunctive(t *testing.T) {
+	gs := NewGraph()
+	gs.MustAddNode("ann", V("30"))
+	gs.MustAddNode("bob", V("25"))
+	gs.MustAddNode("carl", V("30"))
+	gs.MustAddNode("p", V("graphs"))
+	gs.MustAddEdge("ann", "knows", "bob")
+	gs.MustAddEdge("bob", "knows", "carl")
+	gs.MustAddEdge("ann", "likes", "p")
+	gs.MustAddEdge("carl", "likes", "p")
+	m := NewMapping(R("knows", "f f"), R("likes", "l"))
+	s := newTestSession(t, gs, m)
+	ctx := context.Background()
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	ref, err := mat(m, gs).UniversalCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var shared *Graph
+	for i, tc := range []struct {
+		query string
+		want  [][]NodeID
+	}{
+		{"ans(x, y) :- x -[f f]-> y, x -[l]-> w, y -[l]-> w", nil},
+		{"ans(x, y) :- x -[f f f f]-> y, x -[l]-> w, y -[l]-> w", [][]NodeID{{"ann", "carl"}}},
+		{"ans(x, y) :- x -[f]-> y", nil}, // tuples through null nodes are dropped
+	} {
+		q, err := ParseConjunctive(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.CertainConjunctive(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := crpq.Certain(ref, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || got.Len() != len(tc.want) {
+			t.Fatalf("%s: answers %v, want %v", tc.query, got.Sorted(), want.Sorted())
+		}
+		for _, ids := range tc.want {
+			if !got.Has(ids...) {
+				t.Fatalf("%s: answers %v lack %v", tc.query, got.Sorted(), ids)
+			}
+		}
+		// The first call memoized the solution: reading it back needs no
+		// chase, so even a canceled context gets it, and it never changes.
+		u, err := s.UniversalSolution(canceled)
+		if err != nil {
+			t.Fatalf("call %d left no memoized universal solution: %v", i, err)
+		}
+		if i == 0 {
+			shared = u
+		} else if u != shared {
+			t.Fatalf("call %d: universal solution %p, want the shared %p", i, u, shared)
+		}
+	}
+
+	q, err := ParseConjunctive("ans(x, y) :- x -[f f]-> y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CertainConjunctive(canceled, q); !errors.Is(err, ErrCanceled) {
+		t.Errorf("canceled: got %v, want ErrCanceled", err)
+	}
+	gs.MustAddNode("late", V("9"))
+	if _, err := s.CertainConjunctive(ctx, q); !errors.Is(err, ErrSourceMutated) {
+		t.Errorf("mutated: got %v, want ErrSourceMutated", err)
 	}
 }
