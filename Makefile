@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-json bench-diff bench-check lint fmt vet api-check api-update serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
+.PHONY: build test test-race bench bench-smoke bench-check lint fmt vet api-check api-update serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
 
 build:
 	$(GO) build ./...
@@ -20,16 +20,10 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 	$(GO) run ./cmd/gsmbench -quick
 
-# Seconds-long smoke pass for CI: one iteration per benchmark plus a
-# time-boxed gsmbench run.
+# Seconds-long smoke pass for CI: one iteration per benchmark (which
+# includes every quick experiment table, via BenchmarkExperimentTablesQuick).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) run ./cmd/gsmbench -quick -timeout 30s
-
-# Machine-readable benchmark report (CI uploads it as a BENCH_*.json
-# artifact so the perf trajectory accumulates run over run).
-bench-json:
-	$(GO) run ./cmd/gsmbench -quick -timeout 30s -json > BENCH_smoke.json
 
 # The benchmark harness (bench/, BENCHMARK.json) is a module of its own, so
 # nothing above builds or tests it: vet it, run its tests, then one short
@@ -39,11 +33,6 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 	bash bench/run.sh --workload serve-scan --seed 16 --seconds 2 --trace 0
-
-# Per-experiment wall-clock delta between two bench-json reports (CI feeds
-# it the previous run's artifact): make bench-diff OLD=a.json NEW=b.json
-bench-diff:
-	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
 # Public-API surface guard: the exported facade (repro package) must match
 # the committed api.txt golden, so PRs can't silently break downstream
@@ -85,10 +74,11 @@ overload-smoke:
 
 # Documentation check: every local markdown link in README.md and
 # docs/*.md, and every markdown file they name in code quotes, must resolve
-# to an existing file, every #fragment to a heading of its target, and
-# every repro.Name they quote in code to a line of api.txt.
+# to an existing file, every #fragment to a heading of its target, every
+# repro.Name they quote in code to a line of api.txt, and every make
+# target they quote in code to a rule of this Makefile.
 docs-check:
-	$(GO) test -run 'TestDocsLinks|TestDocsFacadeNames' .
+	$(GO) test -run 'TestDocsLinks|TestDocsFacadeNames|TestDocsMakeTargets' .
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -101,4 +91,4 @@ vet:
 
 lint: fmt vet
 
-ci: build lint api-check docs-check test-race serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-json bench-check
+ci: build lint api-check docs-check test-race serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-check

@@ -528,8 +528,8 @@ const (
 )
 
 // freezeBenchStream is the append-burst source for the freeze benchmarks:
-// the same workload.Streaming generator E14 and the streaming benchmarks
-// measure, configured to pure edge appends (k per Tick).
+// the same workload.Streaming generator the streaming benchmarks measure,
+// configured to pure edge appends (k per Tick).
 func freezeBenchStream() *workload.Stream {
 	s := workload.Streaming(workload.StreamSpec{
 		Base: workload.GraphSpec{
@@ -564,7 +564,7 @@ func BenchmarkFreezeFullRebuild(b *testing.B) {
 	}
 }
 
-// streamingBenchSpec is the E14 streaming scenario at benchmark scale:
+// streamingBenchSpec is the streaming update scenario at benchmark scale:
 // mutation bursts (edge appends + value overwrites) alternating with an
 // engine-evaluated certain-answer query batch.
 func streamingBenchSpec() (workload.StreamSpec, []core.Query) {

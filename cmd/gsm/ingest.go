@@ -147,7 +147,7 @@ func runIngest(schema *ingest.Schema, srcs []ingest.Source, outPath string, batc
 }
 
 // cmdGenRel generates the synthetic customer/product/orders relational
-// dataset of the E18 experiment as schema.txt plus CSV files, and
+// dataset (workload.Relational) as schema.txt plus CSV files, and
 // optionally as a SQLite image — the fixture generator the ingest smoke
 // script feeds back through `gsm ingest`.
 func cmdGenRel(args []string, out io.Writer) error {

@@ -6,7 +6,7 @@
 //
 //	gsmload -addr 127.0.0.1:8080 -clients 100 -n 5000          # session mode
 //	gsmload -addr $(cat addr.txt) -n 100 -mode oneshot         # baseline
-//	gsmload -addr ... -mode both -verify -json report.json     # the E16 run
+//	gsmload -addr ... -mode both -verify -json report.json     # session vs oneshot
 //	gsmload -addr ... -chaos -verify                           # fault drill
 //	gsmload -addr ... -rate 200 -tenant greedy -n 2000         # open-loop overload
 //

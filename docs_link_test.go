@@ -25,6 +25,16 @@ var mdCode = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
 // repro.Compile, and captures the name.
 var facadeName = regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
 
+// makeTarget matches a make invocation in command position — at the start
+// of a code span or line, or after && or ; — and captures the target, so
+// prose such as a shell comment mentioning "make targets" is not one.
+// Flags (make -C dir) are not targets.
+var makeTarget = regexp.MustCompile("(?m)(?:^|`|&&|;)[ \t]*(?:\\$[ \t]+)?make[ \t]+([a-z][\\w-]*)")
+
+// makefileRule matches a rule line of the Makefile and captures its
+// target; special targets such as .PHONY start with a dot and do not match.
+var makefileRule = regexp.MustCompile(`(?m)^([\w-]+):`)
+
 // mdHeading matches an ATX heading line and captures its text.
 var mdHeading = regexp.MustCompile(`^#{1,6}\s+(.*?)\s*#*\s*$`)
 
@@ -158,6 +168,39 @@ func TestDocsFacadeNames(t *testing.T) {
 	}
 	if cited == 0 {
 		t.Fatal("no facade names found across README.md and docs/ — the check is vacuous")
+	}
+}
+
+// TestDocsMakeTargets verifies that every make invocation README.md and
+// docs/*.md quote in code — an inline `make ci`, or a line of a fenced
+// shell block — names a target the Makefile defines, so deleting or
+// renaming a target fails the build until the docs stop citing it.
+func TestDocsMakeTargets(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makefileRule.FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	cited := 0
+	for _, f := range docFiles(t) {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range mdCode.FindAllString(string(b), -1) {
+			for _, m := range makeTarget.FindAllStringSubmatch(code, -1) {
+				if !targets[m[1]] {
+					t.Errorf("%s: cites make %s, which the Makefile does not define", f, m[1])
+				}
+				cited++
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no make targets found across README.md and docs/ — the check is vacuous")
 	}
 }
 

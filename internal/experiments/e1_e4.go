@@ -22,11 +22,14 @@ func E1GXPath(quick bool) (Table, error) {
 	if quick {
 		sizes = []int{50, 100}
 	}
-	queries := map[string]gxpath.NodeExpr{
-		"<a b>":         gxpath.MustParseNode("<a b>"),
-		"<(a b)=>":      gxpath.MustParseNode("<(a b)=>"),
-		"<a*> & !<b->":  gxpath.MustParseNode("<a*> & !<b->"),
-		"<a (a- b)!= >": gxpath.MustParseNode("<a (a- b)!=>"),
+	queries := []struct {
+		name string
+		q    gxpath.NodeExpr
+	}{
+		{"<a b>", gxpath.MustParseNode("<a b>")},
+		{"<(a b)=>", gxpath.MustParseNode("<(a b)=>")},
+		{"<a*> & !<b->", gxpath.MustParseNode("<a*> & !<b->")},
+		{"<a (a- b)!= >", gxpath.MustParseNode("<a (a- b)!=>")},
 	}
 	t := Table{
 		ID:     "E1",
@@ -38,11 +41,11 @@ func E1GXPath(quick bool) (Table, error) {
 		g := workload.RandomGraph(workload.GraphSpec{
 			Nodes: n, Edges: 3 * n, Labels: []string{"a", "b"}, Values: n / 4, Seed: int64(n),
 		})
-		for name, q := range queries {
+		for _, qe := range queries {
 			start := time.Now()
-			sat := gxpath.NodesSatisfying(g, q, datagraph.MarkedNulls)
+			sat := gxpath.NodesSatisfying(g, qe.q, datagraph.MarkedNulls)
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(n), fmt.Sprint(g.NumEdges()), name,
+				fmt.Sprint(n), fmt.Sprint(g.NumEdges()), qe.name,
 				fmt.Sprint(len(sat)), time.Since(start).Round(time.Microsecond).String(),
 			})
 		}

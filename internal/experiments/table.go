@@ -1,4 +1,4 @@
-// Package experiments implements the reproduction experiments E1–E12: one
+// Package experiments implements the reproduction experiments E1–E13: one
 // per theorem/figure of the paper, each producing a printable table of
 // measured results next to the paper's claim. The
 // cmd/gsmbench binary is the front end; bench_test.go at the module root
@@ -11,16 +11,14 @@ import (
 	"strings"
 )
 
-// Table is a printable experiment result. The JSON form is what
-// `gsmbench -json` emits and CI archives as BENCH_*.json artifacts, so the
-// field names are part of the perf-trajectory format.
+// Table is a printable experiment result.
 type Table struct {
-	ID     string     `json:"id"`
-	Title  string     `json:"title"`
-	Claim  string     `json:"claim"` // the paper result being reproduced
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
+	ID     string
+	Title  string
+	Claim  string // the paper result being reproduced
+	Header []string
+	Rows   [][]string
+	Notes  []string
 }
 
 // Fprint renders the table with aligned columns.
@@ -91,9 +89,5 @@ func All() []Experiment {
 		{"E11", "static analysis constructions (Thm 7)", E11StaticAnalysis},
 		{"E12", "combined complexity REE vs REM (Thm 3)", E12Combined},
 		{"E13", "static analysis of data RPQs (§3 citations)", E13StaticDataRPQ},
-		{"E14", "incremental snapshot maintenance under updates", E14Streaming},
-		{"E15", "session API amortization over query streams", E15SessionAmortization},
-		{"E16", "HTTP serving layer: shared backends vs per-request sessions", E16Serving},
-		{"E18", "relational bulk ingestion: streaming direct mapping + exchange", E18RelationalIngest},
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagraph"
 	"repro/internal/ingest"
+	"repro/internal/workload"
 )
 
 // ingestGraphString loads the rows through the streaming pipeline and
@@ -60,9 +61,15 @@ func TestIngestPinsToDirectMapping(t *testing.T) {
 	}
 }
 
-// TestIngestPinsToDirectMappingAtScale repeats the pin on a generated
-// thousand-row slice, the cross-validation size the E18 experiment reuses.
+// TestIngestPinsToDirectMappingAtScale repeats the pin on two generated
+// thousand-row slices: a parent/child pair with NULL cells, and the
+// customer/product/orders dataset the ingest benchmarks load.
 func TestIngestPinsToDirectMappingAtScale(t *testing.T) {
+	d := workload.Relational(workload.RelationalSpec{Customers: 200, Products: 50, Orders: 750, Seed: 18})
+	if ingestGraphString(t, d.Schema, d.Rows) != directInstanceString(t, d.Schema, d.Rows) {
+		t.Fatalf("streaming ingest diverged from reference direct mapping on the customer/product/orders slice")
+	}
+
 	s, err := ingest.ParseSchema(`
 table parent
 col parent id int pk

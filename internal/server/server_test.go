@@ -161,9 +161,9 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestQueryMatchesEmbedded runs every scenario query through the server
-// (batch and prepared) and compares the canonical wire bytes against the
-// embedded repro.Session path — the same cross-validation gsmload -verify
-// does over the network.
+// (session batch, prepared and one-shot) and compares the canonical wire
+// bytes against the embedded repro.Session path — the same
+// cross-validation gsmload -verify does over the network.
 func TestQueryMatchesEmbedded(t *testing.T) {
 	s, sc := newTestServer(t, Config{})
 	h := s.Handler()
@@ -190,36 +190,32 @@ func TestQueryMatchesEmbedded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		check := func(what, path string, body any) {
+			t.Helper()
+			var qr QueryResponse
+			if code := do(t, h, "POST", path, "alice", body, &qr); code != 200 {
+				t.Fatalf("%s %d: status %d", what, i, code)
+			}
+			gotBytes, err := json.Marshal(qr.Answers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBytes, wantBytes) {
+				t.Fatalf("%s %d (%q): server answers diverge from embedded session\n got %s\nwant %s",
+					what, i, text, gotBytes, wantBytes)
+			}
+		}
 
-		var qr QueryResponse
-		if code := do(t, h, "POST", "/v1/sessions/"+si.ID+"/query", "alice", QueryRequest{Query: text}, &qr); code != 200 {
-			t.Fatalf("query %d: status %d", i, code)
-		}
-		gotBytes, err := json.Marshal(qr.Answers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotBytes, wantBytes) {
-			t.Fatalf("query %d (%q): server answers diverge from embedded session\n got %s\nwant %s",
-				i, text, gotBytes, wantBytes)
-		}
+		check("query", "/v1/sessions/"+si.ID+"/query", QueryRequest{Query: text})
 
-		// The prepared path must return the identical bytes.
 		var pr PrepareResponse
 		if code := do(t, h, "POST", "/v1/sessions/"+si.ID+"/prepare", "alice", PrepareRequest{Query: text}, &pr); code != 200 {
 			t.Fatalf("prepare %d: status %d", i, code)
 		}
-		var qr2 QueryResponse
-		if code := do(t, h, "POST", "/v1/sessions/"+si.ID+"/query", "alice", QueryRequest{Prepared: pr.Prepared}, &qr2); code != 200 {
-			t.Fatalf("prepared query %d: status %d", i, code)
-		}
-		gotBytes2, err := json.Marshal(qr2.Answers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotBytes2, wantBytes) {
-			t.Fatalf("prepared query %d: answers diverge from embedded session", i)
-		}
+		check("prepared query", "/v1/sessions/"+si.ID+"/query", QueryRequest{Prepared: pr.Prepared})
+
+		// The one-shot path materializes afresh per request.
+		check("one-shot query", "/v1/query", OneShotRequest{Mapping: "m", Graph: "g", Query: text})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // ServingSpec parameterises Serving, the canonical network-serving
 // scenario: one (mapping, source graph) pair registered on a server and a
 // stream of distinct selective queries replayed against it by many
-// concurrent clients. Zero fields take the E15/E16 defaults.
+// concurrent clients. Zero fields take the defaults noted below.
 type ServingSpec struct {
 	// Nodes and Edges size the source graph (defaults 3000/9000 — sized so
 	// solution materialization dominates a single selective query by >20x,
@@ -24,8 +24,8 @@ type ServingSpec struct {
 }
 
 // ServingScenario bundles everything a serving experiment needs, in both
-// in-memory and wire (text) form, so the load generator, the E16
-// experiment, the CI smoke script and the cross-validation tests all replay
+// in-memory and wire (text) form, so the load generator, the bench/
+// harness, the CI smoke script and the cross-validation tests all replay
 // exactly the same workload: the graph and mapping as objects and as their
 // parseable text formats, and the query stream as objects and as parseable
 // REE texts.

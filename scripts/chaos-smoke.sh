@@ -30,6 +30,7 @@
 #
 # Usage: scripts/chaos-smoke.sh [requests] (default 200)
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 N="${1:-200}"
 TMP="$(mktemp -d)"
@@ -40,28 +41,7 @@ echo "chaos-smoke: building gsmd and gsmload"
 go build -o "$TMP/gsmd" ./cmd/gsmd
 go build -o "$TMP/gsmload" ./cmd/gsmload
 
-start_gsmd() {
-    rm -f "$TMP/addr"
-    "$TMP/gsmd" -addr 127.0.0.1:0 -addr-file "$TMP/addr" \
-        -state-dir "$TMP/state" -enable-faults "$@" &
-    GSMD_PID=$!
-    i=0
-    while [ ! -s "$TMP/addr" ]; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "chaos-smoke: gsmd did not write $TMP/addr in time" >&2
-            exit 1
-        fi
-        if ! kill -0 "$GSMD_PID" 2>/dev/null; then
-            echo "chaos-smoke: gsmd exited before binding" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-    ADDR="$(cat "$TMP/addr")"
-}
-
-start_gsmd -demo
+start_gsmd chaos-smoke -state-dir "$TMP/state" -enable-faults -demo
 echo "chaos-smoke: gsmd up at $ADDR (state dir, faults enabled)"
 
 echo "chaos-smoke: phase 1 — verified replay under injected faults"
@@ -137,7 +117,7 @@ wait "$GSMD_PID" 2>/dev/null || true
 echo "chaos-smoke: phase 3 — restart and byte-for-byte recovery"
 # No -demo this time: everything the post-crash run sees must come from
 # the recovered snapshot + WAL.
-start_gsmd
+start_gsmd chaos-smoke -state-dir "$TMP/state" -enable-faults
 echo "chaos-smoke: gsmd back up at $ADDR"
 if [ ! -s "$TMP/state/registry.wal.quarantine" ]; then
     echo "chaos-smoke: torn WAL tail was not quarantined" >&2

@@ -15,6 +15,7 @@
 #
 # Usage: scripts/ingest-smoke.sh [orders] (default 400)
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 ORDERS="${1:-400}"
 CUSTOMERS=$((ORDERS / 4))
@@ -44,22 +45,7 @@ if [ -z "$NODES" ] || [ -z "$EDGES" ]; then
 fi
 
 echo "ingest-smoke: booting gsmd"
-"$TMP/gsmd" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -state-dir "$TMP/state" &
-GSMD_PID=$!
-i=0
-while [ ! -s "$TMP/addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "ingest-smoke: gsmd did not write $TMP/addr in time" >&2
-        exit 1
-    fi
-    if ! kill -0 "$GSMD_PID" 2>/dev/null; then
-        echo "ingest-smoke: gsmd exited before binding" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-ADDR="$(cat "$TMP/addr")"
+start_gsmd ingest-smoke -state-dir "$TMP/state"
 echo "ingest-smoke: gsmd up at $ADDR"
 
 # JSON-escape a file: backslashes and quotes escaped, newlines folded to \n.

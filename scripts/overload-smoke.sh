@@ -27,6 +27,7 @@
 #
 # Usage: scripts/overload-smoke.sh [polite requests] (default 120)
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 N="${1:-120}"
 BUDGET=268435456 # 256 MiB: comfortably above the demo backend
@@ -43,24 +44,9 @@ go build -o "$TMP/gsmload" ./cmd/gsmload
 # contention is guaranteed whatever the host's speed, because the greedy
 # flood keeps more requests in flight than slot + queue can hold, and the
 # slot (not the CPU) is what everyone is waiting for.
-"$TMP/gsmd" -demo -addr 127.0.0.1:0 -addr-file "$TMP/addr" \
+start_gsmd overload-smoke -demo \
     -max-inflight 1 -queue-depth 8 -mem-budget "$BUDGET" \
-    -faults 'server.handler=latency:p=1:ms=25' &
-GSMD_PID=$!
-i=0
-while [ ! -s "$TMP/addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "overload-smoke: gsmd did not write $TMP/addr in time" >&2
-        exit 1
-    fi
-    if ! kill -0 "$GSMD_PID" 2>/dev/null; then
-        echo "overload-smoke: gsmd exited before binding" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-ADDR="$(cat "$TMP/addr")"
+    -faults 'server.handler=latency:p=1:ms=25'
 echo "overload-smoke: gsmd up at $ADDR (1 slot, queue 8, budget $BUDGET bytes, 25ms injected latency)"
 
 # jget FILE KEY: first numeric value of "KEY": N in a gsmload JSON report.

@@ -10,33 +10,18 @@
 #
 # Usage: scripts/server-smoke.sh [requests] (default 100)
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 N="${1:-100}"
 TMP="$(mktemp -d)"
+GSMD_PID=""
 trap 'kill "$GSMD_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
 
 echo "server-smoke: building gsmd and gsmload"
 go build -o "$TMP/gsmd" ./cmd/gsmd
 go build -o "$TMP/gsmload" ./cmd/gsmload
 
-"$TMP/gsmd" -demo -addr 127.0.0.1:0 -addr-file "$TMP/addr" &
-GSMD_PID=$!
-
-# Wait for the server to write its bound address (it listens before serving).
-i=0
-while [ ! -s "$TMP/addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "server-smoke: gsmd did not write $TMP/addr in time" >&2
-        exit 1
-    fi
-    if ! kill -0 "$GSMD_PID" 2>/dev/null; then
-        echo "server-smoke: gsmd exited before binding" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-ADDR="$(cat "$TMP/addr")"
+start_gsmd server-smoke -demo
 echo "server-smoke: gsmd up at $ADDR, replaying $N requests"
 
 "$TMP/gsmload" -addr "$ADDR" -clients 8 -n "$N" -mode session -verify
