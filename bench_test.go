@@ -357,53 +357,12 @@ func benchEngineCertain(b *testing.B, opts engine.Options) {
 	}
 }
 
-// Adjacency micro-benchmarks: expanding a word-RPQ frontier by scanning the
-// flat adjacency lists (the pre-index evaluation strategy) vs the per-label
-// index.
-
-func adjacencyWalkScan(g *datagraph.Graph, word []string) int {
-	frontier := map[int]struct{}{}
-	for u := 0; u < g.NumNodes(); u++ {
-		frontier[u] = struct{}{}
-	}
-	for _, label := range word {
-		next := make(map[int]struct{})
-		for node := range frontier {
-			for _, he := range g.Out(node) {
-				if he.Label == label {
-					next[he.To] = struct{}{}
-				}
-			}
-		}
-		frontier = next
-	}
-	return len(frontier)
-}
-
-func adjacencyWalkIndexed(g *datagraph.Graph, word []string) int {
-	frontier := map[int]struct{}{}
-	for u := 0; u < g.NumNodes(); u++ {
-		frontier[u] = struct{}{}
-	}
-	for _, label := range word {
-		next := make(map[int]struct{})
-		for node := range frontier {
-			for _, to := range g.OutEdges(node, label) {
-				next[to] = struct{}{}
-			}
-		}
-		frontier = next
-	}
-	return len(frontier)
-}
-
 var adjacencyWord = []string{"a", "b", "a", "b"}
 
 // adjacencyBenchLabels mimics a property-graph edge-type distribution: many
-// labels, queries touching few — the regime the per-label index targets.
-// The graph is dense (average out-degree 30) so a scan filters ~30 half
-// edges per expansion where the index jumps straight to the ~2-3 matching
-// successors.
+// labels, queries touching few. The graph is dense (average out-degree 30)
+// so the CSR lookup by interned label jumps straight to the ~2-3 matching
+// successors of each expansion.
 var adjacencyBenchLabels = []string{
 	"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l",
 }
@@ -414,30 +373,12 @@ func adjacencyBenchGraph() *datagraph.Graph {
 	})
 }
 
-func BenchmarkAdjacencyWordScan(b *testing.B) {
-	g := adjacencyBenchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adjacencyWalkScan(g, adjacencyWord)
-	}
-}
+// Dense-frontier benchmarks: expanding an all-nodes word frontier on the
+// dense multi-label graph over the interned CSR snapshot with bitset
+// frontiers, and through the real RPQ evaluator.
 
-func BenchmarkAdjacencyWordIndexed(b *testing.B) {
-	g := adjacencyBenchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adjacencyWalkIndexed(g, adjacencyWord)
-	}
-}
-
-// Dense-frontier benchmarks (PR 2): expanding an all-nodes word frontier on
-// the dense multi-label graph, with the PR 1 strategy (string-keyed
-// per-label index + hash-set frontiers, adjacencyWalkIndexed above) against
-// the snapshot kernel (interned labels, CSR adjacency, bitset frontiers).
-// Run with -bench Frontier to reproduce the speedup reported in CHANGES.md.
-
-// frontierWalkBitset is adjacencyWalkIndexed on the frozen snapshot: CSR
-// lookups by interned label, NodeSet frontiers.
+// frontierWalkBitset expands the all-nodes frontier along word on the
+// frozen snapshot: CSR lookups by interned label, NodeSet frontiers.
 func frontierWalkBitset(snap *datagraph.Snapshot, word []datagraph.Label) int {
 	n := snap.NumNodes()
 	cur, next := datagraph.NewNodeSet(n), datagraph.NewNodeSet(n)
@@ -456,16 +397,6 @@ func frontierWalkBitset(snap *datagraph.Snapshot, word []datagraph.Label) int {
 	return cur.Len()
 }
 
-// BenchmarkFrontierDenseMap is the PR 1 baseline path: per-label index maps
-// with hash-set frontiers.
-func BenchmarkFrontierDenseMap(b *testing.B) {
-	g := adjacencyBenchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adjacencyWalkIndexed(g, adjacencyWord)
-	}
-}
-
 // BenchmarkFrontierDenseBitset is the same expansion over the interned CSR
 // snapshot with bitset frontiers.
 func BenchmarkFrontierDenseBitset(b *testing.B) {
@@ -479,9 +410,12 @@ func BenchmarkFrontierDenseBitset(b *testing.B) {
 		}
 		word[i] = l
 	}
-	// The two walkers must agree before we compare their cost.
-	if got, want := frontierWalkBitset(snap, word), adjacencyWalkIndexed(g, adjacencyWord); got != want {
-		b.Fatalf("bitset walk found %d nodes, map walk %d", got, want)
+	// The walk must reach the targets the RPQ evaluator reports before we
+	// measure its cost.
+	targets := map[int]bool{}
+	rpq.Word(adjacencyWord...).Eval(g).Each(func(p datagraph.Pair) { targets[p.To] = true })
+	if got := frontierWalkBitset(snap, word); got != len(targets) {
+		b.Fatalf("bitset walk found %d nodes, RPQ evaluator %d", got, len(targets))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -251,7 +251,7 @@ type FromEvaluator interface {
 // RangeEvaluator is the batched refinement of FromEvaluator: evaluate every
 // start node in [lo, hi) against the graph's interned snapshot, reusing
 // scratch across the whole chunk and emitting each answer pair once. The
-// engine's frontier shards prefer it over per-node EvalFrom calls.
+// engine shards the start frontier of exactly these queries.
 // ree.Query, rem.Query and NavQuery implement it.
 type RangeEvaluator interface {
 	EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.CompareMode, emit func(u, v int))

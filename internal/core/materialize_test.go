@@ -137,7 +137,7 @@ func TestChaseMatchesTupleAtATime(t *testing.T) {
 }
 
 // sameGraph fails unless got and want render identically, list every
-// label's edges in the same insertion order, and intern labels identically.
+// label's edges in the same edge-log order, and intern labels identically.
 func sameGraph(t *testing.T, name string, got, want *datagraph.Graph) {
 	t.Helper()
 	if got.String() != want.String() {
@@ -152,10 +152,17 @@ func sameGraph(t *testing.T, name string, got, want *datagraph.Graph) {
 		if gl := gs.LabelName(datagraph.Label(l)); gl != label {
 			t.Fatalf("%s: label %d is %q, want %q", name, l, gl, label)
 		}
-		if !slices.Equal(got.LabelPairs(label), want.LabelPairs(label)) {
+		if !slices.Equal(labelEdges(gs, datagraph.Label(l)), labelEdges(ws, datagraph.Label(l))) {
 			t.Fatalf("%s: %q edges in a different order", name, label)
 		}
 	}
+}
+
+// labelEdges lists the edges labeled l in edge-log order.
+func labelEdges(s *datagraph.Snapshot, l datagraph.Label) []datagraph.Pair {
+	var out []datagraph.Pair
+	s.EachLabelEdge(l, func(from, to int32) { out = append(out, datagraph.Pair{From: int(from), To: int(to)}) })
+	return out
 }
 
 // TestChaseCancelsMidRule: a one-rule chase over 200 000+ pairs must give

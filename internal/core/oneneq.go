@@ -132,6 +132,15 @@ func (mat *Materialization) CertainOneInequality(ctx context.Context, q *ree.Que
 // matchingPaths enumerates node sequences of the universal solution
 // spelling the given label word from x to y.
 func matchingPaths(ctx context.Context, u *datagraph.Graph, x, y int, labels []string, budget int) ([][]int, error) {
+	snap := u.Freeze()
+	word := make([]datagraph.Label, len(labels))
+	for i, name := range labels {
+		l, ok := snap.LabelID(name)
+		if !ok {
+			return nil, nil // a label absent from the solution spells no path
+		}
+		word[i] = l
+	}
 	var out [][]int
 	steps := 0
 	cur := make([]int, 0, len(labels)+1)
@@ -154,8 +163,8 @@ func matchingPaths(ctx context.Context, u *datagraph.Graph, x, y int, labels []s
 			}
 			return nil
 		}
-		for _, to := range u.OutEdges(node, labels[pos]) {
-			if err := walk(to, pos+1); err != nil {
+		for _, to := range snap.OutLabeled(node, word[pos]) {
+			if err := walk(int(to), pos+1); err != nil {
 				return err
 			}
 		}

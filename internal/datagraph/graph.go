@@ -36,15 +36,9 @@ func (e Edge) String() string {
 	return fmt.Sprintf("%s -%s-> %s", string(e.From), e.Label, string(e.To))
 }
 
-// HalfEdge is an adjacency entry: an edge seen from one endpoint.
-type HalfEdge struct {
-	Label string
-	To    int // dense node index of the other endpoint
-}
-
 // IndexEdge is an edge with its endpoints as dense node indices: the entry
 // type of the graph's insertion-order edge log and of Build. The log is what
-// every derived structure (edge set, label indexes, snapshots) is rebuilt
+// every derived structure (edge set, snapshots) is rebuilt
 // from, deterministically. It is strictly append-only — as is the node list
 // — which is what lets a cached Snapshot treat its (frozenNodes,
 // frozenEdges) watermark as a prefix of the current state and freeze
@@ -60,12 +54,11 @@ type IndexEdge struct {
 // API also accepts NodeIDs.
 //
 // Mutation (AddNode/AddEdge/SetValue) maintains only the node list, the id
-// index and the edge log; everything else is derived from them. The edge
-// set behind HasEdge, the flat adjacency behind Out/In and the per-label
-// string-keyed indexes behind OutEdges/InEdges/LabelPairs are built lazily
-// on first use. The hot evaluation form is a frozen Snapshot (see Freeze):
-// interned labels and values with CSR adjacency, cached on the graph and
-// shared by concurrent evaluators.
+// index and the edge log; the two derived forms are built from them on
+// first use. The edge set answers HasEdge. The frozen Snapshot (see Freeze)
+// — interned labels and values with CSR adjacency, cached on the graph and
+// shared by concurrent evaluators — is the only adjacency form: every
+// traversal reads it.
 //
 // The zero Graph is empty and ready to use. A Graph is safe for concurrent
 // readers once construction is complete; mutation is not synchronized.
@@ -79,36 +72,15 @@ type Graph struct {
 	edges atomic.Pointer[map[Edge]struct{}]
 
 	// topoVersion counts node/edge insertions, valVersion value overwrites;
-	// together they key the derived-structure caches below.
+	// together they key the cached snapshot.
 	topoVersion uint64
 	valVersion  uint64
-	aidx        atomic.Pointer[adjIndex]
-	lidx        atomic.Pointer[labelIndex]
 	snap        atomic.Pointer[Snapshot]
 
 	// snapFull/snapDelta count snapshot constructions by kind (full rebuild
 	// vs delta merge) over the graph's lifetime; see SnapshotBuilds.
 	snapFull  atomic.Uint64
 	snapDelta atomic.Uint64
-}
-
-// adjIndex is the lazily built flat adjacency form behind Out/In: per-node
-// half-edge lists carved out of two contiguous backing arrays, rebuilt in
-// one counting pass over the edge log. Keeping it out of AddEdge makes
-// edge insertion allocation-free apart from the log and the edge set.
-type adjIndex struct {
-	topoVersion uint64
-	out         [][]HalfEdge
-	in          [][]HalfEdge
-}
-
-// labelIndex is the lazily built per-label adjacency index serving the
-// string-keyed accessors on unfrozen graphs.
-type labelIndex struct {
-	topoVersion uint64
-	out         []map[string][]int // node -> label -> successor indices
-	in          []map[string][]int // node -> label -> predecessor indices
-	byLabel     map[string][]Pair  // label -> (from, to) dense-index pairs
 }
 
 // New returns an empty data graph.
@@ -255,144 +227,6 @@ func (g *Graph) HasEdge(from NodeID, label string, to NodeID) bool {
 	return ok
 }
 
-// adj returns the flat adjacency index, building it on first use after a
-// topology change (same publication discipline as labelIdx).
-func (g *Graph) adj() *adjIndex {
-	if a := g.aidx.Load(); a != nil && a.topoVersion == g.topoVersion {
-		return a
-	}
-	n := len(g.nodes)
-	a := &adjIndex{
-		topoVersion: g.topoVersion,
-		out:         make([][]HalfEdge, n),
-		in:          make([][]HalfEdge, n),
-	}
-	outDeg := make([]int32, n)
-	inDeg := make([]int32, n)
-	for i := range g.seq {
-		outDeg[g.seq[i].From]++
-		inDeg[g.seq[i].To]++
-	}
-	outBack := make([]HalfEdge, len(g.seq))
-	inBack := make([]HalfEdge, len(g.seq))
-	var outAt, inAt int32
-	for u := 0; u < n; u++ {
-		a.out[u] = outBack[outAt : outAt : outAt+outDeg[u]]
-		outAt += outDeg[u]
-		a.in[u] = inBack[inAt : inAt : inAt+inDeg[u]]
-		inAt += inDeg[u]
-	}
-	// Forward pass keeps per-node insertion order in both directions.
-	for i := range g.seq {
-		e := &g.seq[i]
-		a.out[e.From] = append(a.out[e.From], HalfEdge{Label: e.Label, To: int(e.To)})
-		a.in[e.To] = append(a.in[e.To], HalfEdge{Label: e.Label, To: int(e.From)})
-	}
-	g.aidx.Store(a)
-	return a
-}
-
-// Out returns the outgoing adjacency list of the node at index i. The
-// returned slice must not be modified.
-func (g *Graph) Out(i int) []HalfEdge { return g.adj().out[i] }
-
-// In returns the incoming adjacency list of the node at index i. The
-// returned slice must not be modified.
-func (g *Graph) In(i int) []HalfEdge { return g.adj().in[i] }
-
-// labelIdx returns the per-label index, building it on first use after a
-// topology change. Concurrent readers may build it redundantly; the result
-// is identical and publication is atomic, so races only waste work.
-func (g *Graph) labelIdx() *labelIndex {
-	if li := g.lidx.Load(); li != nil && li.topoVersion == g.topoVersion {
-		return li
-	}
-	li := &labelIndex{
-		topoVersion: g.topoVersion,
-		out:         make([]map[string][]int, len(g.nodes)),
-		in:          make([]map[string][]int, len(g.nodes)),
-		byLabel:     make(map[string][]Pair),
-	}
-	adj := g.adj()
-	for u, hes := range adj.out {
-		if len(hes) == 0 {
-			continue
-		}
-		m := make(map[string][]int, len(hes))
-		for _, he := range hes {
-			m[he.Label] = append(m[he.Label], he.To)
-		}
-		li.out[u] = m
-	}
-	for u, hes := range adj.in {
-		if len(hes) == 0 {
-			continue
-		}
-		m := make(map[string][]int, len(hes))
-		for _, he := range hes {
-			m[he.Label] = append(m[he.Label], he.To)
-		}
-		li.in[u] = m
-	}
-	for i := range g.seq {
-		e := &g.seq[i]
-		li.byLabel[e.Label] = append(li.byLabel[e.Label], Pair{From: int(e.From), To: int(e.To)})
-	}
-	g.lidx.Store(li)
-	return li
-}
-
-// OutEdges returns the successors of the node at index i along edges with
-// the given label, in edge-insertion order. The returned slice must not be
-// modified. This is the indexed counterpart of filtering Out(i) by label.
-func (g *Graph) OutEdges(i int, label string) []int {
-	m := g.labelIdx().out[i]
-	if m == nil {
-		return nil
-	}
-	return m[label]
-}
-
-// InEdges returns the predecessors of the node at index i along edges with
-// the given label, in edge-insertion order. The returned slice must not be
-// modified.
-func (g *Graph) InEdges(i int, label string) []int {
-	m := g.labelIdx().in[i]
-	if m == nil {
-		return nil
-	}
-	return m[label]
-}
-
-// LabelPairs returns every edge with the given label as a (from, to) pair of
-// dense indices, in edge-insertion order. The returned slice must not be
-// modified.
-func (g *Graph) LabelPairs(label string) []Pair {
-	return g.labelIdx().byLabel[label]
-}
-
-// HasEdgeIndex reports whether the edge (from, label, to) is present, with
-// both endpoints given as dense indices. It scans the shorter of the two
-// per-label adjacency lists.
-func (g *Graph) HasEdgeIndex(from int, label string, to int) bool {
-	outs := g.OutEdges(from, label)
-	ins := g.InEdges(to, label)
-	if len(ins) < len(outs) {
-		for _, s := range ins {
-			if s == from {
-				return true
-			}
-		}
-		return false
-	}
-	for _, t := range outs {
-		if t == to {
-			return true
-		}
-	}
-	return false
-}
-
 // Freeze compiles (or returns the cached) immutable Snapshot of the graph:
 // interned labels and values with CSR adjacency. The snapshot is cached on
 // the graph and invalidated by mutation, and rebuilding is incremental:
@@ -431,9 +265,8 @@ func (g *Graph) FreezeFull() *Snapshot {
 }
 
 // Snapshot returns the cached snapshot if it is still current, and nil
-// otherwise — it never builds. Evaluators use it to pick the interned
-// kernel opportunistically without paying a rebuild inside mutation loops
-// (e.g. the SetValue specialization search of the certain-answer oracle).
+// otherwise — it never builds. Tests use it to observe whether an
+// operation froze the graph or reused the cached snapshot.
 func (g *Graph) Snapshot() *Snapshot {
 	if s := g.snap.Load(); s != nil && s.topoVersion == g.topoVersion && s.valVersion == g.valVersion {
 		return s

@@ -1,6 +1,7 @@
 package datagraph
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -50,8 +51,8 @@ func TestEdgeSetSemantics(t *testing.T) {
 		t.Fatalf("duplicate edge changed count: %d", g.NumEdges())
 	}
 	ui, _ := g.IndexOf("u")
-	if len(g.Out(ui)) != 1 {
-		t.Fatalf("adjacency duplicated: %v", g.Out(ui))
+	if got := g.Freeze().OutDegree(ui); got != 1 {
+		t.Fatalf("adjacency duplicated: out-degree %d", got)
 	}
 }
 
@@ -59,11 +60,15 @@ func TestAdjacency(t *testing.T) {
 	g := buildTriangle(t)
 	ui, _ := g.IndexOf("u")
 	vi, _ := g.IndexOf("v")
-	if got := g.Out(ui); len(got) != 1 || got[0].Label != "a" || got[0].To != vi {
-		t.Fatalf("Out(u) = %v", got)
+	snap := g.Freeze()
+	var out, in []string
+	snap.EachOut(ui, func(l Label, v int32) { out = append(out, fmt.Sprint(snap.LabelName(l), v)) })
+	snap.EachIn(vi, func(l Label, v int32) { in = append(in, fmt.Sprint(snap.LabelName(l), v)) })
+	if want := fmt.Sprint("a", vi); len(out) != 1 || out[0] != want {
+		t.Fatalf("EachOut(u) = %v, want [%s]", out, want)
 	}
-	if got := g.In(vi); len(got) != 1 || got[0].Label != "a" || got[0].To != ui {
-		t.Fatalf("In(v) = %v", got)
+	if want := fmt.Sprint("a", ui); len(in) != 1 || in[0] != want {
+		t.Fatalf("EachIn(v) = %v, want [%s]", in, want)
 	}
 }
 
@@ -223,13 +228,19 @@ func TestPathValidateAndDataPath(t *testing.T) {
 	if w.Len() != 3 || w.First() != V("1") || w.Last() != V("1") {
 		t.Fatalf("data path: %v", w)
 	}
-	bad := Path{Nodes: []int{ui, wi}, Labels: []string{"a"}}
-	if err := bad.Validate(g); err == nil {
-		t.Fatal("invalid path must fail validation")
-	}
-	malformed := Path{Nodes: []int{ui}, Labels: []string{"a"}}
-	if err := malformed.Validate(g); err == nil {
-		t.Fatal("malformed path must fail validation")
+	for _, c := range []struct {
+		name string
+		p    Path
+	}{
+		{"not an edge", Path{Nodes: []int{ui, wi}, Labels: []string{"a"}}},
+		{"label absent from the graph", Path{Nodes: []int{ui, vi}, Labels: []string{"zz"}}},
+		{"malformed", Path{Nodes: []int{ui}, Labels: []string{"a"}}},
+		{"node index past the end", Path{Nodes: []int{0, 99}, Labels: []string{"a"}}},
+		{"negative node index", Path{Nodes: []int{-1}}},
+	} {
+		if err := c.p.Validate(g); err == nil {
+			t.Fatalf("%s: Validate accepted %v", c.name, c.p)
+		}
 	}
 }
 

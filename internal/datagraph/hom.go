@@ -93,24 +93,37 @@ func findHom(g, h *Graph, fixed map[NodeID]NodeID, mode homMode) (map[NodeID]Nod
 			full.Add(j)
 		}
 	}
+	// Both graphs are read through their snapshots; hl maps each label of g
+	// to h's id for it (NoLabel when h has no such edge).
+	gs, hs := g.Freeze(), h.Freeze()
+	hl := make([]Label, gs.NumLabels())
+	for l := range hl {
+		hl[l] = NoLabel
+		if id, ok := hs.LabelID(gs.LabelName(Label(l))); ok {
+			hl[l] = id
+		}
+	}
 	// Per-label bitsets of target nodes with at least one matching edge,
-	// built on first demand.
-	outHas := make(map[string]*NodeSet)
-	inHas := make(map[string]*NodeSet)
-	labelSet := func(cache map[string]*NodeSet, label string, incoming bool) *NodeSet {
-		if s, ok := cache[label]; ok {
-			return s
+	// built on first demand; a label h lacks leaves no candidate.
+	outHas := make([]*NodeSet, hs.NumLabels())
+	inHas := make([]*NodeSet, hs.NumLabels())
+	empty := NewNodeSet(hn)
+	labelSet := func(cache []*NodeSet, l Label, incoming bool) *NodeSet {
+		if l == NoLabel {
+			return empty
 		}
-		s := NewNodeSet(hn)
-		for _, p := range h.LabelPairs(label) {
-			if incoming {
-				s.Add(p.To)
-			} else {
-				s.Add(p.From)
-			}
+		if cache[l] == nil {
+			s := NewNodeSet(hn)
+			hs.EachLabelEdge(l, func(from, to int32) {
+				if incoming {
+					s.Add(int(to))
+				} else {
+					s.Add(int(from))
+				}
+			})
+			cache[l] = s
 		}
-		cache[label] = s
-		return s
+		return cache[l]
 	}
 	candidates := make([][]int, n)
 	cs := NewNodeSet(hn)
@@ -127,12 +140,8 @@ func findHom(g, h *Graph, fixed map[NodeID]NodeID, mode homMode) (map[NodeID]Nod
 			return nil, false
 		}
 		cs.CopyFrom(base)
-		for _, he := range g.Out(i) {
-			cs.IntersectWith(labelSet(outHas, he.Label, false))
-		}
-		for _, he := range g.In(i) {
-			cs.IntersectWith(labelSet(inHas, he.Label, true))
-		}
+		gs.EachOut(i, func(l Label, _ int32) { cs.IntersectWith(labelSet(outHas, hl[l], false)) })
+		gs.EachIn(i, func(l Label, _ int32) { cs.IntersectWith(labelSet(inHas, hl[l], true)) })
 		candidates[i] = cs.AppendTo(nil)
 		if len(candidates[i]) == 0 {
 			return nil, false
@@ -154,19 +163,20 @@ func findHom(g, h *Graph, fixed map[NodeID]NodeID, mode homMode) (map[NodeID]Nod
 
 	// consistent checks every edge of g between already-assigned nodes.
 	consistent := func(i, target int) bool {
-		for _, he := range g.Out(i) {
-			if t := assign[he.To]; t >= 0 && !h.HasEdgeIndex(target, he.Label, t) {
-				return false
+		ok := true
+		gs.EachOut(i, func(l Label, v int32) {
+			if t := assign[v]; ok && t >= 0 && (hl[l] == NoLabel || !hs.HasEdge(target, hl[l], t)) {
+				ok = false
 			}
-		}
-		for _, he := range g.In(i) {
-			if s := assign[he.To]; s >= 0 && !h.HasEdgeIndex(s, he.Label, target) {
-				return false
+		})
+		gs.EachIn(i, func(l Label, v int32) {
+			if s := assign[v]; ok && s >= 0 && (hl[l] == NoLabel || !hs.HasEdge(s, hl[l], target)) {
+				ok = false
 			}
-		}
-		// Self-loops where he.To == i are covered above since assign[i] is
-		// set temporarily by the caller before recursing.
-		return true
+		})
+		// Self-loops where v == i are covered above since assign[i] is set
+		// temporarily by the caller before recursing.
+		return ok
 	}
 
 	var rec func(k int) bool

@@ -18,14 +18,20 @@ func (p Path) Len() int { return len(p.Labels) }
 // Label returns λ(π), the word a₁…aₙ.
 func (p Path) Label() []string { return p.Labels }
 
-// Validate checks that the path's structure is consistent and that each step
-// is an edge of g.
+// Validate checks that the path's structure is consistent, that every node
+// index lies in [0, NumNodes()) and that each step is an edge of g.
 func (p Path) Validate(g *Graph) error {
 	if len(p.Nodes) != len(p.Labels)+1 {
 		return fmt.Errorf("datagraph: path has %d nodes and %d labels", len(p.Nodes), len(p.Labels))
 	}
+	for i, u := range p.Nodes {
+		if u < 0 || u >= g.NumNodes() {
+			return fmt.Errorf("datagraph: path node %d: index %d outside [0, %d)", i, u, g.NumNodes())
+		}
+	}
+	s := g.Freeze()
 	for i, lab := range p.Labels {
-		if !g.HasEdgeIndex(p.Nodes[i], lab, p.Nodes[i+1]) {
+		if l, ok := s.LabelID(lab); !ok || !s.HasEdge(p.Nodes[i], l, p.Nodes[i+1]) {
 			return fmt.Errorf("datagraph: path step %d: no edge %s -%s-> %s",
 				i, g.Node(p.Nodes[i]).ID, lab, g.Node(p.Nodes[i+1]).ID)
 		}

@@ -45,7 +45,7 @@ type Snapshot struct {
 	in  csrDir
 
 	// Per-label edge lists in insertion order, as chains of append-only
-	// segments (the interned counterpart of Graph.LabelPairs). A delta
+	// segments (see EachLabelEdge). A delta
 	// freeze extends a label's chain with one new span; existing spans are
 	// shared with the previous snapshot.
 	pairs []labelPairList
@@ -183,6 +183,25 @@ func (d *csrDir) all(u int) []int32 {
 	sg := d.segs[r.seg]
 	return sg.targets[sg.slotOff[r.lo]:sg.slotOff[r.hi]]
 }
+
+// each calls f for every half-edge of u's row: slots in ascending label
+// id, targets in edge-insertion order within a slot.
+func (d *csrDir) each(u int, f func(l Label, v int32)) {
+	r := d.rows[u]
+	sg := d.segs[r.seg]
+	for slot := r.lo; slot < r.hi; slot++ {
+		for _, v := range sg.targets[sg.slotOff[slot]:sg.slotOff[slot+1]] {
+			f(sg.labels[slot], v)
+		}
+	}
+}
+
+// EachOut calls f for every outgoing edge (u, l, v) of u, grouped by label
+// (ascending label id) and in edge-insertion order within a label.
+func (s *Snapshot) EachOut(u int, f func(l Label, v int32)) { s.out.each(u, f) }
+
+// EachIn calls f for every incoming edge (v, l, u) of u, in EachOut's order.
+func (s *Snapshot) EachIn(u int, f func(l Label, v int32)) { s.in.each(u, f) }
 
 // OutLabeled returns the successors of u along edges labeled l.
 func (s *Snapshot) OutLabeled(u int, l Label) []int32 { return s.out.labeled(u, l) }
@@ -370,7 +389,7 @@ func buildFull(g *Graph) *Snapshot {
 // endpoint key, of edge lists already grouped by label (labelOff bounds
 // each label's run of key/val) and in insertion order within a label. Rows
 // therefore come out grouped by node, slots ascending by label, and targets
-// in insertion order within a slot — what Graph.OutEdges/InEdges return.
+// in insertion order within a slot — what OutLabeled/InLabeled return.
 // rowOff (one entry per node plus one) and lab (one per edge) are scratch.
 func countCSR(labelOff, key, val, rowOff []int32, lab []Label) csrDir {
 	n := len(rowOff) - 1

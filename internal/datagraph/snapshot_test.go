@@ -6,9 +6,53 @@ import (
 	"testing"
 )
 
+// randomIndexedGraph builds a random graph through the public mutation API,
+// so snapshots are exercised exactly as production code builds them
+// (incrementally, with duplicate-edge no-ops mixed in).
+func randomIndexedGraph(t *testing.T, rng *rand.Rand, nodes, edges int, labels []string) *Graph {
+	t.Helper()
+	g := New()
+	for i := 0; i < nodes; i++ {
+		g.MustAddNode(NodeID(fmt.Sprintf("n%d", i)), V(fmt.Sprintf("d%d", rng.Intn(5))))
+	}
+	for e := 0; e < edges; e++ {
+		from := NodeID(fmt.Sprintf("n%d", rng.Intn(nodes)))
+		to := NodeID(fmt.Sprintf("n%d", rng.Intn(nodes)))
+		g.MustAddEdge(from, labels[rng.Intn(len(labels))], to)
+	}
+	return g
+}
+
+// logScan is the naive reference every snapshot accessor is checked
+// against: one pass over the edge log, in insertion order, keeping the
+// edges that keep(from, label, to) selects, reported as (from, to) pairs.
+func logScan(g *Graph, keep func(from int, label string, to int) bool) []Pair {
+	var out []Pair
+	for _, e := range g.seq {
+		if keep(int(e.From), e.Label, int(e.To)) {
+			out = append(out, Pair{From: int(e.From), To: int(e.To)})
+		}
+	}
+	return out
+}
+
+// samePairs reports whether got lists exactly the pairs of want, in order.
+func samePairs(got, want []Pair) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSnapshotAgreesWithIndexes is the CSR property test: on random graphs
-// built through the public mutation API, the snapshot's interned adjacency
-// must agree with the string-keyed index accessors everywhere.
+// built through the public mutation API, the snapshot's interned indexes
+// (label spans, CSR rows in both directions, EachOut/EachIn) must agree
+// with a scan of the edge log everywhere, order included.
 func TestSnapshotAgreesWithIndexes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	labels := []string{"a", "b", "c", "d"}
@@ -22,9 +66,10 @@ func TestSnapshotAgreesWithIndexes(t *testing.T) {
 			t.Fatalf("trial %d: snapshot has %d nodes, graph %d", trial, snap.NumNodes(), g.NumNodes())
 		}
 		for _, lab := range labels {
+			pairs := logScan(g, func(_ int, l string, _ int) bool { return l == lab })
 			l, ok := snap.LabelID(lab)
 			if !ok {
-				if len(g.LabelPairs(lab)) != 0 {
+				if len(pairs) != 0 {
 					t.Fatalf("trial %d: label %q missing from interner but has edges", trial, lab)
 				}
 				continue
@@ -32,63 +77,90 @@ func TestSnapshotAgreesWithIndexes(t *testing.T) {
 			if snap.LabelName(l) != lab {
 				t.Fatalf("trial %d: LabelName round-trip broke for %q", trial, lab)
 			}
-			pairs := g.LabelPairs(lab)
 			if snap.NumLabelEdges(l) != len(pairs) {
-				t.Fatalf("trial %d: NumLabelEdges(%q) = %d, index %d", trial, lab, snap.NumLabelEdges(l), len(pairs))
+				t.Fatalf("trial %d: NumLabelEdges(%q) = %d, log %d", trial, lab, snap.NumLabelEdges(l), len(pairs))
 			}
-			i := 0
-			snap.EachLabelEdge(l, func(from, to int32) {
-				if i < len(pairs) && (int(from) != pairs[i].From || int(to) != pairs[i].To) {
-					t.Fatalf("trial %d: EachLabelEdge(%q)[%d] = (%d,%d), want %v",
-						trial, lab, i, from, to, pairs[i])
-				}
-				i++
-			})
-			if i != len(pairs) {
-				t.Fatalf("trial %d: EachLabelEdge(%q) visited %d edges, index %d", trial, lab, i, len(pairs))
+			var spans []Pair
+			snap.EachLabelEdge(l, func(from, to int32) { spans = append(spans, Pair{From: int(from), To: int(to)}) })
+			if !samePairs(spans, pairs) {
+				t.Fatalf("trial %d: EachLabelEdge(%q) = %v, log %v", trial, lab, spans, pairs)
 			}
 			for u := 0; u < nodes; u++ {
-				wantOut := g.OutEdges(u, lab)
-				gotOut := snap.OutLabeled(u, l)
-				if len(wantOut) != len(gotOut) {
-					t.Fatalf("trial %d: OutLabeled(%d,%q) = %v, want %v", trial, u, lab, gotOut, wantOut)
+				var gotOut, gotIn []Pair
+				for _, v := range snap.OutLabeled(u, l) {
+					gotOut = append(gotOut, Pair{From: u, To: int(v)})
 				}
-				for i := range wantOut {
-					if int(gotOut[i]) != wantOut[i] {
-						t.Fatalf("trial %d: OutLabeled(%d,%q) = %v, want %v", trial, u, lab, gotOut, wantOut)
-					}
+				for _, v := range snap.InLabeled(u, l) {
+					gotIn = append(gotIn, Pair{From: int(v), To: u})
 				}
-				wantIn := g.InEdges(u, lab)
-				gotIn := snap.InLabeled(u, l)
-				if len(wantIn) != len(gotIn) {
-					t.Fatalf("trial %d: InLabeled(%d,%q) = %v, want %v", trial, u, lab, gotIn, wantIn)
+				wantOut := logScan(g, func(f int, l string, _ int) bool { return f == u && l == lab })
+				wantIn := logScan(g, func(_ int, l string, to int) bool { return to == u && l == lab })
+				if !samePairs(gotOut, wantOut) {
+					t.Fatalf("trial %d: OutLabeled(%d,%q) = %v, log %v", trial, u, lab, gotOut, wantOut)
 				}
-				for i := range wantIn {
-					if int(gotIn[i]) != wantIn[i] {
-						t.Fatalf("trial %d: InLabeled(%d,%q) = %v, want %v", trial, u, lab, gotIn, wantIn)
-					}
+				if !samePairs(gotIn, wantIn) {
+					t.Fatalf("trial %d: InLabeled(%d,%q) = %v, log %v", trial, u, lab, gotIn, wantIn)
 				}
 				if snap.HasOutLabeled(u, l) != (len(wantOut) > 0) {
 					t.Fatalf("trial %d: HasOutLabeled(%d,%q) wrong", trial, u, lab)
 				}
 				for v := 0; v < nodes; v++ {
-					if snap.HasEdge(u, l, v) != g.HasEdgeIndex(u, lab, v) {
-						t.Fatalf("trial %d: HasEdge(%d,%q,%d) disagrees with index", trial, u, lab, v)
+					want := g.HasEdge(g.Node(u).ID, lab, g.Node(v).ID)
+					if snap.HasEdge(u, l, v) != want {
+						t.Fatalf("trial %d: HasEdge(%d,%q,%d) disagrees with the edge set", trial, u, lab, v)
 					}
 				}
 			}
 		}
-		// OutAll/InAll must match the flat adjacency (as target multisets in
-		// any order).
+		// OutAll/InAll/OutDegree count every half-edge, and EachOut/EachIn
+		// walk a row label slot by label slot, in insertion order within a
+		// slot.
 		for u := 0; u < nodes; u++ {
-			if len(snap.OutAll(u)) != len(g.Out(u)) {
-				t.Fatalf("trial %d: OutAll(%d) has %d targets, Out %d", trial, u, len(snap.OutAll(u)), len(g.Out(u)))
+			wantOut := logScan(g, func(f int, _ string, _ int) bool { return f == u })
+			wantIn := logScan(g, func(_ int, _ string, to int) bool { return to == u })
+			if len(snap.OutAll(u)) != len(wantOut) || snap.OutDegree(u) != len(wantOut) {
+				t.Fatalf("trial %d: OutAll(%d) has %d targets, log %d", trial, u, len(snap.OutAll(u)), len(wantOut))
 			}
-			if len(snap.InAll(u)) != len(g.In(u)) {
-				t.Fatalf("trial %d: InAll(%d) has %d targets, In %d", trial, u, len(snap.InAll(u)), len(g.In(u)))
+			if len(snap.InAll(u)) != len(wantIn) {
+				t.Fatalf("trial %d: InAll(%d) has %d targets, log %d", trial, u, len(snap.InAll(u)), len(wantIn))
 			}
-			if snap.OutDegree(u) != len(g.Out(u)) {
-				t.Fatalf("trial %d: OutDegree(%d) wrong", trial, u)
+			var each, slots []Pair
+			snap.EachOut(u, func(l Label, v int32) { each = append(each, Pair{From: int(l), To: int(v)}) })
+			snap.EachIn(u, func(l Label, v int32) { each = append(each, Pair{From: int(l), To: int(v)}) })
+			for l := 0; l < snap.NumLabels(); l++ {
+				for _, v := range snap.OutLabeled(u, Label(l)) {
+					slots = append(slots, Pair{From: l, To: int(v)})
+				}
+			}
+			for l := 0; l < snap.NumLabels(); l++ {
+				for _, v := range snap.InLabeled(u, Label(l)) {
+					slots = append(slots, Pair{From: l, To: int(v)})
+				}
+			}
+			if !samePairs(each, slots) {
+				t.Fatalf("trial %d: EachOut/EachIn(%d) = %v, label slots %v", trial, u, each, slots)
+			}
+		}
+	}
+}
+
+// TestSnapshotSurvivesCloneAndSpecialize: the derived-graph constructors
+// freeze to the same per-label edge lists as their source.
+func TestSnapshotSurvivesCloneAndSpecialize(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := randomIndexedGraph(t, rng, 12, 30, []string{"a", "b"})
+	want := g.Freeze()
+	for _, d := range []*Graph{g.Clone(), g.Specialize(map[NodeID]Value{"n0": V("zz")})} {
+		got := d.Freeze()
+		if d.NumEdges() != g.NumEdges() || got.NumLabels() != want.NumLabels() {
+			t.Fatalf("derived graph lost edges: %d vs %d", d.NumEdges(), g.NumEdges())
+		}
+		for l := 0; l < want.NumLabels(); l++ {
+			var a, b []Pair
+			got.EachLabelEdge(Label(l), func(from, to int32) { a = append(a, Pair{From: int(from), To: int(to)}) })
+			want.EachLabelEdge(Label(l), func(from, to int32) { b = append(b, Pair{From: int(from), To: int(to)}) })
+			if !samePairs(a, b) {
+				t.Fatalf("derived graph's %q edges %v, want %v", want.LabelName(Label(l)), a, b)
 			}
 		}
 	}
@@ -184,6 +256,13 @@ func TestFreezeZeroGraph(t *testing.T) {
 	if g.Snapshot() != nil {
 		t.Fatal("mutation after freeze must invalidate")
 	}
+	g.MustAddNode("y", V("2"))
+	g.MustAddEdge("x", "a", "y")
+	snap = g.Freeze()
+	l, ok := snap.LabelID("a")
+	if !ok || !snap.HasEdge(0, l, 1) || snap.HasEdge(1, l, 0) || snap.NumLabelEdges(l) != 1 {
+		t.Fatal("a zero Graph grown by AddNode/AddEdge must freeze to its edges")
+	}
 }
 
 // TestSnapshotLargeDegree exercises the sort.SliceStable fallback in the
@@ -205,15 +284,12 @@ func TestSnapshotLargeDegree(t *testing.T) {
 		if !ok {
 			t.Fatalf("label %q missing", lab)
 		}
-		got := snap.OutLabeled(hub, l)
-		want := g.OutEdges(hub, lab)
-		if len(got) != len(want) {
-			t.Fatalf("OutLabeled(hub, %q): %d targets, want %d", lab, len(got), len(want))
+		var got []Pair
+		for _, v := range snap.OutLabeled(hub, l) {
+			got = append(got, Pair{From: hub, To: int(v)})
 		}
-		for i := range want {
-			if int(got[i]) != want[i] {
-				t.Fatalf("OutLabeled(hub, %q) order diverged at %d", lab, i)
-			}
+		if want := logScan(g, func(f int, l string, _ int) bool { return f == hub && l == lab }); !samePairs(got, want) {
+			t.Fatalf("OutLabeled(hub, %q) = %v, log %v", lab, got, want)
 		}
 		total += len(got)
 	}

@@ -1,13 +1,12 @@
-// Package engine is the indexed, concurrent query evaluator beneath
-// sessions. It evaluates queries over one frozen graph — a source graph or a
-// memoized solution — on top of the per-label adjacency indexes of
-// internal/datagraph, sharding two independent dimensions of work across a
-// pool of GOMAXPROCS goroutines:
+// Package engine is the concurrent query evaluator beneath sessions. It
+// evaluates queries over one frozen graph — the snapshot of a source graph
+// or of a memoized solution — sharding two independent dimensions of work
+// across a pool of GOMAXPROCS goroutines:
 //
 //   - queries: each query in a batch is evaluated independently;
-//   - source-node frontiers: a query that can evaluate from a single start
-//     node (core.FromEvaluator — REE, REM and navigational RPQs all can) has
-//     its start frontier split into chunks, one chunk per work item.
+//   - source-node frontiers: a query that can evaluate a range of start
+//     nodes (core.RangeEvaluator — REE, REM and navigational RPQs all can)
+//     has its start frontier split into chunks, one chunk per work item.
 //
 // It has two entry points: EvalGraph evaluates one query over any graph,
 // and EvalSolution runs a Theorem 4 batch over a universal solution. The
@@ -15,9 +14,9 @@
 // filter its answers, the exact and Proposition 4/5 searches — live on
 // core.Materialization.
 //
-// Start nodes that cannot begin a match are pruned before evaluation using
-// the queries' StartLabels metadata against the graph's per-label adjacency
-// index, which makes selective queries on large graphs nearly free.
+// The kernels prune start nodes that cannot begin a match by their
+// StartLabels against the snapshot's CSR rows, which makes selective queries
+// on large graphs nearly free.
 //
 // Output is deterministic: answers are set-valued and the merge is
 // order-insensitive, so the same inputs always produce the same Answers
@@ -57,34 +56,6 @@ func (o Options) chunk() int {
 	return 32
 }
 
-// frontierQuery is the optional metadata interface used to prune start
-// frontiers; ree.Query, rem.Query and core.NavQuery implement it.
-type frontierQuery interface {
-	StartLabels() ([]string, bool)
-	AcceptsEmptyPath() bool
-}
-
-// canSkipStart reports whether node u of g can be skipped as a start node
-// for q: only when q's start-label set is exhaustive, q cannot accept a
-// single-node path, and u has no out-edge carrying any start label. All
-// three checks are conservative, so skipping never loses answers.
-func canSkipStart(g *datagraph.Graph, q core.Query, u int) bool {
-	fq, ok := q.(frontierQuery)
-	if !ok {
-		return false
-	}
-	labels, exhaustive := fq.StartLabels()
-	if !exhaustive || fq.AcceptsEmptyPath() {
-		return false
-	}
-	for _, l := range labels {
-		if len(g.OutEdges(u, l)) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // EvalSolution runs the Theorem 4 batch over an already materialized
 // universal solution: evaluate every query concurrently under SQL-null
 // semantics and filter null-node endpoints. Sessions use it so a stream of
@@ -104,8 +75,8 @@ func EvalSolution(ctx context.Context, u *datagraph.Graph, opts Options, queries
 
 // EvalGraph evaluates one query over one graph with the start-node frontier
 // sharded across the worker pool. It is the parallel counterpart of
-// q.Eval(g, mode) and falls back to it when the query cannot evaluate from
-// a single start node.
+// q.Eval(g, mode) and falls back to it when the query is not a
+// core.RangeEvaluator.
 func EvalGraph(ctx context.Context, g *datagraph.Graph, q core.Query, mode datagraph.CompareMode, opts Options) (*datagraph.PairSet, error) {
 	sets, err := evalAll(ctx, g, []core.Query{q}, mode, opts)
 	if err != nil {
@@ -116,7 +87,7 @@ func EvalGraph(ctx context.Context, g *datagraph.Graph, q core.Query, mode datag
 
 // job is one unit of work: evaluate query qi on start nodes [lo, hi) of the
 // shared graph, or — when whole is set — run the query's monolithic Eval
-// (for queries that cannot evaluate from a single node).
+// (for queries that are not a core.RangeEvaluator).
 type job struct {
 	qi     int
 	lo, hi int
@@ -142,9 +113,7 @@ func evalAll(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode
 	chunk := opts.chunk()
 	jobs := make([]job, 0, len(queries)*((n+chunk-1)/chunk))
 	for qi, q := range queries {
-		_, ranged := q.(core.RangeEvaluator)
-		_, fromable := q.(core.FromEvaluator)
-		if ranged || fromable {
+		if _, ranged := q.(core.RangeEvaluator); ranged {
 			for lo := 0; lo < n; lo += chunk {
 				hi := lo + chunk
 				if hi > n {
@@ -230,19 +199,7 @@ func runJob(g *datagraph.Graph, queries []core.Query, mode datagraph.CompareMode
 		q.Eval(g, mode).Each(func(p datagraph.Pair) { sink.AddPair(p) })
 		return
 	}
-	if re, ok := q.(core.RangeEvaluator); ok {
-		// Snapshot kernel: interned labels, scratch shared across the
-		// chunk, start pruning done internally on interned start labels.
-		re.EvalRange(g, j.lo, j.hi, mode, sink.Add)
-		return
-	}
-	fe := q.(core.FromEvaluator)
-	for u := j.lo; u < j.hi; u++ {
-		if canSkipStart(g, q, u) {
-			continue
-		}
-		for _, v := range fe.EvalFrom(g, u, mode) {
-			sink.Add(u, v)
-		}
-	}
+	// Snapshot kernel: interned labels, scratch shared across the chunk,
+	// start pruning done internally on interned start labels.
+	q.(core.RangeEvaluator).EvalRange(g, j.lo, j.hi, mode, sink.Add)
 }

@@ -6,77 +6,60 @@ import "repro/internal/datagraph"
 // GXPath_core^~ path expressions ([[α]]_G ⊆ V×V) and node expressions
 // ([[φ]]_G ⊆ V), computed bottom-up with explicit relations. The public
 // entry points freeze the graph once and evaluate over the interned
-// snapshot with dense bitmap relations (word-wise composition, closure and
-// boolean algebra); the map-based path remains as the fallback for graphs
-// too large for dense bitmaps (and as the cross-validation reference).
+// snapshot with PairSet relations: dense bitmaps (word-wise composition,
+// closure and boolean algebra) when the graph fits the dense budget.
 
 // EvalPath computes [[α]]_G under the given data-comparison mode.
 func EvalPath(g *datagraph.Graph, p PathExpr, mode datagraph.CompareMode) *datagraph.PairSet {
-	return evalPath(g, g.Freeze(), p, mode)
+	return evalPath(g.Freeze(), p, mode)
 }
 
-// newRel returns an empty relation sized to the graph when a snapshot is
-// available (dense bitmap rows), and a sparse set otherwise.
-func newRel(g *datagraph.Graph, snap *datagraph.Snapshot) *datagraph.PairSet {
-	if snap != nil {
-		return datagraph.NewPairSetSized(snap.NumNodes())
-	}
-	return datagraph.NewPairSet()
+// newRel returns an empty relation sized to the snapshot.
+func newRel(snap *datagraph.Snapshot) *datagraph.PairSet {
+	return datagraph.NewPairSetSized(snap.NumNodes())
 }
 
-// evalPath is EvalPath against an optional snapshot (nil forces the
-// map-based reference semantics).
-func evalPath(g *datagraph.Graph, snap *datagraph.Snapshot, p PathExpr, mode datagraph.CompareMode) *datagraph.PairSet {
+func evalPath(snap *datagraph.Snapshot, p PathExpr, mode datagraph.CompareMode) *datagraph.PairSet {
 	switch t := p.(type) {
 	case PEps:
 		// [[ε]] = {(v, v) | v ∈ V}
-		out := newRel(g, snap)
-		for v := 0; v < g.NumNodes(); v++ {
+		out := newRel(snap)
+		for v := 0; v < snap.NumNodes(); v++ {
 			out.Add(v, v)
 		}
 		return out
 	case PLabel:
 		// [[a]] = {(v, v′) | (v, a, v′) ∈ E}; [[a⁻]] swaps the pair. The
-		// per-label edge index yields exactly the matching edges.
-		out := newRel(g, snap)
-		if snap != nil {
-			if l, ok := snap.LabelID(t.Label); ok {
-				if t.Inverse {
-					snap.EachLabelEdge(l, func(from, to int32) { out.Add(int(to), int(from)) })
-				} else {
-					snap.EachLabelEdge(l, func(from, to int32) { out.Add(int(from), int(to)) })
-				}
-			}
-			return out
-		}
-		for _, p := range g.LabelPairs(t.Label) {
+		// snapshot's per-label edge list yields exactly the matching edges.
+		out := newRel(snap)
+		if l, ok := snap.LabelID(t.Label); ok {
 			if t.Inverse {
-				out.Add(p.To, p.From)
+				snap.EachLabelEdge(l, func(from, to int32) { out.Add(int(to), int(from)) })
 			} else {
-				out.Add(p.From, p.To)
+				snap.EachLabelEdge(l, func(from, to int32) { out.Add(int(from), int(to)) })
 			}
 		}
 		return out
 	case PStar:
 		// [[a*]] = reflexive-transitive closure of [[a]].
-		return starClosure(g, snap, t.Label, t.Inverse)
+		return starClosure(snap, t.Label, t.Inverse)
 	case PConcat:
 		// [[α·β]] = [[α]] ∘ [[β]] (word-wise row union when dense)
 		return datagraph.ComposePairs(
-			evalPath(g, snap, t.L, mode), evalPath(g, snap, t.R, mode))
+			evalPath(snap, t.L, mode), evalPath(snap, t.R, mode))
 	case PUnion:
 		// [[α∪β]] = [[α]] ∪ [[β]]
-		return evalPath(g, snap, t.L, mode).Union(evalPath(g, snap, t.R, mode))
+		return evalPath(snap, t.L, mode).Union(evalPath(snap, t.R, mode))
 	case PEq:
 		// [[α=]] = {(v, v′) ∈ [[α]] | δ(v) = δ(v′)}
-		return filterData(g, snap, evalPath(g, snap, t.Inner, mode), mode, false)
+		return filterData(snap, evalPath(snap, t.Inner, mode), mode, false)
 	case PNeq:
 		// [[α≠]] = {(v, v′) ∈ [[α]] | δ(v) ≠ δ(v′)}
-		return filterData(g, snap, evalPath(g, snap, t.Inner, mode), mode, true)
+		return filterData(snap, evalPath(snap, t.Inner, mode), mode, true)
 	case PTest:
 		// [[[φ]]] = {(v, v) | v ∈ [[φ]]}
-		sat := evalNode(g, snap, t.Cond, mode)
-		out := newRel(g, snap)
+		sat := evalNode(snap, t.Cond, mode)
+		out := newRel(snap)
 		for v, ok := range sat {
 			if ok {
 				out.Add(v, v)
@@ -84,7 +67,7 @@ func evalPath(g *datagraph.Graph, snap *datagraph.Snapshot, p PathExpr, mode dat
 		}
 		return out
 	default:
-		if rel, ok := evalRegular(g, snap, p, mode); ok {
+		if rel, ok := evalRegular(snap, p, mode); ok {
 			return rel
 		}
 		panic("gxpath: unknown path expression")
@@ -93,28 +76,28 @@ func evalPath(g *datagraph.Graph, snap *datagraph.Snapshot, p PathExpr, mode dat
 
 // EvalNode computes [[φ]]_G as a membership vector indexed by node index.
 func EvalNode(g *datagraph.Graph, n NodeExpr, mode datagraph.CompareMode) []bool {
-	return evalNode(g, g.Freeze(), n, mode)
+	return evalNode(g.Freeze(), n, mode)
 }
 
-func evalNode(g *datagraph.Graph, snap *datagraph.Snapshot, n NodeExpr, mode datagraph.CompareMode) []bool {
+func evalNode(snap *datagraph.Snapshot, n NodeExpr, mode datagraph.CompareMode) []bool {
 	switch t := n.(type) {
 	case NNot:
 		// [[¬φ]] = V − [[φ]]
-		inner := evalNode(g, snap, t.Inner, mode)
+		inner := evalNode(snap, t.Inner, mode)
 		out := make([]bool, len(inner))
 		for i, b := range inner {
 			out[i] = !b
 		}
 		return out
 	case NAnd:
-		l, r := evalNode(g, snap, t.L, mode), evalNode(g, snap, t.R, mode)
+		l, r := evalNode(snap, t.L, mode), evalNode(snap, t.R, mode)
 		out := make([]bool, len(l))
 		for i := range l {
 			out[i] = l[i] && r[i]
 		}
 		return out
 	case NOr:
-		l, r := evalNode(g, snap, t.L, mode), evalNode(g, snap, t.R, mode)
+		l, r := evalNode(snap, t.L, mode), evalNode(snap, t.R, mode)
 		out := make([]bool, len(l))
 		for i := range l {
 			out[i] = l[i] || r[i]
@@ -122,8 +105,8 @@ func evalNode(g *datagraph.Graph, snap *datagraph.Snapshot, n NodeExpr, mode dat
 		return out
 	case NExists:
 		// [[⟨α⟩]] = {v | ∃v′ (v, v′) ∈ [[α]]}
-		rel := evalPath(g, snap, t.Path, mode)
-		out := make([]bool, g.NumNodes())
+		rel := evalPath(snap, t.Path, mode)
+		out := make([]bool, snap.NumNodes())
 		if rel.Dense() {
 			for u := range out {
 				out[u] = rel.RowNonEmpty(u)
@@ -160,9 +143,9 @@ func Satisfies(g *datagraph.Graph, id datagraph.NodeID, n NodeExpr, mode datagra
 
 // closureRows computes the reflexive-transitive closure of the adjacency
 // relation presented by adj: one bitset BFS per source, each reachable set
-// published as a (word-wise, when dense) row union into out. All four
-// closure variants — label star and generalized star, snapshot and
-// fallback — share it and differ only in their adjacency callback.
+// published as a (word-wise, when dense) row union into out. The label
+// star and the generalized star share it and differ only in their
+// adjacency callback.
 func closureRows(n int, out *datagraph.PairSet, adj func(v int, visit func(int))) *datagraph.PairSet {
 	seen := datagraph.NewNodeSet(n)
 	var stack []int
@@ -184,67 +167,40 @@ func closureRows(n int, out *datagraph.PairSet, adj func(v int, visit func(int))
 	return out
 }
 
-func starClosure(g *datagraph.Graph, snap *datagraph.Snapshot, label string, inverse bool) *datagraph.PairSet {
-	out := newRel(g, snap)
-	n := g.NumNodes()
-	if snap != nil {
-		l, ok := snap.LabelID(label)
-		if !ok {
-			// No such edges: the closure is the identity.
-			for u := 0; u < n; u++ {
-				out.Add(u, u)
-			}
-			return out
+func starClosure(snap *datagraph.Snapshot, label string, inverse bool) *datagraph.PairSet {
+	out := newRel(snap)
+	n := snap.NumNodes()
+	l, ok := snap.LabelID(label)
+	if !ok {
+		// No such edges: the closure is the identity.
+		for u := 0; u < n; u++ {
+			out.Add(u, u)
 		}
-		return closureRows(n, out, func(v int, visit func(int)) {
-			var adj []int32
-			if inverse {
-				adj = snap.InLabeled(v, l)
-			} else {
-				adj = snap.OutLabeled(v, l)
-			}
-			for _, to := range adj {
-				visit(int(to))
-			}
-		})
+		return out
 	}
 	return closureRows(n, out, func(v int, visit func(int)) {
-		var adj []int
+		adj := snap.OutLabeled(v, l)
 		if inverse {
-			adj = g.InEdges(v, label)
-		} else {
-			adj = g.OutEdges(v, label)
+			adj = snap.InLabeled(v, l)
 		}
 		for _, to := range adj {
-			visit(to)
+			visit(int(to))
 		}
 	})
 }
 
-func filterData(g *datagraph.Graph, snap *datagraph.Snapshot, rel *datagraph.PairSet, mode datagraph.CompareMode, neq bool) *datagraph.PairSet {
-	out := newRel(g, snap)
-	if snap != nil {
-		// Compare interned value ids: equal ids ⇔ equal values, with the
-		// null id excluded under SQL-null semantics.
-		nullID := snap.NullValueID()
-		rel.Each(func(p datagraph.Pair) {
-			dv, dw := snap.ValueID(p.From), snap.ValueID(p.To)
-			if mode == datagraph.SQLNulls && (dv == nullID || dw == nullID) {
-				return
-			}
-			if (dv != dw) == neq {
-				out.AddPair(p)
-			}
-		})
-		return out
-	}
+// filterData keeps the pairs of rel whose endpoint values are equal (neq
+// false) or different (neq true), comparing interned value ids: equal ids ⇔
+// equal values, with the null id excluded under SQL-null semantics.
+func filterData(snap *datagraph.Snapshot, rel *datagraph.PairSet, mode datagraph.CompareMode, neq bool) *datagraph.PairSet {
+	out := newRel(snap)
+	nullID := snap.NullValueID()
 	rel.Each(func(p datagraph.Pair) {
-		dv, dw := g.Value(p.From), g.Value(p.To)
-		if neq {
-			if mode.Neq(dv, dw) {
-				out.AddPair(p)
-			}
-		} else if mode.Eq(dv, dw) {
+		dv, dw := snap.ValueID(p.From), snap.ValueID(p.To)
+		if mode == datagraph.SQLNulls && (dv == nullID || dw == nullID) {
+			return
+		}
+		if (dv != dw) == neq {
 			out.AddPair(p)
 		}
 	})

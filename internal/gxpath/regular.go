@@ -33,24 +33,24 @@ func (p PAnd) String() string     { return pathGroup(p.L) + " & " + pathGroup(p.
 func (p PStarAny) String() string { return "(" + p.Inner.String() + ")*" }
 
 // evalRegular handles the non-core operators; called from evalPath.
-func evalRegular(g *datagraph.Graph, snap *datagraph.Snapshot, p PathExpr, mode datagraph.CompareMode) (*datagraph.PairSet, bool) {
+func evalRegular(snap *datagraph.Snapshot, p PathExpr, mode datagraph.CompareMode) (*datagraph.PairSet, bool) {
 	switch t := p.(type) {
 	case PNeg:
-		inner := evalPath(g, snap, t.Inner, mode)
-		return datagraph.ComplementPairs(inner, g.NumNodes()), true
+		inner := evalPath(snap, t.Inner, mode)
+		return datagraph.ComplementPairs(inner, snap.NumNodes()), true
 	case PAnd:
-		return evalPath(g, snap, t.L, mode).Intersect(evalPath(g, snap, t.R, mode)), true
+		return evalPath(snap, t.L, mode).Intersect(evalPath(snap, t.R, mode)), true
 	case PStarAny:
-		rel := evalPath(g, snap, t.Inner, mode)
-		return reflexiveTransitiveClosure(g, snap, rel), true
+		rel := evalPath(snap, t.Inner, mode)
+		return reflexiveTransitiveClosure(snap, rel), true
 	default:
 		return nil, false
 	}
 }
 
-func reflexiveTransitiveClosure(g *datagraph.Graph, snap *datagraph.Snapshot, rel *datagraph.PairSet) *datagraph.PairSet {
-	n := g.NumNodes()
-	out := newRel(g, snap)
+func reflexiveTransitiveClosure(snap *datagraph.Snapshot, rel *datagraph.PairSet) *datagraph.PairSet {
+	n := snap.NumNodes()
+	out := newRel(snap)
 	if rel.Dense() {
 		// The relation's bitmap rows double as adjacency.
 		return closureRows(n, out, func(v int, visit func(int)) {

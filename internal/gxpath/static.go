@@ -12,23 +12,33 @@ import (
 // search used to exercise the (undecidable in general) satisfiability
 // problem on small instances.
 
-// TreeChildren returns the children of node v in g viewed as a tree, sorted
-// by label. It errors if g is not a tree rooted at root: every non-root node
-// must have exactly one incoming edge, the root none, and all nodes must be
-// reachable from the root.
-func treeChildren(g *datagraph.Graph, v int) []datagraph.HalfEdge {
-	out := append([]datagraph.HalfEdge(nil), g.Out(v)...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
+// child is a tree edge seen from its parent.
+type child struct {
+	label string
+	node  int
+}
+
+// treeChildren returns the children of node v in the tree, sorted by label
+// name, children under one label in edge-insertion order.
+func treeChildren(snap *datagraph.Snapshot, v int) []child {
+	var out []child
+	snap.EachOut(v, func(l datagraph.Label, to int32) {
+		out = append(out, child{label: snap.LabelName(l), node: int(to)})
+	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].label < out[j].label })
 	return out
 }
 
-// ValidateTree checks that g is a tree rooted at root.
+// ValidateTree checks that g is a tree rooted at root: every non-root node
+// must have exactly one incoming edge, the root none, and all nodes must be
+// reachable from the root.
 func ValidateTree(g *datagraph.Graph, root datagraph.NodeID) error {
 	ri, ok := g.IndexOf(root)
 	if !ok {
 		return fmt.Errorf("gxpath: root %q not in graph", string(root))
 	}
-	if len(g.In(ri)) != 0 {
+	snap := g.Freeze()
+	if len(snap.InAll(ri)) != 0 {
 		return fmt.Errorf("gxpath: root %q has incoming edges", string(root))
 	}
 	seen := make([]bool, g.NumNodes())
@@ -38,16 +48,16 @@ func ValidateTree(g *datagraph.Graph, root datagraph.NodeID) error {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, he := range g.Out(v) {
-			if len(g.In(he.To)) != 1 {
-				return fmt.Errorf("gxpath: node %q has %d parents", string(g.Node(he.To).ID), len(g.In(he.To)))
+		for _, to := range snap.OutAll(v) {
+			if parents := len(snap.InAll(int(to))); parents != 1 {
+				return fmt.Errorf("gxpath: node %q has %d parents", string(g.Node(int(to)).ID), parents)
 			}
-			if seen[he.To] {
-				return fmt.Errorf("gxpath: node %q reached twice (cycle or dag)", string(g.Node(he.To).ID))
+			if seen[to] {
+				return fmt.Errorf("gxpath: node %q reached twice (cycle or dag)", string(g.Node(int(to)).ID))
 			}
-			seen[he.To] = true
+			seen[to] = true
 			count++
-			stack = append(stack, he.To)
+			stack = append(stack, int(to))
 		}
 	}
 	if count != g.NumNodes() {
@@ -57,15 +67,15 @@ func ValidateTree(g *datagraph.Graph, root datagraph.NodeID) error {
 }
 
 // HasNonRepeatingProperty reports whether no label occurs on two different
-// out-edges of the same node (Lemma 2's non-repeating property for trees).
+// out-edges of the same node (Lemma 2's non-repeating property for trees):
+// every label slot of every snapshot row holds one target.
 func HasNonRepeatingProperty(g *datagraph.Graph) bool {
+	snap := g.Freeze()
 	for v := 0; v < g.NumNodes(); v++ {
-		seen := make(map[string]struct{})
-		for _, he := range g.Out(v) {
-			if _, dup := seen[he.Label]; dup {
+		for l := 0; l < snap.NumLabels(); l++ {
+			if len(snap.OutLabeled(v, datagraph.Label(l))) > 1 {
 				return false
 			}
-			seen[he.Label] = struct{}{}
 		}
 	}
 	return true
@@ -80,19 +90,19 @@ func PhiG(g *datagraph.Graph, root datagraph.NodeID) (NodeExpr, error) {
 		return nil, err
 	}
 	ri, _ := g.IndexOf(root)
-	return phiG(g, ri), nil
+	return phiG(g.Freeze(), ri), nil
 }
 
-func phiG(g *datagraph.Graph, v int) NodeExpr {
-	children := treeChildren(g, v)
+func phiG(snap *datagraph.Snapshot, v int) NodeExpr {
+	children := treeChildren(snap, v)
 	if len(children) == 0 {
 		return NExists{Path: PEps{}}
 	}
 	conjuncts := make([]NodeExpr, len(children))
-	for i, he := range children {
+	for i, c := range children {
 		conjuncts[i] = NExists{Path: PConcat{
-			L: PLabel{Label: he.Label},
-			R: PTest{Cond: phiG(g, he.To)},
+			L: PLabel{Label: c.label},
+			R: PTest{Cond: phiG(snap, c.node)},
 		}}
 	}
 	return AndAll(conjuncts...)
@@ -134,19 +144,20 @@ func PhiDelta(g *datagraph.Graph, root datagraph.NodeID) (NodeExpr, error) {
 // rootWords returns for each node index the label word of the unique path
 // from the root.
 func rootWords(g *datagraph.Graph, root int) [][]string {
+	snap := g.Freeze()
 	words := make([][]string, g.NumNodes())
 	words[root] = []string{}
 	stack := []int{root}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, he := range g.Out(v) {
+		snap.EachOut(v, func(l datagraph.Label, to int32) {
 			w := make([]string, len(words[v])+1)
 			copy(w, words[v])
-			w[len(words[v])] = he.Label
-			words[he.To] = w
-			stack = append(stack, he.To)
-		}
+			w[len(words[v])] = snap.LabelName(l)
+			words[to] = w
+			stack = append(stack, int(to))
+		})
 	}
 	return words
 }

@@ -174,6 +174,7 @@ func (gd *Gadget) ShapeErrorHolds(gt *datagraph.Graph, from, to datagraph.NodeID
 		return false, fmt.Errorf("pcp: node %s not in target", to)
 	}
 	dfa := rex.Determinize(rex.Compile(gd.ShapeRegex()), Alphabet()).Complement()
+	snap := gt.Freeze()
 	// Product BFS: (node, dfa state).
 	type cfg struct{ node, state int }
 	start := cfg{fi, 0}
@@ -185,13 +186,13 @@ func (gd *Gadget) ShapeErrorHolds(gt *datagraph.Graph, from, to datagraph.NodeID
 		if c.node == ti && dfa.Accepts[c.state] {
 			return true, nil
 		}
-		for _, he := range gt.Out(c.node) {
-			nx := cfg{he.To, stepDFA(dfa, c.state, he.Label)}
+		snap.EachOut(c.node, func(l datagraph.Label, to int32) {
+			nx := cfg{int(to), stepDFA(dfa, c.state, snap.LabelName(l))}
 			if _, dup := seen[nx]; !dup {
 				seen[nx] = struct{}{}
 				queue = append(queue, nx)
 			}
-		}
+		})
 	}
 	return false, nil
 }

@@ -186,17 +186,18 @@ func TestCorruptedVerificationValues(t *testing.T) {
 	}
 	// Find two verification nodes (after the v edge) and duplicate a value.
 	var verNodes []datagraph.NodeID
-	for _, e := range wit.Edges() {
+	edges := wit.Edges()
+	for _, e := range edges {
 		if e.Label == LabelVerify {
 			// walk forward from e.To collecting letter targets
-			cur, _ := wit.IndexOf(e.To)
-			verNodes = append(verNodes, e.To)
+			cur := e.To
+			verNodes = append(verNodes, cur)
 			for {
 				found := false
-				for _, he := range wit.Out(cur) {
-					if he.Label == "a" || he.Label == "b" {
-						verNodes = append(verNodes, wit.Node(he.To).ID)
-						cur = he.To
+				for _, f := range edges {
+					if f.From == cur && (f.Label == "a" || f.Label == "b") {
+						verNodes = append(verNodes, f.To)
+						cur = f.To
 						found = true
 						break
 					}

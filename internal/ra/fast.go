@@ -2,12 +2,14 @@ package ra
 
 import "repro/internal/datagraph"
 
-// This file is the allocation-light evaluation engine behind MatchDataPath
-// and EvalFrom: data values are interned to dense int32 ids once per call,
-// and configurations are deduplicated with comparable struct keys instead
-// of formatted strings. Automata with more than maxFastRegs registers fall
-// back to arbitrary-width keys (slices encoded in strings); every compiler
-// in this repository stays far below the limit.
+// This file holds what the interned-id engines share: the register limit
+// and condition evaluator over value ids that the snapshot kernel of
+// snapshot.go also uses, and MatchDataPath's engine, which interns one data
+// path's values per call and deduplicates configurations with comparable
+// struct keys instead of formatted strings. Automata with more than
+// maxFastRegs registers, or with a Cond of a foreign type, take the
+// string-key slow paths of ra.go; every compiler in this repository stays
+// far below the limit.
 
 const maxFastRegs = 8
 
@@ -192,77 +194,4 @@ func (a *Automaton) stepPath(c fastCfg, t Transition, w datagraph.DataPath,
 		next.regs[r] = nv
 	}
 	return next, true
-}
-
-// evalFromFast is EvalFrom over interned ids (pos is the node index).
-func (a *Automaton) evalFromFast(g *datagraph.Graph, u int, mode datagraph.CompareMode) []int {
-	in := newInterner()
-	n := g.NumNodes()
-	vals := make([]int32, n)
-	for i := 0; i < n; i++ {
-		vals[i] = in.id(g.Value(i))
-	}
-	start := fastCfg{state: int32(a.Start), pos: int32(u)}
-	visited := map[fastKey]struct{}{start.key(): {}}
-	queue := []fastCfg{start}
-	accepted := make(map[int]struct{})
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if int(c.state) == a.Accept {
-			accepted[int(c.pos)] = struct{}{}
-		}
-		cur := vals[c.pos]
-		for _, t := range a.Trans[c.state] {
-			if t.Eps {
-				ok, _ := evalCondID(t.Cond, c.regs[:maxFastRegs], cur, in.nullID, mode)
-				if !ok {
-					continue
-				}
-				next := c
-				next.state = int32(t.To)
-				for _, r := range t.Store {
-					next.regs[r] = cur
-				}
-				k := next.key()
-				if _, dup := visited[k]; !dup {
-					visited[k] = struct{}{}
-					queue = append(queue, next)
-				}
-				continue
-			}
-			step := func(to int) {
-				nv := vals[to]
-				ok, _ := evalCondID(t.Cond, c.regs[:maxFastRegs], nv, in.nullID, mode)
-				if !ok {
-					return
-				}
-				next := c
-				next.state = int32(t.To)
-				next.pos = int32(to)
-				for _, r := range t.Store {
-					next.regs[r] = nv
-				}
-				k := next.key()
-				if _, dup := visited[k]; !dup {
-					visited[k] = struct{}{}
-					queue = append(queue, next)
-				}
-			}
-			if t.AnyLabel {
-				for _, he := range g.Out(int(c.pos)) {
-					step(he.To)
-				}
-			} else {
-				for _, to := range g.OutEdges(int(c.pos), t.Label) {
-					step(to)
-				}
-			}
-		}
-	}
-	out := make([]int, 0, len(accepted))
-	for v := range accepted {
-		out = append(out, v)
-	}
-	return out
 }

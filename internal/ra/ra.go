@@ -367,22 +367,26 @@ func (a *Automaton) MatchDataPath(w datagraph.DataPath, mode datagraph.CompareMo
 // data path accepted by the automaton. This is the graph-product evaluation
 // underlying the NLogspace data-complexity claims (Theorems 3 and 5): the
 // configuration space is nodes × states × register contents, with register
-// contents drawn from the graph's values.
+// contents drawn from the graph's values. It runs on the graph's snapshot;
+// an unfrozen graph is frozen first, which after a SetValue-only change is a
+// value-only refresh reusing the cached topology.
 func (a *Automaton) EvalFrom(g *datagraph.Graph, u int, mode datagraph.CompareMode) []int {
-	if a.fastOK() {
-		// Use the interned snapshot kernel when the graph is frozen; never
-		// trigger a freeze here, since EvalFrom is called inside mutation
-		// loops (the SetValue specialization search).
-		if snap := g.Snapshot(); snap != nil {
-			p := a.program(snap)
-			sc := a.acquireScratch(p)
-			defer sc.Release()
-			var out []int
-			a.evalFromProg(p, u, mode, sc, func(v int) { out = append(out, v) })
-			return out
-		}
-		return a.evalFromFast(g, u, mode)
+	p := a.program(g.Freeze())
+	if !a.fastOK() {
+		return a.evalFromSlow(p, u, mode)
 	}
+	sc := a.acquireScratch(p)
+	defer sc.Release()
+	var out []int
+	a.evalFromProg(p, u, mode, sc, func(v int) { out = append(out, v) })
+	return out
+}
+
+// evalFromSlow is EvalFrom for automata the interned kernel cannot run
+// (more than maxFastRegs registers, or a Cond of a foreign type): registers
+// hold values, and configurations are deduplicated by string key.
+func (a *Automaton) evalFromSlow(p *prog, u int, mode datagraph.CompareMode) []int {
+	snap := p.snap
 	start := config{
 		state: a.Start,
 		pos:   u,
@@ -398,13 +402,13 @@ func (a *Automaton) EvalFrom(g *datagraph.Graph, u int, mode datagraph.CompareMo
 		if c.state == a.Accept {
 			accepted[c.pos] = struct{}{}
 		}
-		cur := g.Value(c.pos)
-		for _, t := range a.Trans[c.state] {
-			if t.Eps {
-				if !t.Cond.Eval(c.regs, c.set, cur, mode) {
+		cur := snap.Value(c.pos)
+		for _, t := range p.trans[c.state] {
+			if t.eps {
+				if !t.cond.Eval(c.regs, c.set, cur, mode) {
 					continue
 				}
-				next := applyStore(config{state: t.To, pos: c.pos, regs: c.regs, set: c.set}, t.Store, cur)
+				next := applyStore(config{state: int(t.to), pos: c.pos, regs: c.regs, set: c.set}, t.store, cur)
 				k := next.key()
 				if _, dup := visited[k]; !dup {
 					visited[k] = struct{}{}
@@ -412,25 +416,20 @@ func (a *Automaton) EvalFrom(g *datagraph.Graph, u int, mode datagraph.CompareMo
 				}
 				continue
 			}
-			step := func(to int) {
-				nv := g.Value(to)
-				if !t.Cond.Eval(c.regs, c.set, nv, mode) {
-					return
+			targets := snap.OutAll(c.pos)
+			if !t.any {
+				targets = snap.OutLabeled(c.pos, t.label)
+			}
+			for _, to := range targets {
+				nv := snap.Value(int(to))
+				if !t.cond.Eval(c.regs, c.set, nv, mode) {
+					continue
 				}
-				next := applyStore(config{state: t.To, pos: to, regs: c.regs, set: c.set}, t.Store, nv)
+				next := applyStore(config{state: int(t.to), pos: int(to), regs: c.regs, set: c.set}, t.store, nv)
 				k := next.key()
 				if _, dup := visited[k]; !dup {
 					visited[k] = struct{}{}
 					queue = append(queue, next)
-				}
-			}
-			if t.AnyLabel {
-				for _, he := range g.Out(c.pos) {
-					step(he.To)
-				}
-			} else {
-				for _, to := range g.OutEdges(c.pos, t.Label) {
-					step(to)
 				}
 			}
 		}
@@ -442,20 +441,11 @@ func (a *Automaton) EvalFrom(g *datagraph.Graph, u int, mode datagraph.CompareMo
 	return out
 }
 
-// Eval returns all pairs (u, v) such that some path from u to v matches.
-// The graph is frozen once and every start node is evaluated through the
-// interned snapshot kernel with shared scratch.
+// Eval returns all pairs (u, v) such that some path from u to v matches:
+// EvalRange over every start node.
 func (a *Automaton) Eval(g *datagraph.Graph, mode datagraph.CompareMode) *datagraph.PairSet {
 	n := g.NumNodes()
 	out := datagraph.NewPairSetSized(n)
-	if a.fastOK() {
-		a.EvalRange(g, 0, n, mode, out.Add)
-		return out
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range a.EvalFrom(g, u, mode) {
-			out.Add(u, v)
-		}
-	}
+	a.EvalRange(g, 0, n, mode, out.Add)
 	return out
 }

@@ -12,7 +12,7 @@ import (
 // The snapshot kernel runs on pooled scratches, so one scratch outlives the
 // call, the snapshot and the automaton it was first sized for. These tests
 // hold one scratch across those changes and compare every result with the
-// per-call engine of fast.go, which keeps its own maps.
+// string-key slow path, which keeps its own maps.
 
 // loopSameEnds is ((a|b)+)= : any nonempty path whose last value equals its
 // first. The loop makes configurations revisit nodes under the same
@@ -69,20 +69,12 @@ func evalOn(a *Automaton, g *datagraph.Graph, sc *datagraph.Scratch) *datagraph.
 	return out
 }
 
-// perCallEval evaluates on an unfrozen clone, where EvalFrom takes the
-// per-call engine.
-func perCallEval(t *testing.T, a *Automaton, g *datagraph.Graph) *datagraph.PairSet {
-	t.Helper()
-	c := g.Clone()
-	if c.Snapshot() != nil {
-		t.Fatal("clone unexpectedly frozen")
-	}
+// slowEval evaluates a through the string-key slow path, which keeps its
+// own maps and shares no scratch with the kernel under test.
+func slowEval(a *Automaton, g *datagraph.Graph) *datagraph.PairSet {
+	slow := &Automaton{NumStates: a.NumStates, NumRegs: a.NumRegs, Start: a.Start, Accept: a.Accept, Trans: a.Trans, fast: -1}
 	out := datagraph.NewPairSet()
-	for u := 0; u < c.NumNodes(); u++ {
-		for _, v := range a.EvalFrom(c, u, datagraph.SQLNulls) {
-			out.Add(u, v)
-		}
-	}
+	slow.EvalRange(g, 0, g.NumNodes(), datagraph.SQLNulls, out.Add)
 	return out
 }
 
@@ -95,7 +87,7 @@ func perCallEval(t *testing.T, a *Automaton, g *datagraph.Graph) *datagraph.Pair
 func TestScratchEpochWraparound(t *testing.T) {
 	g := valuedGraph(3, 40, 120)
 	for name, a := range map[string]*Automaton{"loop": loopSameEnds(), "two registers": twoRegisters()} {
-		want := perCallEval(t, a, g)
+		want := slowEval(a, g)
 		if want.Len() == 0 {
 			t.Fatalf("%s: no answers to lose", name)
 		}
@@ -119,7 +111,7 @@ func TestScratchReuseAcrossSnapshotsAndAutomata(t *testing.T) {
 	g := valuedGraph(5, 24, 200) // edge-heavy, so the burst below stays a delta
 	one, two := loopSameEnds(), twoRegisters()
 	sc := new(datagraph.Scratch)
-	if got, want := evalOn(one, g, sc), perCallEval(t, one, g); !got.Equal(want) {
+	if got, want := evalOn(one, g, sc), slowEval(one, g); !got.Equal(want) {
 		t.Fatalf("snapshot A: %v, want %v", got.Sorted(), want.Sorted())
 	}
 
@@ -134,7 +126,7 @@ func TestScratchReuseAcrossSnapshotsAndAutomata(t *testing.T) {
 		t.Fatal("snapshot B was not delta-frozen")
 	}
 	for _, a := range []*Automaton{two, one} {
-		if got, want := evalOn(a, g, sc), perCallEval(t, a, g); !got.Equal(want) {
+		if got, want := evalOn(a, g, sc), slowEval(a, g); !got.Equal(want) {
 			t.Fatalf("snapshot B, %d registers: %v, want %v", a.NumRegs, got.Sorted(), want.Sorted())
 		}
 	}

@@ -120,3 +120,26 @@ func TestSlowPathLabelHandling(t *testing.T) {
 		t.Fatal("custom condition should reject distinct values")
 	}
 }
+
+// The slow path reads the snapshot too, so it depends on EvalFrom freezing:
+// a SetValue must be seen by the next call.
+func TestSlowPathSeesSetValue(t *testing.T) {
+	g := datagraph.New()
+	g.MustAddNode("s", v("7"))
+	g.MustAddNode("t", v("7"))
+	g.MustAddEdge("s", "a", "t")
+	for name, slow := range map[string]*Automaton{
+		"custom-cond": buildSameEndsCustomCond(),
+		"many-regs":   buildSameEndsManyRegs(),
+	} {
+		for i, c := range []struct {
+			value string
+			want  int
+		}{{"7", 1}, {"8", 0}, {"7", 1}} {
+			g.SetValue(1, v(c.value))
+			if got := slow.EvalFrom(g, 0, datagraph.MarkedNulls); len(got) != c.want {
+				t.Fatalf("%s step %d: δ(t) = %s: EvalFrom = %v, want %d answers", name, i, c.value, got, c.want)
+			}
+		}
+	}
+}

@@ -4,12 +4,12 @@ import (
 	"repro/internal/datagraph"
 )
 
-// This file is the snapshot evaluation kernel: the automaton compiled
-// against one graph snapshot's label interner, evaluated over interned
-// values with reusable scratch. Where the per-call fast path of fast.go
-// re-interns every node value on every EvalFrom (O(V) per start node), the
-// snapshot kernel resolves labels and values exactly once per (automaton,
-// snapshot) pair and shares them across all start nodes of a batch.
+// This file is the graph evaluation kernel: the automaton compiled against
+// one graph snapshot's label interner, evaluated over the snapshot's
+// interned values with pooled scratch. Labels and values are resolved once
+// per (automaton, snapshot) pair and shared across all start nodes of a
+// batch. The lowered program also drives the string-key slow path
+// (evalFromSlow), so every graph evaluation reads the snapshot.
 
 // prog is the automaton lowered onto one snapshot: transition labels
 // interned, transitions on labels absent from the graph dropped (they can
@@ -144,15 +144,15 @@ func (a *Automaton) evalFromProg(p *prog, u int, mode datagraph.CompareMode, sc 
 // by interned start labels, and runs the whole range on one pooled scratch —
 // the engine's frontier shards call this with their chunk bounds.
 func (a *Automaton) EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.CompareMode, emit func(u, v int)) {
+	p := a.program(g.Freeze())
 	if !a.fastOK() {
 		for u := lo; u < hi; u++ {
-			for _, v := range a.EvalFrom(g, u, mode) {
+			for _, v := range a.evalFromSlow(p, u, mode) {
 				emit(u, v)
 			}
 		}
 		return
 	}
-	p := a.program(g.Freeze())
 	sc := a.acquireScratch(p)
 	defer sc.Release()
 	for u := lo; u < hi; u++ {

@@ -6,9 +6,10 @@
 //	e(G) = {(v, v′) | ∃π : v →π v′ and λ(π) ∈ e}
 //
 // Evaluation uses the product of the graph with the Thompson NFA of e,
-// explored by BFS — the textbook NLogspace-style procedure. Word RPQs and
-// atomic RPQs (the building blocks of relational and LAV mappings,
-// Definitions 1 and 3) get dedicated fast paths.
+// explored by BFS over the graph's frozen snapshot — the textbook
+// NLogspace-style procedure. Word RPQs and atomic RPQs (the building blocks
+// of relational and LAV mappings, Definitions 1 and 3) get dedicated fast
+// paths.
 package rpq
 
 import (
@@ -101,8 +102,8 @@ func New(e rex.Regex) *Query {
 
 // StartLabels returns the set of labels able to begin a nonempty match and
 // whether the set is exhaustive (false when an any-label step is reachable
-// from the start state). Frontier schedulers use it with the graph's
-// per-label adjacency index to skip start nodes that cannot match.
+// from the start state). The snapshot kernel uses it to skip start nodes
+// that cannot match.
 func (q *Query) StartLabels() ([]string, bool) { return q.startLabels, !q.startAny }
 
 // AcceptsEmptyPath reports whether ε ∈ L(e), i.e. every node matches
@@ -164,113 +165,15 @@ func (q *Query) Eval(g *datagraph.Graph) *datagraph.PairSet {
 }
 
 // EvalFrom returns the nodes v such that (u, v) ∈ e(G), by BFS over the
-// product of G with the query NFA. When the graph is frozen it uses the
-// interned snapshot kernel; it never triggers a freeze itself.
+// product of G with the query NFA on the graph's snapshot. An unfrozen
+// graph is frozen first; after a SetValue-only change that is a value-only
+// refresh reusing the cached topology.
 func (q *Query) EvalFrom(g *datagraph.Graph, u int) []int {
-	if snap := g.Snapshot(); snap != nil {
-		p := q.program(snap)
-		sc := q.acquireScratch(p)
-		defer sc.Release()
-		var out []int
-		q.evalFromSnap(p, u, sc, func(v int) { out = append(out, v) })
-		return out
-	}
-	if q.kind == KindReachability {
-		return reachableFrom(g, u)
-	}
-	if q.word != nil {
-		return wordTargets(g, u, q.word)
-	}
-	return q.productFrom(g, u)
-}
-
-func (q *Query) productFrom(g *datagraph.Graph, u int) []int {
-	numStates := q.nfa.NumStates
-	visited := make([]bool, g.NumNodes()*numStates)
-	var queue []int // encoded node*numStates+state
-	push := func(node, state int) {
-		id := node*numStates + state
-		if !visited[id] {
-			visited[id] = true
-			queue = append(queue, id)
-		}
-	}
-	for _, s := range q.nfa.Closure(q.nfa.Start) {
-		push(u, s)
-	}
-	var result []int
-	seenResult := make(map[int]struct{})
-	for len(queue) > 0 {
-		id := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		node, state := id/numStates, id%numStates
-		if state == q.nfa.Accept {
-			if _, dup := seenResult[node]; !dup {
-				seenResult[node] = struct{}{}
-				result = append(result, node)
-			}
-		}
-		// Iterate the NFA steps first so concrete-label steps can use the
-		// per-label adjacency index instead of scanning every out-edge.
-		for _, step := range q.nfa.Steps[state] {
-			if step.AnyLabel {
-				for _, he := range g.Out(node) {
-					for _, c := range q.nfa.Closure(step.To) {
-						push(he.To, c)
-					}
-				}
-				continue
-			}
-			for _, to := range g.OutEdges(node, step.Label) {
-				for _, c := range q.nfa.Closure(step.To) {
-					push(to, c)
-				}
-			}
-		}
-	}
-	return result
-}
-
-// wordTargets walks the fixed word w level by level.
-func wordTargets(g *datagraph.Graph, u int, word []string) []int {
-	frontier := map[int]struct{}{u: {}}
-	for _, label := range word {
-		next := make(map[int]struct{})
-		for node := range frontier {
-			for _, to := range g.OutEdges(node, label) {
-				next[to] = struct{}{}
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		frontier = next
-	}
-	out := make([]int, 0, len(frontier))
-	for node := range frontier {
-		out = append(out, node)
-	}
-	return out
-}
-
-// reachableFrom returns every node reachable from u by any path (including
-// u itself via the empty path, since ε ∈ Σ*).
-func reachableFrom(g *datagraph.Graph, u int) []int {
-	seen := make([]bool, g.NumNodes())
-	seen[u] = true
-	stack := []int{u}
+	p := q.program(g.Freeze())
+	sc := q.acquireScratch(p)
+	defer sc.Release()
 	var out []int
-	for len(stack) > 0 {
-		node := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, node)
-		for _, he := range g.Out(node) {
-			if !seen[he.To] {
-				seen[he.To] = true
-				stack = append(stack, he.To)
-			}
-		}
-	}
+	q.evalFromSnap(p, u, sc, func(v int) { out = append(out, v) })
 	return out
 }
 
@@ -279,14 +182,15 @@ func reachableFrom(g *datagraph.Graph, u int) []int {
 // paths promised by mapping rules, and by tests. The returned path is
 // shortest in the number of edges.
 func (q *Query) Witness(g *datagraph.Graph, u, v int) (datagraph.Path, bool) {
+	p := q.program(g.Freeze())
 	numStates := q.nfa.NumStates
 	type prev struct {
 		id    int // predecessor product-state id, -1 for roots
-		label string
+		label datagraph.Label
 	}
 	parents := make(map[int]prev)
 	var queue []int
-	push := func(node, state, from int, label string) {
+	push := func(node, state, from int, label datagraph.Label) {
 		id := node*numStates + state
 		if _, dup := parents[id]; !dup {
 			parents[id] = prev{id: from, label: label}
@@ -294,7 +198,7 @@ func (q *Query) Witness(g *datagraph.Graph, u, v int) (datagraph.Path, bool) {
 		}
 	}
 	for _, s := range q.nfa.Closure(q.nfa.Start) {
-		push(u, s, -1, "")
+		push(u, s, -1, datagraph.NoLabel)
 	}
 	// BFS (queue processed in FIFO order) so the witness is shortest.
 	for i := 0; i < len(queue); i++ {
@@ -307,12 +211,12 @@ func (q *Query) Witness(g *datagraph.Graph, u, v int) (datagraph.Path, bool) {
 			var revLabels []string
 			for cur := id; ; {
 				revNodes = append(revNodes, cur/numStates)
-				p := parents[cur]
-				if p.id == -1 {
+				pr := parents[cur]
+				if pr.id == -1 {
 					break
 				}
-				revLabels = append(revLabels, p.label)
-				cur = p.id
+				revLabels = append(revLabels, p.snap.LabelName(pr.label))
+				cur = pr.id
 			}
 			n, m := len(revNodes), len(revLabels)
 			nodes := make([]int, n)
@@ -325,18 +229,18 @@ func (q *Query) Witness(g *datagraph.Graph, u, v int) (datagraph.Path, bool) {
 			}
 			return datagraph.Path{Nodes: nodes, Labels: labels}, true
 		}
-		for _, step := range q.nfa.Steps[state] {
-			if step.AnyLabel {
-				for _, he := range g.Out(node) {
-					for _, c := range q.nfa.Closure(step.To) {
-						push(he.To, c, id, he.Label)
+		for _, st := range p.steps[state] {
+			if st.any {
+				p.snap.EachOut(node, func(l datagraph.Label, to int32) {
+					for _, c := range st.toClosure {
+						push(int(to), c, id, l)
 					}
-				}
+				})
 				continue
 			}
-			for _, to := range g.OutEdges(node, step.Label) {
-				for _, c := range q.nfa.Closure(step.To) {
-					push(to, c, id, step.Label)
+			for _, to := range p.snap.OutLabeled(node, st.label) {
+				for _, c := range st.toClosure {
+					push(int(to), c, id, st.label)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/datagraph"
@@ -257,5 +258,65 @@ func TestEvalOnLargerChain(t *testing.T) {
 	i50, _ := g.IndexOf("c50")
 	if !got.Has(i0, i50) {
 		t.Fatal("c0 to c50 missing")
+	}
+}
+
+// EvalFrom freezes the graph it is given: after SetValue it refreshes
+// values only, reusing the topology, and after AddEdge it sees the new edge.
+func TestEvalFromFreezes(t *testing.T) {
+	g := social(t)
+	q := MustParse("knows knows")
+	ai, _ := g.IndexOf("ann")
+	ci, _ := g.IndexOf("carl")
+	if got := q.EvalFrom(g, ai); len(got) != 1 || got[0] != ci {
+		t.Fatalf("EvalFrom(ann) = %v, want [carl]", got)
+	}
+	g.SetValue(ci, datagraph.V("99"))
+	if got := q.EvalFrom(g, ai); len(got) != 1 || got[0] != ci || g.Snapshot() == nil {
+		t.Fatalf("after SetValue: EvalFrom(ann) = %v, frozen %v", got, g.Snapshot() != nil)
+	}
+	if s := g.Snapshot(); s.Value(ci) != datagraph.V("99") {
+		t.Fatal("the refreshed snapshot must carry the new value")
+	}
+	if full, delta := g.SnapshotBuilds(); full != 1 || delta != 0 {
+		t.Fatalf("a SetValue-only change must reuse the topology: %d full, %d delta builds", full, delta)
+	}
+	g.MustAddEdge("ann", "knows", "ann")
+	got := q.EvalFrom(g, ai)
+	sort.Ints(got)
+	bi, _ := g.IndexOf("bob")
+	if want := []int{ai, bi, ci}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after AddEdge: EvalFrom(ann) = %v, want %v", got, want)
+	}
+}
+
+// Concurrent EvalFrom calls on one shared, never-frozen graph each see the
+// answers of the frozen graph (run with -race).
+func TestConcurrentEvalFromOnUnfrozenGraph(t *testing.T) {
+	base := randomGraph(5, 30, 90)
+	for _, qs := range []string{"a b", "(a | b b)* a", ".*"} {
+		q := MustParse(qs)
+		rows := make([][]int, base.NumNodes())
+		q.Eval(base.Clone()).Each(func(p datagraph.Pair) { rows[p.From] = append(rows[p.From], p.To) })
+		for _, row := range rows {
+			sort.Ints(row)
+		}
+		g := base.Clone()
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for u, row := range rows {
+					got := q.EvalFrom(g, u)
+					sort.Ints(got)
+					if fmt.Sprint(got) != fmt.Sprint(row) {
+						t.Errorf("%q: EvalFrom(%d) = %v, want %v", qs, u, got, row)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

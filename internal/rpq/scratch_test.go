@@ -10,8 +10,8 @@ import (
 
 // The kernels run on pooled scratches, so one scratch outlives the call,
 // the snapshot and the query it was first sized for. These tests hold one
-// scratch across those changes and compare every result with the map-based
-// kernels, which share no state with it.
+// scratch across those changes and compare every result with the
+// set-semantics oracle of crossval_test.go, which shares no state with it.
 
 // scratchKinds has one query per snapshot kernel.
 var scratchKinds = []struct{ kernel, query string }{
@@ -42,7 +42,7 @@ func TestScratchEpochWraparound(t *testing.T) {
 	g := randomGraph(7, 40, 120)
 	for _, k := range scratchKinds {
 		q := MustParse(k.query)
-		want := legacyEval(t, q, g)
+		want := oracleEval(g, q)
 		for _, epoch := range []uint32{math.MaxUint32 - 1, math.MaxUint32} {
 			sc := new(datagraph.Scratch)
 			if got := evalOn(q, g, sc); !got.Equal(want) {
@@ -67,7 +67,7 @@ func TestScratchReuseAcrossSnapshotsAndQueries(t *testing.T) {
 		t.Fatalf("want a larger NFA: %d vs %d states", small.nfa.NumStates, large.nfa.NumStates)
 	}
 	sc := new(datagraph.Scratch)
-	if got, want := evalOn(small, g, sc), legacyEval(t, small, g); !got.Equal(want) {
+	if got, want := evalOn(small, g, sc), oracleEval(g, small); !got.Equal(want) {
 		t.Fatalf("snapshot A: %v, want %v", got.Sorted(), want.Sorted())
 	}
 
@@ -85,7 +85,7 @@ func TestScratchReuseAcrossSnapshotsAndQueries(t *testing.T) {
 		t.Fatal("snapshot B was not delta-frozen")
 	}
 	for _, q := range []*Query{large, small, MustParse(".*")} {
-		if got, want := evalOn(q, g, sc), legacyEval(t, q, g); !got.Equal(want) {
+		if got, want := evalOn(q, g, sc), oracleEval(g, q); !got.Equal(want) {
 			t.Fatalf("snapshot B, query %v: %v, want %v", q, got.Sorted(), want.Sorted())
 		}
 	}
