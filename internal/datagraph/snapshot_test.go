@@ -256,12 +256,31 @@ func TestFreezeZeroGraph(t *testing.T) {
 	if g.Snapshot() != nil {
 		t.Fatal("mutation after freeze must invalidate")
 	}
+}
+
+// TestIndexZeroGraph checks that a zero Graph grown by AddNode/AddEdge
+// serves its edges through the snapshot's per-label adjacency accessors.
+func TestIndexZeroGraph(t *testing.T) {
+	var g Graph
+	g.MustAddNode("x", V("1"))
 	g.MustAddNode("y", V("2"))
 	g.MustAddEdge("x", "a", "y")
-	snap = g.Freeze()
+	snap := g.Freeze()
 	l, ok := snap.LabelID("a")
-	if !ok || !snap.HasEdge(0, l, 1) || snap.HasEdge(1, l, 0) || snap.NumLabelEdges(l) != 1 {
-		t.Fatal("a zero Graph grown by AddNode/AddEdge must freeze to its edges")
+	if !ok {
+		t.Fatal("label a missing on zero-value graph")
+	}
+	if got := snap.OutLabeled(0, l); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("OutLabeled on zero-value graph: %v", got)
+	}
+	if got := snap.InLabeled(1, l); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("InLabeled on zero-value graph: %v", got)
+	}
+	if !snap.HasEdge(0, l, 1) || snap.HasEdge(1, l, 0) {
+		t.Fatal("HasEdge wrong on zero-value graph")
+	}
+	if n := snap.NumLabelEdges(l); n != 1 {
+		t.Fatalf("NumLabelEdges on zero-value graph: %d", n)
 	}
 }
 
