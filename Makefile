@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-check lint fmt vet api-check api-update loc serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
+.PHONY: build test test-race fuzz-smoke bench bench-smoke bench-check lint fmt vet api-check api-update loc serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,15 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Time-boxed fuzzing of the query-language parsers: each package's
+# FuzzParse target for 10 s (go test -fuzz takes one package at a time).
+FUZZ_PKGS = ./internal/rex ./internal/ree ./internal/rem ./internal/gxpath
+
+fuzz-smoke:
+	@for pkg in $(FUZZ_PKGS); do \
+		$(GO) test -run '^$$' -fuzz '^FuzzParse' -fuzztime 10s $$pkg || exit 1; \
+	done
 
 # Full benchmark pass (slow; regenerates every experiment table).
 bench:
@@ -98,4 +107,4 @@ vet:
 
 lint: fmt vet
 
-ci: build lint api-check docs-check test-race serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-check
+ci: build lint api-check docs-check test-race fuzz-smoke serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-check

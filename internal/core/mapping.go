@@ -195,11 +195,11 @@ func ParseMapping(r io.Reader) (*Mapping, error) {
 		}
 		src, err := rpq.Parse(strings.TrimSpace(parts[0]))
 		if err != nil {
-			return nil, fmt.Errorf("core: line %d: source: %v", lineNo, err)
+			return nil, fmt.Errorf("core: line %d: source: %w", lineNo, err)
 		}
 		tgt, err := rpq.Parse(strings.TrimSpace(parts[1]))
 		if err != nil {
-			return nil, fmt.Errorf("core: line %d: target: %v", lineNo, err)
+			return nil, fmt.Errorf("core: line %d: target: %w", lineNo, err)
 		}
 		m.Rules = append(m.Rules, Rule{Source: src, Target: tgt})
 	}

@@ -26,6 +26,7 @@ import (
 	"repro/internal/ree"
 	"repro/internal/rem"
 	"repro/internal/rpq"
+	"repro/internal/syntax"
 )
 
 // Var is a query variable.
@@ -345,13 +346,7 @@ func Parse(input string) (*Query, error) {
 }
 
 // MustParse is Parse that panics on error.
-func MustParse(input string) *Query {
-	q, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
+func MustParse(input string) *Query { return syntax.Must(Parse(input)) }
 
 func parseHead(s string) ([]Var, error) {
 	open := strings.Index(s, "(")
@@ -436,7 +431,7 @@ func parseAtom(s string) (Atom, error) {
 		q, err = ree.ParseQuery(body)
 	}
 	if err != nil {
-		return Atom{}, fmt.Errorf("crpq: atom %q: %v", s, err)
+		return Atom{}, fmt.Errorf("crpq: atom %q: %w", s, err)
 	}
 	return Atom{From: from, To: to, Query: q, Text: body}, nil
 }

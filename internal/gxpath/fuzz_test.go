@@ -13,7 +13,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		syntaxtest.Check(t, ParsePath, input)
-		syntaxtest.Check(t, ParseNode, input)
+		syntaxtest.Check(t, "gxpath", ParsePath, input)
+		syntaxtest.Check(t, "gxpath", ParseNode, input)
 	})
 }

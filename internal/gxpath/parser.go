@@ -1,338 +1,120 @@
 package gxpath
 
-import (
-	"fmt"
-	"unicode"
-	"unicode/utf8"
-)
+import "repro/internal/syntax"
 
 // ParsePath parses a path expression in the concrete syntax of the package
 // comment.
-func ParsePath(input string) (PathExpr, error) {
-	p := &parser{input: input}
-	e, err := p.parsePathUnion()
-	if err != nil {
-		return nil, err
-	}
-	p.skipSpace()
-	if p.pos < len(p.input) {
-		return nil, fmt.Errorf("gxpath: unexpected %q at offset %d", p.rest(), p.pos)
-	}
-	return e, nil
-}
+func ParsePath(input string) (PathExpr, error) { return parse(input, pathUnion) }
 
 // ParseNode parses a node expression.
-func ParseNode(input string) (NodeExpr, error) {
-	p := &parser{input: input}
-	e, err := p.parseNodeOr()
-	if err != nil {
-		return nil, err
-	}
-	p.skipSpace()
-	if p.pos < len(p.input) {
-		return nil, fmt.Errorf("gxpath: unexpected %q at offset %d", p.rest(), p.pos)
-	}
-	return e, nil
-}
+func ParseNode(input string) (NodeExpr, error) { return parse(input, nodeOr) }
 
 // MustParsePath is ParsePath that panics on error.
-func MustParsePath(input string) PathExpr {
-	e, err := ParsePath(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
+func MustParsePath(input string) PathExpr { return syntax.Must(ParsePath(input)) }
 
 // MustParseNode is ParseNode that panics on error.
-func MustParseNode(input string) NodeExpr {
-	e, err := ParseNode(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
+func MustParseNode(input string) NodeExpr { return syntax.Must(ParseNode(input)) }
+
+// parse reads GXPath text: '/' is an optional XPath-flavoured composition
+// separator, and a label never holds '-', which GXPath glues on as the
+// inverse marker a⁻ (unlike rex/ree/rem, whose labels may contain it).
+func parse[E any](input string, top func(*syntax.Scanner) (E, error)) (E, error) {
+	label := func(r rune) bool { return r != '-' && syntax.LabelRune(r) }
+	return syntax.Parse(syntax.NewScanner("gxpath", input, syntax.Spaces+"/", label), top)
 }
 
-type parser struct {
-	input string
-	pos   int
+func pathUnion(s *syntax.Scanner) (PathExpr, error) {
+	return syntax.LeftAssoc(s, "|", pathAnd, func(l, r PathExpr) PathExpr { return PUnion{L: l, R: r} })
 }
 
-func (p *parser) rest() string {
-	if p.pos >= len(p.input) {
-		return "<eof>"
-	}
-	r := p.input[p.pos:]
-	if len(r) > 10 {
-		r = r[:10]
-	}
-	return r
+// pathAnd handles the regular-GXPath intersection α & β (see regular.go);
+// it binds tighter than union, looser than concatenation.
+func pathAnd(s *syntax.Scanner) (PathExpr, error) {
+	return syntax.LeftAssoc(s, "&", pathConcat, func(l, r PathExpr) PathExpr { return PAnd{L: l, R: r} })
 }
 
-func (p *parser) skipSpace() {
-	for p.pos < len(p.input) {
-		switch p.input[p.pos] {
-		case ' ', '\t', '\n', '/':
-			// '/' is an optional XPath-flavoured composition separator.
-			p.pos++
-		default:
-			return
+// pathConcat folds juxtaposed factors left to right, as ConcatAll does.
+func pathConcat(s *syntax.Scanner) (PathExpr, error) {
+	l, err := pathFactor(s)
+	joins := 0
+	for ; err == nil && (s.Peek("(") || s.Peek("[") || s.Peek("~") || s.AtLabel()); joins++ {
+		if err = s.Enter(); err == nil {
+			var r PathExpr
+			r, err = pathFactor(s)
+			l = PConcat{L: l, R: r}
 		}
 	}
+	s.Leave(joins)
+	return l, err
 }
 
-func (p *parser) peek() byte {
-	if p.pos >= len(p.input) {
-		return 0
-	}
-	return p.input[p.pos]
-}
-
-func isLabelStart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '#' || r == '↔'
-}
-
-func isLabelRune(r rune) bool { return isLabelStart(r) }
-
-// label lexes a label; a trailing '-' (inverse marker) is NOT part of the
-// label here, unlike in rex/ree/rem, because GXPath uses a⁻ for inverses.
-func (p *parser) label() (string, error) {
-	start := p.pos
-	for p.pos < len(p.input) {
-		r, size := utf8.DecodeRuneInString(p.input[p.pos:])
-		if !isLabelRune(r) {
-			break
-		}
-		p.pos += size
-	}
-	if p.pos == start {
-		return "", fmt.Errorf("gxpath: expected label at offset %d, got %q", p.pos, p.rest())
-	}
-	return p.input[start:p.pos], nil
-}
-
-func (p *parser) parsePathUnion() (PathExpr, error) {
-	l, err := p.parsePathAnd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipSpace()
-		if p.peek() != '|' {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.parsePathAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = PUnion{L: l, R: r}
-	}
-}
-
-// parsePathAnd handles the regular-GXPath intersection α & β (see
-// regular.go); it binds tighter than union, looser than concatenation.
-func (p *parser) parsePathAnd() (PathExpr, error) {
-	l, err := p.parsePathConcat()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipSpace()
-		if p.peek() != '&' {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.parsePathConcat()
-		if err != nil {
-			return nil, err
-		}
-		l = PAnd{L: l, R: r}
-	}
-}
-
-func (p *parser) parsePathConcat() (PathExpr, error) {
-	var factors []PathExpr
-	for {
-		p.skipSpace()
-		c := p.peek()
-		r, _ := utf8.DecodeRuneInString(p.input[p.pos:])
-		if c == '(' || c == '[' || c == '~' || (p.pos < len(p.input) && isLabelStart(r)) {
-			f, err := p.parsePathFactor()
-			if err != nil {
-				return nil, err
-			}
-			factors = append(factors, f)
-			continue
-		}
-		break
-	}
-	switch len(factors) {
-	case 0:
-		return nil, fmt.Errorf("gxpath: expected path expression at offset %d, got %q", p.pos, p.rest())
-	case 1:
-		return factors[0], nil
-	default:
-		return ConcatAll(factors...), nil
-	}
-}
-
-func (p *parser) parsePathFactor() (PathExpr, error) {
-	atom, err := p.parsePathAtom()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipSpace()
+func pathFactor(s *syntax.Scanner) (PathExpr, error) {
+	e, err := pathAtom(s)
+	applied := 0
+	for ; err == nil; applied++ {
 		switch {
-		case p.peek() == '=':
-			p.pos++
-			atom = PEq{Inner: atom}
-		case p.peek() == '!' && p.pos+1 < len(p.input) && p.input[p.pos+1] == '=':
-			p.pos += 2
-			atom = PNeq{Inner: atom}
+		case s.Accept("="):
+			e = PEq{Inner: e}
+		case s.Accept("!="):
+			e = PNeq{Inner: e}
 		default:
-			return atom, nil
+			s.Leave(applied)
+			return e, nil
 		}
+		err = s.Enter()
 	}
+	return e, err
 }
 
-func (p *parser) parsePathAtom() (PathExpr, error) {
-	p.skipSpace()
-	switch c := p.peek(); {
-	case c == '~':
+func pathAtom(s *syntax.Scanner) (PathExpr, error) {
+	switch {
+	case s.Accept("~"):
 		// Regular-GXPath complement (outside the core fragment).
-		p.pos++
-		inner, err := p.parsePathAtom()
-		if err != nil {
-			return nil, err
-		}
-		return PNeg{Inner: inner}, nil
-	case c == '(':
-		p.pos++
-		p.skipSpace()
-		if p.peek() == ')' {
-			p.pos++
+		inner, err := syntax.Nest(s, pathAtom, "")
+		return PNeg{Inner: inner}, err
+	case s.Accept("("):
+		if s.Accept(")") {
 			return PEps{}, nil
 		}
-		e, err := p.parsePathUnion()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if p.peek() != ')' {
-			return nil, fmt.Errorf("gxpath: missing ')' at offset %d", p.pos)
-		}
-		p.pos++
-		if p.peek() == '*' {
+		e, err := syntax.Nest(s, pathUnion, ")")
+		if err == nil && s.Glued("*") {
 			// Regular-GXPath closure over an arbitrary path expression.
-			p.pos++
 			return PStarAny{Inner: e}, nil
 		}
-		return e, nil
-	case c == '[':
-		p.pos++
-		cond, err := p.parseNodeOr()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if p.peek() != ']' {
-			return nil, fmt.Errorf("gxpath: missing ']' at offset %d", p.pos)
-		}
-		p.pos++
-		return PTest{Cond: cond}, nil
-	default:
-		lab, err := p.label()
-		if err != nil {
-			return nil, err
-		}
-		inverse := false
-		if p.peek() == '-' {
-			p.pos++
-			inverse = true
-		}
-		if p.peek() == '*' {
-			p.pos++
-			return PStar{Label: lab, Inverse: inverse}, nil
-		}
-		return PLabel{Label: lab, Inverse: inverse}, nil
+		return e, err
+	case s.Accept("["):
+		cond, err := syntax.Nest(s, nodeOr, "]")
+		return PTest{Cond: cond}, err
 	}
-}
-
-func (p *parser) parseNodeOr() (NodeExpr, error) {
-	l, err := p.parseNodeAnd()
+	lab, err := s.Label()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		p.skipSpace()
-		if p.peek() != '|' {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.parseNodeAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = NOr{L: l, R: r}
+	inverse := s.Glued("-")
+	if s.Glued("*") {
+		return PStar{Label: lab, Inverse: inverse}, nil
 	}
+	return PLabel{Label: lab, Inverse: inverse}, nil
 }
 
-func (p *parser) parseNodeAnd() (NodeExpr, error) {
-	l, err := p.parseNodeAtom()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipSpace()
-		if p.peek() != '&' {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.parseNodeAtom()
-		if err != nil {
-			return nil, err
-		}
-		l = NAnd{L: l, R: r}
-	}
+func nodeOr(s *syntax.Scanner) (NodeExpr, error) {
+	return syntax.LeftAssoc(s, "|", nodeAnd, func(l, r NodeExpr) NodeExpr { return NOr{L: l, R: r} })
 }
 
-func (p *parser) parseNodeAtom() (NodeExpr, error) {
-	p.skipSpace()
-	switch p.peek() {
-	case '!':
-		p.pos++
-		inner, err := p.parseNodeAtom()
-		if err != nil {
-			return nil, err
-		}
-		return NNot{Inner: inner}, nil
-	case '<':
-		p.pos++
-		path, err := p.parsePathUnion()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if p.peek() != '>' {
-			return nil, fmt.Errorf("gxpath: missing '>' at offset %d", p.pos)
-		}
-		p.pos++
-		return NExists{Path: path}, nil
-	case '(':
-		p.pos++
-		e, err := p.parseNodeOr()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if p.peek() != ')' {
-			return nil, fmt.Errorf("gxpath: missing ')' at offset %d", p.pos)
-		}
-		p.pos++
-		return e, nil
-	default:
-		return nil, fmt.Errorf("gxpath: expected node expression at offset %d, got %q", p.pos, p.rest())
+func nodeAnd(s *syntax.Scanner) (NodeExpr, error) {
+	return syntax.LeftAssoc(s, "&", nodeAtom, func(l, r NodeExpr) NodeExpr { return NAnd{L: l, R: r} })
+}
+
+func nodeAtom(s *syntax.Scanner) (NodeExpr, error) {
+	switch {
+	case s.Accept("!"):
+		inner, err := syntax.Nest(s, nodeAtom, "")
+		return NNot{Inner: inner}, err
+	case s.Accept("<"):
+		path, err := syntax.Nest(s, pathUnion, ">")
+		return NExists{Path: path}, err
+	case s.Accept("("):
+		return syntax.Nest(s, nodeOr, ")")
 	}
+	return nil, s.Expected("a node expression")
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datagraph"
 	"repro/internal/ra"
+	"repro/internal/syntax"
 )
 
 // Query is a compiled REE query: the AST plus its register automaton. REE
@@ -31,13 +32,7 @@ func ParseQuery(s string) (*Query, error) {
 }
 
 // MustParseQuery is ParseQuery that panics on error.
-func MustParseQuery(s string) *Query {
-	q, err := ParseQuery(s)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
+func MustParseQuery(s string) *Query { return syntax.Must(ParseQuery(s)) }
 
 // Expr returns the AST.
 func (q *Query) Expr() Expr { return q.expr }

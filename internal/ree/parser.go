@@ -1,221 +1,27 @@
 package ree
 
-import (
-	"fmt"
-	"strings"
-	"unicode"
-)
+import "repro/internal/syntax"
 
-// Parse parses the concrete REE syntax: the rex grammar extended with the
-// postfix operators '=' and '!=' (binding like '*').
-func Parse(input string) (Expr, error) {
-	p := &parser{input: input}
-	p.next()
-	e, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind != tokEOF {
-		return nil, fmt.Errorf("ree: unexpected %q at offset %d", p.tok.text, p.tok.pos)
-	}
-	return e, nil
+// grammar is rex's table plus the postfix operators '=' and '!=' (binding
+// like '*').
+var grammar = syntax.Regular[Expr]{
+	Lang:   "ree",
+	Eps:    Eps{},
+	Any:    Any{},
+	Lit:    func(label string) Expr { return Lit{Label: label} },
+	Concat: func(factors []Expr) Expr { return Concat{Factors: factors} },
+	Union:  func(alts []Expr) Expr { return Union{Alts: alts} },
+	Postfix: []syntax.Postfix[Expr]{
+		syntax.Wrap("*", func(e Expr) Expr { return Star{Inner: e} }),
+		syntax.Wrap("+", func(e Expr) Expr { return Plus{Inner: e} }),
+		syntax.Wrap("?", func(e Expr) Expr { return Opt{Inner: e} }),
+		syntax.Wrap("=", func(e Expr) Expr { return Eq{Inner: e} }),
+		syntax.Wrap("!=", func(e Expr) Expr { return Neq{Inner: e} }),
+	},
 }
+
+// Parse parses the concrete REE syntax of the package comment.
+func Parse(input string) (Expr, error) { return grammar.Parse(input) }
 
 // MustParse is Parse that panics on error.
-func MustParse(input string) Expr {
-	e, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-type tokKind int
-
-const (
-	tokEOF tokKind = iota
-	tokErr
-	tokLabel
-	tokDot
-	tokLParen
-	tokRParen
-	tokPipe
-	tokStar
-	tokPlus
-	tokQuest
-	tokEq
-	tokNeq
-)
-
-type token struct {
-	kind tokKind
-	text string
-	pos  int
-}
-
-type parser struct {
-	input string
-	pos   int
-	tok   token
-}
-
-func isLabelRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '#' || r == '↔'
-}
-
-func (p *parser) next() {
-	for p.pos < len(p.input) && (p.input[p.pos] == ' ' || p.input[p.pos] == '\t' || p.input[p.pos] == '\n') {
-		p.pos++
-	}
-	start := p.pos
-	if p.pos >= len(p.input) {
-		p.tok = token{kind: tokEOF, pos: start}
-		return
-	}
-	switch c := p.input[p.pos]; c {
-	case '.':
-		p.pos++
-		p.tok = token{kind: tokDot, text: ".", pos: start}
-	case '(':
-		p.pos++
-		p.tok = token{kind: tokLParen, text: "(", pos: start}
-	case ')':
-		p.pos++
-		p.tok = token{kind: tokRParen, text: ")", pos: start}
-	case '|':
-		p.pos++
-		p.tok = token{kind: tokPipe, text: "|", pos: start}
-	case '*':
-		p.pos++
-		p.tok = token{kind: tokStar, text: "*", pos: start}
-	case '+':
-		p.pos++
-		p.tok = token{kind: tokPlus, text: "+", pos: start}
-	case '?':
-		p.pos++
-		p.tok = token{kind: tokQuest, text: "?", pos: start}
-	case '=':
-		p.pos++
-		p.tok = token{kind: tokEq, text: "=", pos: start}
-	case '!':
-		if p.pos+1 < len(p.input) && p.input[p.pos+1] == '=' {
-			p.pos += 2
-			p.tok = token{kind: tokNeq, text: "!=", pos: start}
-		} else {
-			p.tok = token{kind: tokErr, text: "!", pos: start}
-			p.pos = len(p.input)
-		}
-	default:
-		rs := []rune(p.input[p.pos:])
-		if !isLabelRune(rs[0]) {
-			p.tok = token{kind: tokErr, text: string(rs[0]), pos: start}
-			p.pos = len(p.input)
-			return
-		}
-		var b strings.Builder
-		for _, r := range rs {
-			if !isLabelRune(r) {
-				break
-			}
-			b.WriteRune(r)
-		}
-		p.pos += b.Len()
-		p.tok = token{kind: tokLabel, text: b.String(), pos: start}
-	}
-}
-
-func (p *parser) parseUnion() (Expr, error) {
-	first, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	alts := []Expr{first}
-	for p.tok.kind == tokPipe {
-		p.next()
-		alt, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		alts = append(alts, alt)
-	}
-	if len(alts) == 1 {
-		return alts[0], nil
-	}
-	return Union{Alts: alts}, nil
-}
-
-func (p *parser) parseConcat() (Expr, error) {
-	var factors []Expr
-	for p.tok.kind == tokLabel || p.tok.kind == tokDot || p.tok.kind == tokLParen {
-		f, err := p.parseFactor()
-		if err != nil {
-			return nil, err
-		}
-		factors = append(factors, f)
-	}
-	switch len(factors) {
-	case 0:
-		return nil, fmt.Errorf("ree: expected expression at offset %d, got %q", p.tok.pos, p.tok.text)
-	case 1:
-		return factors[0], nil
-	default:
-		return Concat{Factors: factors}, nil
-	}
-}
-
-func (p *parser) parseFactor() (Expr, error) {
-	atom, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.tok.kind {
-		case tokStar:
-			atom = Star{Inner: atom}
-			p.next()
-		case tokPlus:
-			atom = Plus{Inner: atom}
-			p.next()
-		case tokQuest:
-			atom = Opt{Inner: atom}
-			p.next()
-		case tokEq:
-			atom = Eq{Inner: atom}
-			p.next()
-		case tokNeq:
-			atom = Neq{Inner: atom}
-			p.next()
-		default:
-			return atom, nil
-		}
-	}
-}
-
-func (p *parser) parseAtom() (Expr, error) {
-	switch p.tok.kind {
-	case tokLabel:
-		l := p.tok.text
-		p.next()
-		return Lit{Label: l}, nil
-	case tokDot:
-		p.next()
-		return Any{}, nil
-	case tokLParen:
-		p.next()
-		if p.tok.kind == tokRParen {
-			p.next()
-			return Eps{}, nil
-		}
-		e, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tokRParen {
-			return nil, fmt.Errorf("ree: missing ')' at offset %d", p.tok.pos)
-		}
-		p.next()
-		return e, nil
-	default:
-		return nil, fmt.Errorf("ree: unexpected %q at offset %d", p.tok.text, p.tok.pos)
-	}
-}
+func MustParse(input string) Expr { return syntax.Must(Parse(input)) }

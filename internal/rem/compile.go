@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/datagraph"
 	"repro/internal/ra"
+	"repro/internal/syntax"
 )
 
 // Query is a compiled REM query (a memory RPQ in the paper's terminology).
@@ -37,13 +38,7 @@ func ParseQuery(s string) (*Query, error) {
 }
 
 // MustParseQuery is ParseQuery that panics on error.
-func MustParseQuery(s string) *Query {
-	q, err := ParseQuery(s)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
+func MustParseQuery(s string) *Query { return syntax.Must(ParseQuery(s)) }
 
 // Expr returns the AST.
 func (q *Query) Expr() Expr { return q.expr }

@@ -1,307 +1,78 @@
 package rem
 
-import (
-	"fmt"
-	"unicode"
-	"unicode/utf8"
-)
+import "repro/internal/syntax"
+
+// grammar is rex's table plus the prefix binder "!x,y." and the postfix
+// condition "[c]".
+var grammar = syntax.Regular[Expr]{
+	Lang:   "rem",
+	Eps:    Eps{},
+	Any:    Any{},
+	Lit:    func(label string) Expr { return Lit{Label: label} },
+	Concat: func(factors []Expr) Expr { return Concat{Factors: factors} },
+	Union:  func(alts []Expr) Expr { return Union{Alts: alts} },
+	Prefix: []syntax.Prefix[Expr]{{Tok: "!", Parse: parseBinder}},
+	Postfix: []syntax.Postfix[Expr]{
+		syntax.Wrap("*", func(e Expr) Expr { return Star{Inner: e} }),
+		syntax.Wrap("+", func(e Expr) Expr { return Plus{Inner: e} }),
+		syntax.Wrap("?", func(e Expr) Expr { return Opt{Inner: e} }),
+		{Tok: "[", Apply: parseTest},
+	},
+}
 
 // Parse parses the concrete REM syntax documented in the package comment.
-func Parse(input string) (Expr, error) {
-	p := &parser{input: input}
-	e, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	p.skipSpace()
-	if p.pos < len(p.input) {
-		return nil, fmt.Errorf("rem: unexpected %q at offset %d", p.rest(), p.pos)
-	}
-	return e, nil
-}
+func Parse(input string) (Expr, error) { return grammar.Parse(input) }
 
 // MustParse is Parse that panics on error.
-func MustParse(input string) Expr {
-	e, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
+func MustParse(input string) Expr { return syntax.Must(Parse(input)) }
 
-// parser is a character-level recursive-descent parser; conditions inside
-// [...] use a different lexical context than expressions (where '!' starts a
-// binder), so a token stream would be awkward.
-type parser struct {
-	input string
-	pos   int
-}
-
-func (p *parser) rest() string {
-	if p.pos >= len(p.input) {
-		return "<eof>"
-	}
-	r := p.input[p.pos:]
-	if len(r) > 10 {
-		r = r[:10]
-	}
-	return r
-}
-
-func (p *parser) skipSpace() {
-	for p.pos < len(p.input) {
-		switch p.input[p.pos] {
-		case ' ', '\t', '\n':
-			p.pos++
-		default:
-			return
+// parseBinder reads the variables and '.' of a binder "!x,y." and returns
+// the wrapper for the factor it binds.
+func parseBinder(s *syntax.Scanner) (func(Expr) Expr, error) {
+	var vars []string
+	for len(vars) == 0 || s.Accept(",") {
+		v, err := s.Label()
+		if err != nil {
+			return nil, err
 		}
+		vars = append(vars, v)
 	}
-}
-
-func (p *parser) peek() byte {
-	if p.pos >= len(p.input) {
-		return 0
-	}
-	return p.input[p.pos]
-}
-
-func isIdentRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '#' || r == '↔'
-}
-
-func (p *parser) ident() (string, error) {
-	p.skipSpace()
-	start := p.pos
-	for p.pos < len(p.input) {
-		r, size := utf8.DecodeRuneInString(p.input[p.pos:])
-		if !isIdentRune(r) {
-			break
-		}
-		p.pos += size
-	}
-	if p.pos == start {
-		return "", fmt.Errorf("rem: expected identifier at offset %d, got %q", p.pos, p.rest())
-	}
-	return p.input[start:p.pos], nil
-}
-
-func (p *parser) parseUnion() (Expr, error) {
-	first, err := p.parseConcat()
-	if err != nil {
+	if err := s.Expect("."); err != nil {
 		return nil, err
 	}
-	alts := []Expr{first}
-	for {
-		p.skipSpace()
-		if p.peek() != '|' {
-			break
-		}
-		p.pos++
-		alt, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		alts = append(alts, alt)
-	}
-	if len(alts) == 1 {
-		return alts[0], nil
-	}
-	return Union{Alts: alts}, nil
+	return func(inner Expr) Expr { return Bind{Vars: vars, Inner: inner} }, nil
 }
 
-func (p *parser) parseConcat() (Expr, error) {
-	var factors []Expr
-	for {
-		p.skipSpace()
-		c := p.peek()
-		r, _ := utf8.DecodeRuneInString(p.input[p.pos:])
-		if c == '(' || c == '.' || c == '!' || (p.pos < len(p.input) && isIdentRune(r)) {
-			f, err := p.parseFactor()
-			if err != nil {
-				return nil, err
-			}
-			factors = append(factors, f)
-			continue
-		}
-		break
+// parseTest reads the condition and ']' of a postfix test "[c]".
+func parseTest(s *syntax.Scanner, inner Expr) (Expr, error) {
+	cond, err := condOr(s)
+	if err == nil {
+		err = s.Expect("]")
 	}
-	switch len(factors) {
-	case 0:
-		return nil, fmt.Errorf("rem: expected expression at offset %d, got %q", p.pos, p.rest())
-	case 1:
-		return factors[0], nil
-	default:
-		return Concat{Factors: factors}, nil
-	}
-}
-
-// parseFactor parses a binder or an atom followed by postfix operators
-// (*, +, ?, [c]).
-func (p *parser) parseFactor() (Expr, error) {
-	p.skipSpace()
-	if p.peek() == '!' {
-		p.pos++
-		var vars []string
-		for {
-			v, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			vars = append(vars, v)
-			p.skipSpace()
-			if p.peek() == ',' {
-				p.pos++
-				continue
-			}
-			break
-		}
-		p.skipSpace()
-		if p.peek() != '.' {
-			return nil, fmt.Errorf("rem: expected '.' after binder variables at offset %d", p.pos)
-		}
-		p.pos++
-		inner, err := p.parseFactor()
-		if err != nil {
-			return nil, err
-		}
-		return Bind{Vars: vars, Inner: inner}, nil
-	}
-	atom, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipSpace()
-		switch p.peek() {
-		case '*':
-			p.pos++
-			atom = Star{Inner: atom}
-		case '+':
-			p.pos++
-			atom = Plus{Inner: atom}
-		case '?':
-			p.pos++
-			atom = Opt{Inner: atom}
-		case '[':
-			p.pos++
-			cond, err := p.parseCondOr()
-			if err != nil {
-				return nil, err
-			}
-			p.skipSpace()
-			if p.peek() != ']' {
-				return nil, fmt.Errorf("rem: missing ']' at offset %d", p.pos)
-			}
-			p.pos++
-			atom = Test{Inner: atom, Cond: cond}
-		default:
-			return atom, nil
-		}
-	}
-}
-
-func (p *parser) parseAtom() (Expr, error) {
-	p.skipSpace()
-	switch c := p.peek(); {
-	case c == '.':
-		// '.' is Any only in atom position; binder dots are consumed by
-		// parseFactor before reaching here.
-		p.pos++
-		return Any{}, nil
-	case c == '(':
-		p.pos++
-		p.skipSpace()
-		if p.peek() == ')' {
-			p.pos++
-			return Eps{}, nil
-		}
-		e, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if p.peek() != ')' {
-			return nil, fmt.Errorf("rem: missing ')' at offset %d", p.pos)
-		}
-		p.pos++
-		return e, nil
-	default:
-		label, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return Lit{Label: label}, nil
-	}
+	return Test{Inner: inner, Cond: cond}, err
 }
 
 // Condition grammar: or-level has lowest precedence.
-func (p *parser) parseCondOr() (Cond, error) {
-	l, err := p.parseCondAnd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipSpace()
-		if p.peek() != '|' {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.parseCondAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = COr{L: l, R: r}
-	}
+func condOr(s *syntax.Scanner) (Cond, error) {
+	return syntax.LeftAssoc(s, "|", condAnd, func(l, r Cond) Cond { return COr{L: l, R: r} })
 }
 
-func (p *parser) parseCondAnd() (Cond, error) {
-	l, err := p.parseCondAtom()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipSpace()
-		if p.peek() != '&' {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.parseCondAtom()
-		if err != nil {
-			return nil, err
-		}
-		l = CAnd{L: l, R: r}
-	}
+func condAnd(s *syntax.Scanner) (Cond, error) {
+	return syntax.LeftAssoc(s, "&", condAtom, func(l, r Cond) Cond { return CAnd{L: l, R: r} })
 }
 
-func (p *parser) parseCondAtom() (Cond, error) {
-	p.skipSpace()
-	if p.peek() == '(' {
-		p.pos++
-		c, err := p.parseCondOr()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if p.peek() != ')' {
-			return nil, fmt.Errorf("rem: missing ')' in condition at offset %d", p.pos)
-		}
-		p.pos++
-		return c, nil
+func condAtom(s *syntax.Scanner) (Cond, error) {
+	if s.Accept("(") {
+		return syntax.Nest(s, condOr, ")")
 	}
-	v, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	p.skipSpace()
+	v, err := s.Label()
 	switch {
-	case p.peek() == '!' && p.pos+1 < len(p.input) && p.input[p.pos+1] == '=':
-		p.pos += 2
+	case err != nil:
+		return nil, err
+	case s.Accept("!="):
 		return CAtom{Var: v, Neq: true}, nil
-	case p.peek() == '=':
-		p.pos++
+	case s.Accept("="):
 		return CAtom{Var: v}, nil
-	default:
-		return nil, fmt.Errorf("rem: expected '=' or '!=' after variable %q at offset %d", v, p.pos)
 	}
+	return nil, s.Expected("'=' or '!=' after variable " + v)
 }

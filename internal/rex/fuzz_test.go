@@ -11,6 +11,6 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		syntaxtest.Check(t, Parse, input)
+		syntaxtest.Check(t, "rex", Parse, input)
 	})
 }

@@ -1,205 +1,25 @@
 package rex
 
-import (
-	"fmt"
-	"strings"
-	"unicode"
-)
+import "repro/internal/syntax"
+
+// grammar is rex's table for the shared regular-expression loop.
+var grammar = syntax.Regular[Regex]{
+	Lang:   "rex",
+	Eps:    Eps{},
+	Any:    Any{},
+	Lit:    func(label string) Regex { return Lit{Label: label} },
+	Concat: func(factors []Regex) Regex { return Concat{Factors: factors} },
+	Union:  func(alts []Regex) Regex { return Union{Alts: alts} },
+	Postfix: []syntax.Postfix[Regex]{
+		syntax.Wrap("*", func(e Regex) Regex { return Star{Inner: e} }),
+		syntax.Wrap("+", func(e Regex) Regex { return Plus{Inner: e} }),
+		syntax.Wrap("?", func(e Regex) Regex { return Opt{Inner: e} }),
+	},
+}
 
 // Parse parses the concrete syntax documented in the package comment.
-func Parse(input string) (Regex, error) {
-	p := &parser{input: input}
-	p.next()
-	e, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind != tokEOF {
-		return nil, fmt.Errorf("rex: unexpected %q at offset %d", p.tok.text, p.tok.pos)
-	}
-	return e, nil
-}
+func Parse(input string) (Regex, error) { return grammar.Parse(input) }
 
 // MustParse is Parse that panics on error; for fixed expressions in tests
 // and gadget constructions.
-func MustParse(input string) Regex {
-	e, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-type tokKind int
-
-const (
-	tokEOF tokKind = iota
-	tokErr
-	tokLabel
-	tokDot
-	tokLParen
-	tokRParen
-	tokPipe
-	tokStar
-	tokPlus
-	tokQuest
-)
-
-type token struct {
-	kind tokKind
-	text string
-	pos  int
-}
-
-type parser struct {
-	input string
-	pos   int
-	tok   token
-}
-
-// isLabelRune reports whether r can occur in a label. The extra punctuation
-// covers the separator labels of the paper's PCP gadget (#, ↔, m̄ written
-// as m- is not needed since '-' is allowed).
-func isLabelRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '#' || r == '↔'
-}
-
-func (p *parser) next() {
-	for p.pos < len(p.input) && (p.input[p.pos] == ' ' || p.input[p.pos] == '\t' || p.input[p.pos] == '\n') {
-		p.pos++
-	}
-	start := p.pos
-	if p.pos >= len(p.input) {
-		p.tok = token{kind: tokEOF, pos: start}
-		return
-	}
-	switch c := p.input[p.pos]; c {
-	case '.':
-		p.pos++
-		p.tok = token{kind: tokDot, text: ".", pos: start}
-	case '(':
-		p.pos++
-		p.tok = token{kind: tokLParen, text: "(", pos: start}
-	case ')':
-		p.pos++
-		p.tok = token{kind: tokRParen, text: ")", pos: start}
-	case '|':
-		p.pos++
-		p.tok = token{kind: tokPipe, text: "|", pos: start}
-	case '*':
-		p.pos++
-		p.tok = token{kind: tokStar, text: "*", pos: start}
-	case '+':
-		p.pos++
-		p.tok = token{kind: tokPlus, text: "+", pos: start}
-	case '?':
-		p.pos++
-		p.tok = token{kind: tokQuest, text: "?", pos: start}
-	default:
-		rs := []rune(p.input[p.pos:])
-		if !isLabelRune(rs[0]) {
-			p.tok = token{kind: tokErr, text: string(rs[0]), pos: start}
-			p.pos = len(p.input)
-			return
-		}
-		var b strings.Builder
-		for _, r := range rs {
-			if !isLabelRune(r) {
-				break
-			}
-			b.WriteRune(r)
-		}
-		p.pos += b.Len()
-		p.tok = token{kind: tokLabel, text: b.String(), pos: start}
-	}
-}
-
-func (p *parser) parseUnion() (Regex, error) {
-	first, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	alts := []Regex{first}
-	for p.tok.kind == tokPipe {
-		p.next()
-		alt, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		alts = append(alts, alt)
-	}
-	if len(alts) == 1 {
-		return alts[0], nil
-	}
-	return Union{Alts: alts}, nil
-}
-
-func (p *parser) parseConcat() (Regex, error) {
-	var factors []Regex
-	for p.tok.kind == tokLabel || p.tok.kind == tokDot || p.tok.kind == tokLParen {
-		f, err := p.parseFactor()
-		if err != nil {
-			return nil, err
-		}
-		factors = append(factors, f)
-	}
-	switch len(factors) {
-	case 0:
-		return nil, fmt.Errorf("rex: expected expression at offset %d, got %q", p.tok.pos, p.tok.text)
-	case 1:
-		return factors[0], nil
-	default:
-		return Concat{Factors: factors}, nil
-	}
-}
-
-func (p *parser) parseFactor() (Regex, error) {
-	atom, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.tok.kind {
-		case tokStar:
-			atom = Star{Inner: atom}
-			p.next()
-		case tokPlus:
-			atom = Plus{Inner: atom}
-			p.next()
-		case tokQuest:
-			atom = Opt{Inner: atom}
-			p.next()
-		default:
-			return atom, nil
-		}
-	}
-}
-
-func (p *parser) parseAtom() (Regex, error) {
-	switch p.tok.kind {
-	case tokLabel:
-		l := p.tok.text
-		p.next()
-		return Lit{Label: l}, nil
-	case tokDot:
-		p.next()
-		return Any{}, nil
-	case tokLParen:
-		p.next()
-		if p.tok.kind == tokRParen { // "()" is ε
-			p.next()
-			return Eps{}, nil
-		}
-		e, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tokRParen {
-			return nil, fmt.Errorf("rex: missing ')' at offset %d", p.tok.pos)
-		}
-		p.next()
-		return e, nil
-	default:
-		return nil, fmt.Errorf("rex: unexpected %q at offset %d", p.tok.text, p.tok.pos)
-	}
-}
+func MustParse(input string) Regex { return syntax.Must(Parse(input)) }

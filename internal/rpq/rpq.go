@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/datagraph"
 	"repro/internal/rex"
+	"repro/internal/syntax"
 )
 
 // Query is a compiled RPQ.
@@ -120,13 +121,7 @@ func Parse(s string) (*Query, error) {
 }
 
 // MustParse is Parse that panics on error.
-func MustParse(s string) *Query {
-	q, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
+func MustParse(s string) *Query { return syntax.Must(Parse(s)) }
 
 // Atomic returns the atomic RPQ for label a.
 func Atomic(a string) *Query { return New(rex.Lit{Label: a}) }

@@ -3,14 +3,18 @@
 package syntaxtest
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"testing"
+
+	"repro/internal/syntax"
 )
 
 // Seeds returns every string literal in the Go files matching the glob
@@ -44,21 +48,21 @@ func Seeds(tb testing.TB, patterns ...string) []string {
 	if len(set) == 0 {
 		tb.Fatalf("no string literals in %v", patterns)
 	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(set))
 }
 
-// Check parses input and asserts the parser invariants: parsing never
-// panics, and an accepted expression prints to text that parses again and
-// prints the same (String is a fixpoint after one round).
-func Check[E fmt.Stringer](t *testing.T, parse func(string) (E, error), input string) {
+// Check parses input in lang and asserts the parser invariants: parsing
+// never panics; a rejection is a *syntax.ParseError of lang with an offset
+// inside the input; and an accepted expression prints to text that parses
+// again and prints the same (String is a fixpoint after one round).
+func Check[E fmt.Stringer](t *testing.T, lang string, parse func(string) (E, error), input string) {
 	t.Helper()
 	e, err := parse(input)
 	if err != nil {
+		var pe *syntax.ParseError
+		if !errors.As(err, &pe) || pe.Lang != lang || pe.Offset < 0 || pe.Offset > len(input) {
+			t.Fatalf("%q: want a %s *syntax.ParseError inside the input, got %#v", input, lang, err)
+		}
 		return
 	}
 	printed := e.String()

@@ -2,7 +2,10 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"repro/internal/syntax"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the package
@@ -127,5 +130,34 @@ func TestFacadeParsers(t *testing.T) {
 	}
 	if sat := EvalGXNode(gn, phi, MarkedNulls); len(sat) == 0 {
 		t.Fatal("marked nulls compare as constants")
+	}
+}
+
+// TestFacadeParseErrors checks that every text parser of the facade passes
+// the query language's *syntax.ParseError through, naming the language
+// that rejected the text.
+func TestFacadeParseErrors(t *testing.T) {
+	cases := []struct {
+		name, lang, text string
+		parse            func(string) error
+	}{
+		{"ParseREE", "ree", "(a b", func(s string) error { _, err := ParseREE(s); return err }},
+		{"ParseREM", "rem", "!x.a[x]", func(s string) error { _, err := ParseREM(s); return err }},
+		{"ParseRPQ", "rex", "a |", func(s string) error { _, err := ParseRPQ(s); return err }},
+		{"ParseGXPath", "gxpath", "a |", func(s string) error { _, err := ParseGXPath(s); return err }},
+		{"ParseGXNode", "gxpath", "<a", func(s string) error { _, err := ParseGXNode(s); return err }},
+		{"ParseConjunctive", "ree", "ans(x, y) :- x -[a)]-> y", func(s string) error { _, err := ParseConjunctive(s); return err }},
+		{"ParseMapping", "rex", "rule a -> b |\n", func(s string) error { _, err := ParseMapping(s); return err }},
+	}
+	for _, c := range cases {
+		var pe *syntax.ParseError
+		err := c.parse(c.text)
+		if !errors.As(err, &pe) {
+			t.Errorf("%s(%q) = %v, want a *syntax.ParseError inside", c.name, c.text, err)
+			continue
+		}
+		if pe.Lang != c.lang {
+			t.Errorf("%s(%q): ParseError from %q, want %q", c.name, c.text, pe.Lang, c.lang)
+		}
 	}
 }
