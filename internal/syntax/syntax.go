@@ -49,8 +49,8 @@ func LabelRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '#' || r == '↔'
 }
 
-// Scanner is a cursor over query text. Every method but Glued first skips
-// separators.
+// Scanner is a cursor over query text. Its token methods, all but Glued,
+// skip separators first.
 type Scanner struct {
 	lang, src  string
 	pos, depth int

@@ -53,8 +53,9 @@ func Seeds(tb testing.TB, patterns ...string) []string {
 
 // Check parses input in lang and asserts the parser invariants: parsing
 // never panics; a rejection is a *syntax.ParseError of lang with an offset
-// inside the input; and an accepted expression prints to text that parses
-// again and prints the same (String is a fixpoint after one round).
+// inside the input, and a nil expression; and an accepted expression prints
+// to text that parses again and prints the same (String is a fixpoint after
+// one round).
 func Check[E fmt.Stringer](t *testing.T, lang string, parse func(string) (E, error), input string) {
 	t.Helper()
 	e, err := parse(input)
@@ -62,6 +63,9 @@ func Check[E fmt.Stringer](t *testing.T, lang string, parse func(string) (E, err
 		var pe *syntax.ParseError
 		if !errors.As(err, &pe) || pe.Lang != lang || pe.Offset < 0 || pe.Offset > len(input) {
 			t.Fatalf("%q: want a %s *syntax.ParseError inside the input, got %#v", input, lang, err)
+		}
+		if any(e) != nil {
+			t.Fatalf("%q: rejected, but returned %#v", input, e)
 		}
 		return
 	}
