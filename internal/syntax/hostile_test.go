@@ -16,8 +16,8 @@ import (
 // shape returns query text holding n nesting levels.
 type shape func(n int) string
 
-func around(open, inner, close string) shape {
-	return func(n int) string { return strings.Repeat(open, n) + inner + strings.Repeat(close, n) }
+func around(open, inner, closing string) shape {
+	return func(n int) string { return strings.Repeat(open, n) + inner + strings.Repeat(closing, n) }
 }
 
 func after(inner, op string) shape {

@@ -189,16 +189,16 @@ func Must[E any](e E, err error) E {
 	return e
 }
 
-// Nest parses inner one nesting level deeper, then expects close: the
+// Nest parses inner one nesting level deeper, then expects closing: the
 // closing bracket, or "" for the operand of a prefix operator.
-func Nest[E any](s *Scanner, inner func(*Scanner) (E, error), close string) (E, error) {
+func Nest[E any](s *Scanner, inner func(*Scanner) (E, error), closing string) (E, error) {
 	if err := s.Enter(); err != nil {
 		var zero E
 		return zero, err
 	}
 	e, err := inner(s)
 	if err == nil {
-		err = s.Expect(close)
+		err = s.Expect(closing)
 	}
 	s.Leave(1)
 	return e, err
