@@ -435,6 +435,71 @@ func BenchmarkFrontierRPQEval(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontierReachability runs Σ* over the same dense graph: every
+// start node reaches most of the graph, so the answer set is near n².
+func BenchmarkFrontierReachability(b *testing.B) {
+	g := adjacencyBenchGraph()
+	q := rpq.Reachability()
+	g.Freeze()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Eval(g)
+	}
+}
+
+// scanQueries are serve-scan's eight navigational RPQs (bench/serving.go).
+var scanQueries = []string{"p q", "r q", "p q r", "(p|r) q", "s t", "p q q", "r q p", "(p|r) q (p|r)"}
+
+// BenchmarkScanQueriesKernel runs serve-scan's queries through full
+// EvalRange over the canonical serving pair's universal solution (11 990
+// nodes), once compiled as RPQs and once as REE queries without tests, so
+// the two compilations of the same text are timed on the same graph. Setup
+// fails unless both give the same pairs for every query.
+func BenchmarkScanQueriesKernel(b *testing.B) {
+	sc := workload.Serving(workload.ServingSpec{Nodes: 3000, Edges: 9000, Queries: 50, Seed: 16})
+	u, err := mat(sc.Mapping, sc.Graph).UniversalCtx(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := u.NumNodes()
+	var rpqs []*rpq.Query
+	var rees []*ree.Query
+	for _, text := range scanQueries {
+		rq, err := rpq.Parse(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eq, err := ree.ParseQuery(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want, got := datagraph.NewPairSetSized(n), datagraph.NewPairSetSized(n)
+		rq.EvalRange(u, 0, n, want.Add)
+		eq.EvalRange(u, 0, n, datagraph.SQLNulls, got.Add)
+		if !got.Equal(want) {
+			b.Fatalf("%q: rpq gives %d pairs, ree %d", text, want.Len(), got.Len())
+		}
+		rpqs, rees = append(rpqs, rq), append(rees, eq)
+	}
+	count := func(int, int) {}
+	b.Run("rpq", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, q := range rpqs {
+				q.EvalRange(u, 0, n, count)
+			}
+		}
+	})
+	b.Run("ree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, q := range rees {
+				q.EvalRange(u, 0, n, datagraph.SQLNulls, count)
+			}
+		}
+	})
+}
+
 func randomDataPath(n int) datagraph.DataPath {
 	vals := make([]datagraph.Value, n+1)
 	labels := make([]string, n)
