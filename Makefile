@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race fuzz-smoke bench bench-smoke bench-check lint fmt vet api-check api-update loc serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
+.PHONY: build test test-race fuzz-smoke bench bench-smoke bench-pair bench-check lint fmt vet api-check api-update loc serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ bench:
 # includes every quick experiment table, via BenchmarkExperimentTablesQuick).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# Root benchmarks of the working tree against a base revision, on one
+# machine in alternating pairs: BASE=<rev> BENCH=<regex> PAIRS=10 make
+# bench-pair. Prints each side's median and quartiles and the pairs won.
+bench-pair:
+	BASE="$(BASE)" BENCH="$(BENCH)" PAIRS="$(PAIRS)" sh scripts/bench-pair.sh
 
 # The benchmark harness (bench/, BENCHMARK.json) is a module of its own, so
 # nothing above builds or tests it: vet it, run its tests, then one short

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// Scratch is the working memory of the snapshot evaluation kernels: rpq's
-// product, word and reachability searches and ra's configuration search all
-// run on this one type. A kernel call acquires a
+// Scratch is the working memory of the one evaluation kernel, ra's: its
+// zero-register product, word and reachability searches and its register
+// configuration search all run on this type. A kernel call acquires a
 // scratch, sizes it for its snapshot, runs every start node of its range on
 // it and releases it, so the memory is reused across start nodes, chunks,
 // workers and requests and a call allocates only what its frontier outgrows.
@@ -30,14 +30,16 @@ type Scratch struct {
 	Queue, Frontier, Next []int32
 
 	// The tuple set: fixed-width int32 tuples in insertion order, indexed by
-	// an open-addressing table whose slots are stamped like the marks. ra
-	// keeps its (state, node, registers…) configurations here — a key space
-	// too sparse for a stamp array — and walks them in insertion order, so
-	// the set is its visited set and its queue at once.
+	// an open-addressing table whose slots are stamped like the marks. The
+	// register search keeps its (state, node, registers…) configurations
+	// here — a key space too sparse for a stamp array — and walks them in
+	// insertion order, so the set is its visited set and its queue at once.
+	// buf backs TupleBuffer.
 	width     int
 	tuples    []int32
 	slotStamp []uint32
 	slotTuple []int32
+	buf       []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -111,11 +113,23 @@ func (sc *Scratch) MarkProduct(id int) bool {
 	return true
 }
 
+// TupleBuffer returns a zeroed tuple of the set's width, for a search to
+// build the tuples it adds in.
+func (sc *Scratch) TupleBuffer() []int32 {
+	if cap(sc.buf) < sc.width {
+		sc.buf = make([]int32, sc.width)
+	}
+	sc.buf = sc.buf[:sc.width]
+	clear(sc.buf)
+	return sc.buf
+}
+
 // NumTuples returns the number of tuples added since the last NextEpoch.
 func (sc *Scratch) NumTuples() int { return len(sc.tuples) / sc.width }
 
 // Tuple returns the i-th tuple in insertion order. The slice aliases the
-// scratch and is invalidated by the next AddTuple.
+// scratch; a tuple is never written once added, so the slice reads the
+// same until the next NextEpoch, even while AddTuple grows the set.
 func (sc *Scratch) Tuple(i int) []int32 { return sc.tuples[i*sc.width : (i+1)*sc.width] }
 
 // AddTuple adds t, of the width given to AcquireScratch, to the tuple set

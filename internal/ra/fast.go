@@ -1,197 +1,276 @@
 package ra
 
-import "repro/internal/datagraph"
+import (
+	"slices"
 
-// This file holds what the interned-id engines share: the register limit
-// and condition evaluator over value ids that the snapshot kernel of
-// snapshot.go also uses, and MatchDataPath's engine, which interns one data
-// path's values per call and deduplicates configurations with comparable
-// struct keys instead of formatted strings. Automata with more than
-// maxFastRegs registers, or with a Cond of a foreign type, take the
-// string-key slow paths of ra.go; every compiler in this repository stays
-// far below the limit.
+	"repro/internal/datagraph"
+)
 
-const maxFastRegs = 8
+// This file is the kernel's zero-register path. Without registers every
+// condition is true and no move stores, so a configuration is just a
+// (state, node) pair, which the search stamps in the scratch's product
+// marks instead of hashing a tuple. Finish folds the ε-moves into the
+// letter steps: each step carries the ε-closure of its target, pruned to
+// the live states (those with a letter step, and Accept) and numbered
+// densely, so the product holds no ε-only state. Two shapes get searches of
+// their own, chosen from the automaton, never by the caller: a single word
+// walks level by level with node frontiers, and Σ* is plain reachability.
 
-// interner maps data values to dense ids. Id 0 is reserved for "register
-// unset"; the null value gets its own id like any other value, and the
-// comparison helpers below special-case it per mode.
-type interner struct {
-	ids    map[datagraph.Value]int32
-	nullID int32
+// zeroForm is a zero-register automaton as letter steps between live
+// states; the steps of live state s are steps[first[s]:first[s+1]].
+// The pruned closures are stored end to end in closures.
+type zeroForm struct {
+	start    []int32 // the pruned ε-closure of Start
+	accept   int32   // Accept's live-state number
+	first    []int32
+	steps    []zeroStep
+	closures []int32
+	shape    shape
+	word     []string // shapeWord's labels
 }
 
-func newInterner() *interner {
-	return &interner{ids: make(map[datagraph.Value]int32), nullID: -1}
+// zeroStep is a letter step; closures[lo:hi] is the pruned ε-closure of
+// its target.
+type zeroStep struct {
+	label  string
+	any    bool
+	lo, hi int32
 }
 
-func (in *interner) id(v datagraph.Value) int32 {
-	if id, ok := in.ids[v]; ok {
-		return id
-	}
-	id := int32(len(in.ids) + 1)
-	in.ids[v] = id
-	if v.IsNull() {
-		in.nullID = id
-	}
-	return id
+type shape uint8
+
+const (
+	shapeProduct shape = iota
+	shapeWord          // the automaton accepts exactly one word
+	shapeReach         // the automaton accepts every word (Σ*)
+)
+
+// progStep is a zeroStep lowered onto a snapshot.
+type progStep struct {
+	label   datagraph.Label
+	any     bool
+	closure []int32
 }
 
-// evalCondID evaluates a condition over interned ids. regs[r] == 0 means
-// unset. Returns ok=false if the condition tree contains node types this
-// fast path does not know (caller falls back to the slow path).
-func evalCondID(c Cond, regs []int32, cur int32, nullID int32, mode datagraph.CompareMode) (val, ok bool) {
-	switch t := c.(type) {
-	case True:
-		return true, true
-	case Eq:
-		r := regs[t.Reg]
-		if r == 0 {
-			return false, true
-		}
-		if mode == datagraph.SQLNulls && (r == nullID || cur == nullID) {
-			return false, true
-		}
-		return r == cur, true
-	case Neq:
-		r := regs[t.Reg]
-		if r == 0 {
-			return false, true
-		}
-		if mode == datagraph.SQLNulls && (r == nullID || cur == nullID) {
-			return false, true
-		}
-		return r != cur, true
-	case And:
-		l, ok := evalCondID(t.L, regs, cur, nullID, mode)
-		if !ok {
-			return false, false
-		}
-		if !l {
-			return false, true
-		}
-		return evalCondID(t.R, regs, cur, nullID, mode)
-	case Or:
-		l, ok := evalCondID(t.L, regs, cur, nullID, mode)
-		if !ok {
-			return false, false
-		}
-		if l {
-			return true, true
-		}
-		return evalCondID(t.R, regs, cur, nullID, mode)
-	default:
-		return false, false
-	}
-}
-
-// supportsFast reports whether every condition in the automaton is made of
-// the known node types.
-func (a *Automaton) supportsFast() bool {
-	if a.NumRegs > maxFastRegs {
-		return false
-	}
-	var walk func(c Cond) bool
-	walk = func(c Cond) bool {
-		switch t := c.(type) {
-		case True, Eq, Neq:
-			return true
-		case And:
-			return walk(t.L) && walk(t.R)
-		case Or:
-			return walk(t.L) && walk(t.R)
-		default:
-			return false
-		}
-	}
-	for _, ts := range a.Trans {
+// newZeroForm builds the letter-step form of a zero-register automaton.
+func newZeroForm(a *Automaton) *zeroForm {
+	live := make([]int32, a.NumStates) // live-state number + 1, 0 if not live
+	numLive, numSteps := int32(0), 0
+	for s, ts := range a.Trans {
+		letters := 0
 		for _, t := range ts {
-			if !walk(t.Cond) {
-				return false
+			if !t.Eps {
+				letters++
 			}
+		}
+		if letters > 0 || s == a.Accept {
+			numLive++
+			live[s] = numLive
+		}
+		numSteps += letters
+	}
+	z := &zeroForm{accept: live[a.Accept] - 1, first: make([]int32, numLive+1), steps: make([]zeroStep, 0, numSteps)}
+	seen := make([]bool, a.NumStates)
+	var stack []int
+	// closure appends the pruned ε-closure of from to z.closures and
+	// returns its bounds.
+	closure := func(from int) (lo, hi int32) {
+		lo = int32(len(z.closures))
+		clear(seen)
+		stack = append(stack[:0], from)
+		seen[from] = true
+		for len(stack) > 0 {
+			s := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if live[s] > 0 {
+				z.closures = append(z.closures, live[s]-1)
+			}
+			for _, t := range a.Trans[s] {
+				if t.Eps && !seen[t.To] {
+					seen[t.To] = true
+					stack = append(stack, t.To)
+				}
+			}
+		}
+		return lo, int32(len(z.closures))
+	}
+	startLo, startHi := closure(a.Start)
+	for s, ts := range a.Trans {
+		if live[s] == 0 {
+			continue
+		}
+		for _, t := range ts {
+			if !t.Eps {
+				lo, hi := closure(t.To)
+				z.steps = append(z.steps, zeroStep{label: t.Label, any: t.AnyLabel, lo: lo, hi: hi})
+			}
+		}
+		z.first[live[s]] = int32(len(z.steps))
+	}
+	z.start = z.closures[startLo:startHi]
+	z.classify()
+	return z
+}
+
+// classify picks the search for the automaton's shape.
+func (z *zeroForm) classify() {
+	// Σ*: the start closure holds Accept, and one of its states has an
+	// any-label step back to a superset of it. Reading any edge then keeps
+	// every state of the start closure, so every path ends accepted.
+	if slices.Contains(z.start, z.accept) {
+		for _, s := range z.start {
+			for i := z.first[s]; i < z.first[s+1]; i++ {
+				if st := &z.steps[i]; st.any && containsAll(z.closureOf(st), z.start) {
+					z.shape = shapeReach
+					return
+				}
+			}
+		}
+	}
+	// One word: one state at a time, each with a single labelled step,
+	// until Accept with no step. A word visits each live state once at most.
+	cur := z.start
+	var word []string
+	for range len(z.first) {
+		if len(cur) != 1 {
+			return
+		}
+		steps := z.steps[z.first[cur[0]]:z.first[cur[0]+1]]
+		if cur[0] == z.accept {
+			if len(steps) == 0 {
+				z.shape, z.word = shapeWord, word
+			}
+			return
+		}
+		if len(steps) != 1 || steps[0].any {
+			return
+		}
+		word = append(word, steps[0].label)
+		cur = z.closureOf(&steps[0])
+	}
+}
+
+func (z *zeroForm) closureOf(st *zeroStep) []int32 { return z.closures[st.lo:st.hi] }
+
+func containsAll(set, sub []int32) bool {
+	for _, x := range sub {
+		if !slices.Contains(set, x) {
+			return false
 		}
 	}
 	return true
 }
 
-type fastKey struct {
-	state int32
-	pos   int32
-	regs  [maxFastRegs]int32
-}
-
-type fastCfg struct {
-	state int32
-	pos   int32
-	regs  [maxFastRegs]int32
-}
-
-func (c fastCfg) key() fastKey { return fastKey{c.state, c.pos, c.regs} }
-
-// matchDataPathFast is MatchDataPath over interned ids.
-func (a *Automaton) matchDataPathFast(w datagraph.DataPath, mode datagraph.CompareMode) bool {
-	in := newInterner()
-	vals := make([]int32, len(w.Values))
-	for i, v := range w.Values {
-		vals[i] = in.id(v)
+// lower fills p with the steps interned onto p's snapshot, dropping those
+// on labels absent from it, or with the interned word.
+func (z *zeroForm) lower(p *prog) {
+	if z.shape == shapeWord {
+		p.word = make([]datagraph.Label, len(z.word))
+		for i, name := range z.word {
+			l, ok := p.snap.LabelID(name)
+			p.word[i], p.wordDead = l, p.wordDead || !ok
+		}
+		return
 	}
-	start := fastCfg{state: int32(a.Start)}
-	visited := map[fastKey]struct{}{start.key(): {}}
-	queue := []fastCfg{start}
-	lastPos := int32(len(w.Labels))
+	p.first = make([]int32, len(z.first))
+	p.steps = make([]progStep, 0, len(z.steps))
+	for s := range len(z.first) - 1 {
+		for i := z.first[s]; i < z.first[s+1]; i++ {
+			st := &z.steps[i]
+			ps := progStep{any: st.any, closure: z.closureOf(st)}
+			if !st.any {
+				l, ok := p.snap.LabelID(st.label)
+				if !ok {
+					continue // label absent from the graph: dead step
+				}
+				ps.label = l
+			}
+			p.steps = append(p.steps, ps)
+		}
+		p.first[s+1] = int32(len(p.steps))
+	}
+}
+
+// product is the search over (node, state) pairs, stamped as
+// node·states+state.
+func (z *zeroForm) product(p *prog, u int, sc *datagraph.Scratch, emit func(u, v int)) {
+	snap := p.snap
+	numStates := len(p.first) - 1
+	sc.NextEpoch()
+	queue := sc.Queue[:0]
+	for _, s := range z.start {
+		if id := u*numStates + int(s); sc.MarkProduct(id) {
+			queue = append(queue, int32(id))
+		}
+	}
 	for len(queue) > 0 {
-		c := queue[len(queue)-1]
+		id := int(queue[len(queue)-1])
 		queue = queue[:len(queue)-1]
-		if int(c.state) == a.Accept && c.pos == lastPos {
-			return true
+		node, state := id/numStates, id%numStates
+		if int32(state) == z.accept && sc.MarkNode(node) {
+			emit(u, node)
 		}
-		for _, t := range a.Trans[c.state] {
-			next, fired := a.stepPath(c, t, w, vals, in.nullID, mode)
-			if !fired {
-				continue
+		for si := p.first[state]; si < p.first[state+1]; si++ {
+			st := &p.steps[si]
+			var targets []int32
+			if st.any {
+				targets = snap.OutAll(node)
+			} else {
+				targets = snap.OutLabeled(node, st.label)
 			}
-			k := next.key()
-			if _, dup := visited[k]; !dup {
-				visited[k] = struct{}{}
-				queue = append(queue, next)
+			for _, to := range targets {
+				base := int(to) * numStates
+				for _, c := range st.closure {
+					if sc.MarkProduct(base + int(c)) {
+						queue = append(queue, int32(base+int(c)))
+					}
+				}
 			}
 		}
 	}
-	return false
+	sc.Queue = queue
 }
 
-func (a *Automaton) stepPath(c fastCfg, t Transition, w datagraph.DataPath,
-	vals []int32, nullID int32, mode datagraph.CompareMode) (fastCfg, bool) {
+// walkWord follows the interned word level by level with node frontiers.
+func (p *prog) walkWord(u int, sc *datagraph.Scratch, emit func(u, v int)) {
+	if p.wordDead {
+		return
+	}
+	sc.Frontier = append(sc.Frontier[:0], int32(u))
+	for _, l := range p.word {
+		sc.NextEpoch()
+		sc.Next = sc.Next[:0]
+		for _, node := range sc.Frontier {
+			for _, to := range p.snap.OutLabeled(int(node), l) {
+				if sc.MarkNode(int(to)) {
+					sc.Next = append(sc.Next, to)
+				}
+			}
+		}
+		sc.Frontier, sc.Next = sc.Next, sc.Frontier
+		if len(sc.Frontier) == 0 {
+			return
+		}
+	}
+	for _, v := range sc.Frontier {
+		emit(u, int(v))
+	}
+}
 
-	if t.Eps {
-		cur := vals[c.pos]
-		ok, _ := evalCondID(t.Cond, c.regs[:maxFastRegs], cur, nullID, mode)
-		if !ok {
-			return fastCfg{}, false
+// reach emits every node reachable from u, u included.
+func (p *prog) reach(u int, sc *datagraph.Scratch, emit func(u, v int)) {
+	sc.NextEpoch()
+	sc.MarkNode(u)
+	queue := append(sc.Queue[:0], int32(u))
+	for len(queue) > 0 {
+		node := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		emit(u, int(node))
+		for _, to := range p.snap.OutAll(int(node)) {
+			if sc.MarkNode(int(to)) {
+				queue = append(queue, to)
+			}
 		}
-		next := c
-		next.state = int32(t.To)
-		for _, r := range t.Store {
-			next.regs[r] = cur
-		}
-		return next, true
 	}
-	if int(c.pos) >= len(w.Labels) {
-		return fastCfg{}, false
-	}
-	if !t.AnyLabel && w.Labels[c.pos] != t.Label {
-		return fastCfg{}, false
-	}
-	nv := vals[c.pos+1]
-	ok, _ := evalCondID(t.Cond, c.regs[:maxFastRegs], nv, nullID, mode)
-	if !ok {
-		return fastCfg{}, false
-	}
-	next := c
-	next.state = int32(t.To)
-	next.pos = c.pos + 1
-	for _, r := range t.Store {
-		next.regs[r] = nv
-	}
-	return next, true
+	sc.Queue = queue
 }

@@ -127,13 +127,17 @@ func TestRemark2ThreeValuedEquivalence(t *testing.T) {
 		And{Or{Eq{0}, Eq{1}}, Neq{0}},
 		Or{And{Eq{0}, Eq{1}}, Neq{1}},
 	}
-	for _, r0 := range vals {
-		for _, r1 := range vals {
-			for _, d := range vals {
+	// The kernel's two-valued evaluator reads interned ids: value i of vals
+	// is id i+1, so the null is id 3.
+	const nullID = 3
+	for i0, r0 := range vals {
+		for i1, r1 := range vals {
+			for id, d := range vals {
 				regs := []datagraph.Value{r0, r1}
 				set := []bool{true, true}
+				ids := []int32{int32(i0 + 1), int32(i1 + 1)}
 				for _, c := range conds {
-					two := c.Eval(regs, set, d, datagraph.SQLNulls)
+					two := evalCondID(c, ids, int32(id+1), nullID, datagraph.SQLNulls)
 					three := EvalSQL3(c, regs, set, d)
 					if two != (three == True3) {
 						t.Fatalf("cond %s regs (%s,%s) d %s: two-valued %v, three-valued %v",

@@ -5,10 +5,17 @@
 // either ε-moves or letter moves; both may test a condition against the
 // *current* data value and then store the current value into registers.
 //
-// This engine is the common compilation target for regular expressions with
-// memory (package rem) and with equality (package ree): the paper's ↓x̄.e
-// becomes an ε-move that stores, e[c] an ε-move that tests, and e=/e≠ a
-// store-on-entry/test-on-exit pair around the fragment of e.
+// An Automaton is the one compiled form of every query language here. The
+// regular operators are built once, by the Thompson construction on
+// Builder; package rpq adds nothing to it, so an RPQ is the zero-register
+// automaton of its expression. Package ree adds e=/e≠ as a
+// store-on-entry/test-on-exit pair around the fragment of e, and package
+// rem adds ↓x̄.e as an ε-move that stores and e[c] as an ε-move that tests.
+//
+// One kernel evaluates every automaton over a graph's frozen snapshot (see
+// snapshot.go): a search over (state, node, registers…) configurations of
+// interned ids, at any register count. Zero-register automata take the
+// specialised product, word and reachability searches of fast.go.
 //
 // Conditions are evaluated under a datagraph.CompareMode, which is how the
 // SQL-null semantics of Section 7 reaches query evaluation: in SQLNulls
@@ -17,22 +24,18 @@ package ra
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/datagraph"
 )
 
 // Cond is a condition evaluated against a register assignment and the
-// current data value (the pair (σ, d) of the paper's Section 3).
+// current data value (the pair (σ, d) of the paper's Section 3). The set of
+// conditions is closed: True, Eq, Neq, And and Or.
 type Cond interface {
-	// Eval returns the truth value of the condition. regs[i] is valid only
-	// where set[i] is true; comparisons against unset registers are false
-	// (the paper excludes such pathological expressions; we evaluate them
-	// harmlessly).
-	Eval(regs []datagraph.Value, set []bool, d datagraph.Value, mode datagraph.CompareMode) bool
 	String() string
+	cond()
 }
 
 // True is the always-true condition.
@@ -50,25 +53,11 @@ type And struct{ L, R Cond }
 // Or is disjunction.
 type Or struct{ L, R Cond }
 
-func (True) Eval([]datagraph.Value, []bool, datagraph.Value, datagraph.CompareMode) bool {
-	return true
-}
-
-func (c Eq) Eval(regs []datagraph.Value, set []bool, d datagraph.Value, mode datagraph.CompareMode) bool {
-	return set[c.Reg] && mode.Eq(regs[c.Reg], d)
-}
-
-func (c Neq) Eval(regs []datagraph.Value, set []bool, d datagraph.Value, mode datagraph.CompareMode) bool {
-	return set[c.Reg] && mode.Neq(regs[c.Reg], d)
-}
-
-func (c And) Eval(regs []datagraph.Value, set []bool, d datagraph.Value, mode datagraph.CompareMode) bool {
-	return c.L.Eval(regs, set, d, mode) && c.R.Eval(regs, set, d, mode)
-}
-
-func (c Or) Eval(regs []datagraph.Value, set []bool, d datagraph.Value, mode datagraph.CompareMode) bool {
-	return c.L.Eval(regs, set, d, mode) || c.R.Eval(regs, set, d, mode)
-}
+func (True) cond() {}
+func (Eq) cond()   {}
+func (Neq) cond()  {}
+func (And) cond()  {}
+func (Or) cond()   {}
 
 func (True) String() string  { return "true" }
 func (c Eq) String() string  { return fmt.Sprintf("r%d=", c.Reg) }
@@ -91,6 +80,28 @@ func HasNeq(c Cond) bool {
 	}
 }
 
+// evalCondID evaluates a condition over interned value ids: regs[r] is the
+// id register r holds, 0 when it is unset, and comparisons against an unset
+// register are false (the paper excludes such pathological expressions; we
+// evaluate them harmlessly). nullID is the id of the null value, which in
+// SQLNulls mode compares true with nothing.
+func evalCondID(c Cond, regs []int32, cur, nullID int32, mode datagraph.CompareMode) bool {
+	switch t := c.(type) {
+	case Eq:
+		r := regs[t.Reg]
+		return r != 0 && r == cur && (mode != datagraph.SQLNulls || r != nullID)
+	case Neq:
+		r := regs[t.Reg]
+		return r != 0 && r != cur && (mode != datagraph.SQLNulls || r != nullID && cur != nullID)
+	case And:
+		return evalCondID(t.L, regs, cur, nullID, mode) && evalCondID(t.R, regs, cur, nullID, mode)
+	case Or:
+		return evalCondID(t.L, regs, cur, nullID, mode) || evalCondID(t.R, regs, cur, nullID, mode)
+	default: // True
+		return true
+	}
+}
+
 // Transition is a move of the automaton. ε-moves test Cond against the
 // current data value and then store it into Store registers. Letter moves
 // first consume a label matching Label/AnyLabel, making the *next* data
@@ -105,7 +116,7 @@ type Transition struct {
 }
 
 // Automaton is a register automaton with a single start and accept state
-// (an invariant of the expression compilers).
+// (an invariant of the Thompson construction).
 type Automaton struct {
 	NumStates int
 	NumRegs   int
@@ -113,31 +124,19 @@ type Automaton struct {
 	Accept    int
 	Trans     [][]Transition // indexed by source state
 
-	// fast caches whether the interned-id engine applies (few registers,
-	// known condition node types): 0 unknown, 1 yes, -1 no. Resolved eagerly
-	// by Finish so evaluation never mutates the automaton (workers share it).
-	fast int8
-
 	// Start-frontier metadata, precomputed by Finish (see StartLabels).
 	startLabels []string
 	startAny    bool
 	emptyOK     bool
 
+	// zero is the letter-step form of a zero-register automaton, built by
+	// Finish; nil when NumRegs > 0. See fast.go.
+	zero *zeroForm
+
 	// progCache holds the automaton lowered onto the most recent graph
 	// snapshot (transition labels interned, dead transitions dropped); see
 	// snapshot.go.
 	progCache atomic.Pointer[prog]
-}
-
-func (a *Automaton) fastOK() bool {
-	if a.fast == 0 {
-		if a.supportsFast() {
-			a.fast = 1
-		} else {
-			a.fast = -1
-		}
-	}
-	return a.fast == 1
 }
 
 // StartLabels returns a superset of the edge labels able to begin a
@@ -163,7 +162,6 @@ func (a *Automaton) computeStartInfo() {
 	seen := make([]bool, a.NumStates)
 	stack := []int{a.Start}
 	seen[a.Start] = true
-	labelSet := map[string]struct{}{}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -171,24 +169,21 @@ func (a *Automaton) computeStartInfo() {
 			a.emptyOK = true
 		}
 		for _, t := range a.Trans[s] {
-			if t.Eps {
+			switch {
+			case t.Eps:
 				if !seen[t.To] {
 					seen[t.To] = true
 					stack = append(stack, t.To)
 				}
-				continue
-			}
-			if t.AnyLabel {
+			case t.AnyLabel:
 				a.startAny = true
-				continue
+			default:
+				a.startLabels = append(a.startLabels, t.Label)
 			}
-			labelSet[t.Label] = struct{}{}
 		}
 	}
-	for l := range labelSet {
-		a.startLabels = append(a.startLabels, l)
-	}
-	sort.Strings(a.startLabels)
+	slices.Sort(a.startLabels)
+	a.startLabels = slices.Compact(a.startLabels)
 }
 
 // Builder incrementally constructs an Automaton.
@@ -219,21 +214,15 @@ func (b *Builder) Letter(from, to int, label string, anyLabel bool, cond Cond, s
 
 func (b *Builder) noteRegs(cond Cond, store []int) {
 	for _, r := range store {
-		if r+1 > b.numRegs {
-			b.numRegs = r + 1
-		}
+		b.numRegs = max(b.numRegs, r+1)
 	}
 	var walk func(Cond)
 	walk = func(c Cond) {
 		switch t := c.(type) {
 		case Eq:
-			if t.Reg+1 > b.numRegs {
-				b.numRegs = t.Reg + 1
-			}
+			b.numRegs = max(b.numRegs, t.Reg+1)
 		case Neq:
-			if t.Reg+1 > b.numRegs {
-				b.numRegs = t.Reg + 1
-			}
+			b.numRegs = max(b.numRegs, t.Reg+1)
 		case And:
 			walk(t.L)
 			walk(t.R)
@@ -245,9 +234,83 @@ func (b *Builder) noteRegs(cond Cond, store []int) {
 	walk(cond)
 }
 
-// Finish seals the automaton. All lazily-derivable metadata (fast-path
-// eligibility, start-frontier labels) is resolved here so the finished
-// automaton is never written to again and can be shared across goroutines.
+// Frag is a fragment of an automaton under construction with one entry
+// and one exit state: the unit the Thompson construction composes.
+type Frag struct{ Start, Accept int }
+
+// The Thompson construction of the regular operators. Every query language
+// compiles its regular part through these methods and adds only its own
+// operators around the fragments they return.
+
+// Epsilon returns a fragment accepting exactly the single-value paths.
+func (b *Builder) Epsilon() Frag {
+	f := Frag{b.State(), b.State()}
+	b.Eps(f.Start, f.Accept, True{}, nil)
+	return f
+}
+
+// Symbol returns a fragment of one letter move on label, or on any label.
+func (b *Builder) Symbol(label string, anyLabel bool) Frag {
+	f := Frag{b.State(), b.State()}
+	b.Letter(f.Start, f.Accept, label, anyLabel, True{}, nil)
+	return f
+}
+
+// Concat chains the n fragments factor(0), …, factor(n-1); with n = 0 it
+// is Epsilon.
+func (b *Builder) Concat(n int, factor func(i int) Frag) Frag {
+	if n == 0 {
+		return b.Epsilon()
+	}
+	f := factor(0)
+	for i := 1; i < n; i++ {
+		next := factor(i)
+		b.Eps(f.Accept, next.Start, True{}, nil)
+		f.Accept = next.Accept
+	}
+	return f
+}
+
+// Union joins the n fragments alt(0), …, alt(n-1) between a fresh entry
+// and exit state.
+func (b *Builder) Union(n int, alt func(i int) Frag) Frag {
+	u := Frag{b.State(), b.State()}
+	for i := 0; i < n; i++ {
+		f := alt(i)
+		b.Eps(u.Start, f.Start, True{}, nil)
+		b.Eps(f.Accept, u.Accept, True{}, nil)
+	}
+	return u
+}
+
+// Plus is f⁺.
+func (b *Builder) Plus(f Frag) Frag { return b.repeat(f, false, true) }
+
+// Star is f*.
+func (b *Builder) Star(f Frag) Frag { return b.repeat(f, true, true) }
+
+// Opt is f?.
+func (b *Builder) Opt(f Frag) Frag { return b.repeat(f, true, false) }
+
+// repeat wraps f between a fresh entry and exit state, with a bypass when
+// f may be skipped and a loop back when it may repeat.
+func (b *Builder) repeat(f Frag, skip, loop bool) Frag {
+	r := Frag{b.State(), b.State()}
+	if skip {
+		b.Eps(r.Start, r.Accept, True{}, nil)
+	}
+	b.Eps(r.Start, f.Start, True{}, nil)
+	if loop {
+		b.Eps(f.Accept, f.Start, True{}, nil)
+	}
+	b.Eps(f.Accept, r.Accept, True{}, nil)
+	return r
+}
+
+// Finish seals the automaton with the given start and accept states. All
+// derived metadata (start-frontier labels, the zero-register form) is
+// resolved here so the finished automaton is never written to again, except
+// for its program cache, and can be shared across goroutines.
 func (b *Builder) Finish(start, accept int) *Automaton {
 	a := &Automaton{
 		NumStates: len(b.trans),
@@ -256,108 +319,65 @@ func (b *Builder) Finish(start, accept int) *Automaton {
 		Accept:    accept,
 		Trans:     b.trans,
 	}
-	a.fastOK()
 	a.computeStartInfo()
+	if a.NumRegs == 0 {
+		a.zero = newZeroForm(a)
+	}
 	return a
-}
-
-// regSnapshot encodes a register assignment as a compact string key for
-// visited-set deduplication.
-func regSnapshot(regs []datagraph.Value, set []bool) string {
-	var sb strings.Builder
-	for i := range regs {
-		if !set[i] {
-			sb.WriteByte('u')
-		} else if regs[i].IsNull() {
-			sb.WriteByte('n')
-		} else {
-			s := regs[i].Raw()
-			fmt.Fprintf(&sb, "v%d:%s", len(s), s)
-		}
-		sb.WriteByte('|')
-	}
-	return sb.String()
-}
-
-// config is a search state shared by the data-path and graph evaluators.
-type config struct {
-	state int
-	pos   int // data-path position, or graph node index
-	regs  []datagraph.Value
-	set   []bool
-}
-
-func (c config) key() string {
-	return fmt.Sprintf("%d.%d.%s", c.state, c.pos, regSnapshot(c.regs, c.set))
-}
-
-func applyStore(c config, store []int, d datagraph.Value) config {
-	if len(store) == 0 {
-		return c
-	}
-	regs := append([]datagraph.Value(nil), c.regs...)
-	set := append([]bool(nil), c.set...)
-	for _, r := range store {
-		regs[r] = d
-		set[r] = true
-	}
-	c.regs, c.set = regs, set
-	return c
 }
 
 // MatchDataPath reports whether the automaton accepts the data path under
 // the given comparison mode. The search explores configurations
-// (state, position, registers); since register contents range over the
-// values of the path, the configuration space is finite and membership
-// terminates (polynomial for a fixed number of registers, NP-complete in
-// combined complexity for REM as the paper notes).
+// (state, position, registers) on the kernel's tuple set, with the path's
+// values interned per call; since register contents range over the values
+// of the path, the configuration space is finite and membership terminates
+// (polynomial for a fixed number of registers, NP-complete in combined
+// complexity for REM as the paper notes).
 func (a *Automaton) MatchDataPath(w datagraph.DataPath, mode datagraph.CompareMode) bool {
-	if a.fastOK() {
-		return a.matchDataPathFast(w, mode)
+	vals := make([]int32, len(w.Values))
+	ids := make(map[datagraph.Value]int32, len(w.Values))
+	nullID := int32(-1)
+	for i, v := range w.Values {
+		id, ok := ids[v]
+		if !ok {
+			id = int32(len(ids) + 1)
+			ids[v] = id
+			if v.IsNull() {
+				nullID = id
+			}
+		}
+		vals[i] = id
 	}
-	start := config{
-		state: a.Start,
-		pos:   0,
-		regs:  make([]datagraph.Value, a.NumRegs),
-		set:   make([]bool, a.NumRegs),
-	}
-	visited := map[string]struct{}{start.key(): {}}
-	queue := []config{start}
-	lastPos := len(w.Labels)
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if c.state == a.Accept && c.pos == lastPos {
+	sc := datagraph.AcquireScratch(0, 0, 2+a.NumRegs)
+	defer sc.Release()
+	sc.NextEpoch()
+	next := sc.TupleBuffer()
+	next[0] = int32(a.Start)
+	sc.AddTuple(next)
+	last := len(w.Labels)
+	for i := 0; i < sc.NumTuples(); i++ {
+		c := sc.Tuple(i)
+		state, pos, regs := int(c[0]), int(c[1]), c[2:]
+		if state == a.Accept && pos == last {
 			return true
 		}
-		cur := w.Values[c.pos]
-		for _, t := range a.Trans[c.state] {
-			var next config
-			if t.Eps {
-				if !t.Cond.Eval(c.regs, c.set, cur, mode) {
+		for _, t := range a.Trans[state] {
+			at := pos
+			if !t.Eps {
+				if pos == last || !t.AnyLabel && w.Labels[pos] != t.Label {
 					continue
 				}
-				next = config{state: t.To, pos: c.pos, regs: c.regs, set: c.set}
-				next = applyStore(next, t.Store, cur)
-			} else {
-				if c.pos >= len(w.Labels) {
-					continue
-				}
-				if !t.AnyLabel && w.Labels[c.pos] != t.Label {
-					continue
-				}
-				nv := w.Values[c.pos+1]
-				if !t.Cond.Eval(c.regs, c.set, nv, mode) {
-					continue
-				}
-				next = config{state: t.To, pos: c.pos + 1, regs: c.regs, set: c.set}
-				next = applyStore(next, t.Store, nv)
+				at++
 			}
-			k := next.key()
-			if _, dup := visited[k]; !dup {
-				visited[k] = struct{}{}
-				queue = append(queue, next)
+			if !evalCondID(t.Cond, regs, vals[at], nullID, mode) {
+				continue
 			}
+			copy(next, c)
+			next[0], next[1] = int32(t.To), int32(at)
+			for _, r := range t.Store {
+				next[2+r] = vals[at]
+			}
+			sc.AddTuple(next)
 		}
 	}
 	return false
@@ -371,73 +391,8 @@ func (a *Automaton) MatchDataPath(w datagraph.DataPath, mode datagraph.CompareMo
 // an unfrozen graph is frozen first, which after a SetValue-only change is a
 // value-only refresh reusing the cached topology.
 func (a *Automaton) EvalFrom(g *datagraph.Graph, u int, mode datagraph.CompareMode) []int {
-	p := a.program(g.Freeze())
-	if !a.fastOK() {
-		return a.evalFromSlow(p, u, mode)
-	}
-	sc := a.acquireScratch(p)
-	defer sc.Release()
 	var out []int
-	a.evalFromProg(p, u, mode, sc, func(v int) { out = append(out, v) })
-	return out
-}
-
-// evalFromSlow is EvalFrom for automata the interned kernel cannot run
-// (more than maxFastRegs registers, or a Cond of a foreign type): registers
-// hold values, and configurations are deduplicated by string key.
-func (a *Automaton) evalFromSlow(p *prog, u int, mode datagraph.CompareMode) []int {
-	snap := p.snap
-	start := config{
-		state: a.Start,
-		pos:   u,
-		regs:  make([]datagraph.Value, a.NumRegs),
-		set:   make([]bool, a.NumRegs),
-	}
-	visited := map[string]struct{}{start.key(): {}}
-	queue := []config{start}
-	accepted := make(map[int]struct{})
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if c.state == a.Accept {
-			accepted[c.pos] = struct{}{}
-		}
-		cur := snap.Value(c.pos)
-		for _, t := range p.trans[c.state] {
-			if t.eps {
-				if !t.cond.Eval(c.regs, c.set, cur, mode) {
-					continue
-				}
-				next := applyStore(config{state: int(t.to), pos: c.pos, regs: c.regs, set: c.set}, t.store, cur)
-				k := next.key()
-				if _, dup := visited[k]; !dup {
-					visited[k] = struct{}{}
-					queue = append(queue, next)
-				}
-				continue
-			}
-			targets := snap.OutAll(c.pos)
-			if !t.any {
-				targets = snap.OutLabeled(c.pos, t.label)
-			}
-			for _, to := range targets {
-				nv := snap.Value(int(to))
-				if !t.cond.Eval(c.regs, c.set, nv, mode) {
-					continue
-				}
-				next := applyStore(config{state: int(t.to), pos: int(to), regs: c.regs, set: c.set}, t.store, nv)
-				k := next.key()
-				if _, dup := visited[k]; !dup {
-					visited[k] = struct{}{}
-					queue = append(queue, next)
-				}
-			}
-		}
-	}
-	out := make([]int, 0, len(accepted))
-	for v := range accepted {
-		out = append(out, v)
-	}
+	a.EvalRange(g, u, u+1, mode, func(_, v int) { out = append(out, v) })
 	return out
 }
 

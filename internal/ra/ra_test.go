@@ -81,22 +81,22 @@ func TestSQLNullSemantics(t *testing.T) {
 }
 
 func TestConditionTree(t *testing.T) {
-	regs := []datagraph.Value{v("1"), v("2")}
-	set := []bool{true, true}
-	d := v("1")
+	// Interned ids: "1" is 1 and "2" is 2; registers hold 1 and 2.
+	regs := []int32{1, 2}
+	d := int32(1)
 	m := datagraph.MarkedNulls
-	if !(And{Eq{0}, Neq{1}}).Eval(regs, set, d, m) {
+	if !evalCondID(And{Eq{0}, Neq{1}}, regs, d, -1, m) {
 		t.Fatal("1=1 ∧ 2≠1 should hold")
 	}
-	if (And{Eq{0}, Eq{1}}).Eval(regs, set, d, m) {
+	if evalCondID(And{Eq{0}, Eq{1}}, regs, d, -1, m) {
 		t.Fatal("1=1 ∧ 2=1 should fail")
 	}
-	if !(Or{Eq{1}, Eq{0}}).Eval(regs, set, d, m) {
+	if !evalCondID(Or{Eq{1}, Eq{0}}, regs, d, -1, m) {
 		t.Fatal("2=1 ∨ 1=1 should hold")
 	}
 	// Unset registers never compare true.
-	unset := []bool{false, false}
-	if (Eq{0}).Eval(regs, unset, d, m) || (Neq{0}).Eval(regs, unset, d, m) {
+	unset := []int32{0, 0}
+	if evalCondID(Eq{0}, unset, d, -1, m) || evalCondID(Neq{0}, unset, d, -1, m) {
 		t.Fatal("unset register comparisons must be false")
 	}
 	if !HasNeq(And{Eq{0}, Or{True{}, Neq{1}}}) {

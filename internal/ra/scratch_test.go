@@ -9,10 +9,11 @@ import (
 	"repro/internal/datagraph"
 )
 
-// The snapshot kernel runs on pooled scratches, so one scratch outlives the
-// call, the snapshot and the automaton it was first sized for. These tests
-// hold one scratch across those changes and compare every result with the
-// string-key slow path, which keeps its own maps.
+// The kernel runs on pooled scratches, so one scratch outlives the call,
+// the snapshot and the automaton it was first sized for. These tests hold
+// one scratch across those changes, through every search of the kernel, and
+// compare every result with the oracle of oracle_test.go, which keeps its
+// own maps.
 
 // loopSameEnds is ((a|b)+)= : any nonempty path whose last value equals its
 // first. The loop makes configurations revisit nodes under the same
@@ -41,6 +42,54 @@ func twoRegisters() *Automaton {
 	return b.Finish(s0, s4)
 }
 
+// zeroProduct is the RPQ (a | b b)* a, which takes the zero-register
+// product search.
+func zeroProduct() *Automaton {
+	b := &Builder{}
+	loop := b.Star(b.Union(2, func(i int) Frag {
+		if i == 0 {
+			return b.Symbol("a", false)
+		}
+		return b.Concat(2, func(int) Frag { return b.Symbol("b", false) })
+	}))
+	f := b.Concat(2, func(i int) Frag {
+		if i == 0 {
+			return loop
+		}
+		return b.Symbol("a", false)
+	})
+	return b.Finish(f.Start, f.Accept)
+}
+
+// zeroWord is the RPQ of the word labels, which takes the word walk.
+func zeroWord(labels ...string) *Automaton {
+	b := &Builder{}
+	f := b.Concat(len(labels), func(i int) Frag { return b.Symbol(labels[i], false) })
+	return b.Finish(f.Start, f.Accept)
+}
+
+// zeroReach is the RPQ .*, which takes the reachability search.
+func zeroReach() *Automaton {
+	b := &Builder{}
+	f := b.Star(b.Symbol("", true))
+	return b.Finish(f.Start, f.Accept)
+}
+
+// scratchInputs has automata for every search of the kernel.
+func scratchInputs(t *testing.T) map[string]*Automaton {
+	t.Helper()
+	in := map[string]*Automaton{
+		"loop": loopSameEnds(), "two registers": twoRegisters(),
+		"product": zeroProduct(), "word": zeroWord("a", "b", "a"), "reachability": zeroReach(),
+	}
+	for name, want := range map[string]shape{"product": shapeProduct, "word": shapeWord, "reachability": shapeReach} {
+		if got := in[name].zero; got == nil || got.shape != want {
+			t.Fatalf("%s: not the zero-register search it stands for", name)
+		}
+	}
+	return in
+}
+
 func valuedGraph(seed int64, n, e int) *datagraph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := datagraph.New()
@@ -61,20 +110,9 @@ func valuedGraph(seed int64, n, e int) *datagraph.Graph {
 // evalOn runs a from every start node of g's snapshot on sc.
 func evalOn(a *Automaton, g *datagraph.Graph, sc *datagraph.Scratch) *datagraph.PairSet {
 	p := a.program(g.Freeze())
-	sc.Resize(g.NumNodes(), 0, 2+a.NumRegs)
+	sc.Resize(a.scratchSize(p))
 	out := datagraph.NewPairSet()
-	for u := 0; u < g.NumNodes(); u++ {
-		a.evalFromProg(p, u, datagraph.SQLNulls, sc, func(v int) { out.Add(u, v) })
-	}
-	return out
-}
-
-// slowEval evaluates a through the string-key slow path, which keeps its
-// own maps and shares no scratch with the kernel under test.
-func slowEval(a *Automaton, g *datagraph.Graph) *datagraph.PairSet {
-	slow := &Automaton{NumStates: a.NumStates, NumRegs: a.NumRegs, Start: a.Start, Accept: a.Accept, Trans: a.Trans, fast: -1}
-	out := datagraph.NewPairSet()
-	slow.EvalRange(g, 0, g.NumNodes(), datagraph.SQLNulls, out.Add)
+	a.run(p, 0, g.NumNodes(), datagraph.SQLNulls, sc, out.Add)
 	return out
 }
 
@@ -86,8 +124,8 @@ func slowEval(a *Automaton, g *datagraph.Graph) *datagraph.PairSet {
 // failed to clear reads as holding a configuration of the current search.
 func TestScratchEpochWraparound(t *testing.T) {
 	g := valuedGraph(3, 40, 120)
-	for name, a := range map[string]*Automaton{"loop": loopSameEnds(), "two registers": twoRegisters()} {
-		want := slowEval(a, g)
+	for name, a := range scratchInputs(t) {
+		want := oracleEval(a, g, datagraph.SQLNulls)
 		if want.Len() == 0 {
 			t.Fatalf("%s: no answers to lose", name)
 		}
@@ -105,13 +143,14 @@ func TestScratchEpochWraparound(t *testing.T) {
 }
 
 // TestScratchReuseAcrossSnapshotsAndAutomata: a scratch sized for snapshot A
-// and one-register configurations serves a larger delta-frozen snapshot B
-// and two-register configurations, then the first automaton again.
+// and one-register configurations serves a larger delta-frozen snapshot B,
+// two-register configurations and every zero-register search, then the
+// first automaton again.
 func TestScratchReuseAcrossSnapshotsAndAutomata(t *testing.T) {
 	g := valuedGraph(5, 24, 200) // edge-heavy, so the burst below stays a delta
-	one, two := loopSameEnds(), twoRegisters()
+	in := scratchInputs(t)
 	sc := new(datagraph.Scratch)
-	if got, want := evalOn(one, g, sc), slowEval(one, g); !got.Equal(want) {
+	if got, want := evalOn(in["loop"], g, sc), oracleEval(in["loop"], g, datagraph.SQLNulls); !got.Equal(want) {
 		t.Fatalf("snapshot A: %v, want %v", got.Sorted(), want.Sorted())
 	}
 
@@ -125,9 +164,10 @@ func TestScratchReuseAcrossSnapshotsAndAutomata(t *testing.T) {
 	if _, delta := g.SnapshotBuilds(); delta == 0 {
 		t.Fatal("snapshot B was not delta-frozen")
 	}
-	for _, a := range []*Automaton{two, one} {
-		if got, want := evalOn(a, g, sc), slowEval(a, g); !got.Equal(want) {
-			t.Fatalf("snapshot B, %d registers: %v, want %v", a.NumRegs, got.Sorted(), want.Sorted())
+	for _, name := range []string{"two registers", "product", "word", "reachability", "loop"} {
+		a := in[name]
+		if got, want := evalOn(a, g, sc), oracleEval(a, g, datagraph.SQLNulls); !got.Equal(want) {
+			t.Fatalf("snapshot B, %s: %v, want %v", name, got.Sorted(), want.Sorted())
 		}
 	}
 }

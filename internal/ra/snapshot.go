@@ -4,20 +4,28 @@ import (
 	"repro/internal/datagraph"
 )
 
-// This file is the graph evaluation kernel: the automaton compiled against
-// one graph snapshot's label interner, evaluated over the snapshot's
-// interned values with pooled scratch. Labels and values are resolved once
-// per (automaton, snapshot) pair and shared across all start nodes of a
-// batch. The lowered program also drives the string-key slow path
-// (evalFromSlow), so every graph evaluation reads the snapshot.
+// This file is the graph evaluation kernel: the automaton lowered onto one
+// graph snapshot's label interner, evaluated over the snapshot's interned
+// values on a pooled datagraph.Scratch. Labels are resolved once per
+// (automaton, snapshot) pair and shared by every start node of a batch.
+// Automata with registers run the configuration search below, whose
+// (state, node, registers…) tuples live in the scratch's tuple set at any
+// width; zero-register automata run the searches of fast.go.
 
-// prog is the automaton lowered onto one snapshot: transition labels
-// interned, transitions on labels absent from the graph dropped (they can
-// never fire), start-frontier labels interned for pruning.
+// prog is the automaton lowered onto one snapshot: labels interned,
+// transitions on labels absent from the graph dropped (they can never fire),
+// start-frontier labels interned for pruning. Transitions are stored flat,
+// those of state s at first[s]:first[s+1]; for a zero-register automaton
+// the states are the live ones of its zeroForm and the transitions its
+// letter steps.
 type prog struct {
 	snap        *datagraph.Snapshot
-	trans       [][]progTrans
 	startLabels []datagraph.Label
+	first       []int32
+	trans       []progTrans // automata with registers
+	steps       []progStep  // zero-register automata
+	word        []datagraph.Label
+	wordDead    bool // a label of the word is absent: no match exists
 }
 
 type progTrans struct {
@@ -36,7 +44,23 @@ func (a *Automaton) program(snap *datagraph.Snapshot) *prog {
 	if p := a.progCache.Load(); p != nil && p.snap == snap {
 		return p
 	}
-	p := &prog{snap: snap, trans: make([][]progTrans, a.NumStates)}
+	p := &prog{snap: snap}
+	for _, name := range a.startLabels {
+		if l, ok := snap.LabelID(name); ok {
+			p.startLabels = append(p.startLabels, l)
+		}
+	}
+	if a.zero != nil {
+		a.zero.lower(p)
+		a.progCache.Store(p)
+		return p
+	}
+	p.first = make([]int32, a.NumStates+1)
+	numTrans := 0
+	for _, ts := range a.Trans {
+		numTrans += len(ts)
+	}
+	p.trans = make([]progTrans, 0, numTrans)
 	for s, ts := range a.Trans {
 		for _, t := range ts {
 			pt := progTrans{to: int32(t.To), eps: t.Eps, any: t.AnyLabel, cond: t.Cond, store: t.Store}
@@ -47,13 +71,9 @@ func (a *Automaton) program(snap *datagraph.Snapshot) *prog {
 				}
 				pt.label = l
 			}
-			p.trans[s] = append(p.trans[s], pt)
+			p.trans = append(p.trans, pt)
 		}
-	}
-	for _, name := range a.startLabels {
-		if l, ok := snap.LabelID(name); ok {
-			p.startLabels = append(p.startLabels, l)
-		}
+		p.first[s+1] = int32(len(p.trans))
 	}
 	a.progCache.Store(p)
 	return p
@@ -74,45 +94,81 @@ func (p *prog) canSkipStart(a *Automaton, u int) bool {
 	return true
 }
 
-// acquireScratch takes a kernel scratch sized for p's snapshot, holding
-// configurations as (state, node, registers…) tuples.
-func (a *Automaton) acquireScratch(p *prog) *datagraph.Scratch {
-	return datagraph.AcquireScratch(p.snap.NumNodes(), 0, 2+a.NumRegs)
+// EvalRange evaluates the automaton from every start node in [lo, hi),
+// emitting each answer pair once. It freezes the graph (cheap when already
+// frozen), lowers the automaton onto the snapshot once, and runs the whole
+// range on one pooled scratch — the engine's frontier shards call this with
+// their chunk bounds.
+func (a *Automaton) EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.CompareMode, emit func(u, v int)) {
+	p := a.program(g.Freeze())
+	sc := datagraph.AcquireScratch(a.scratchSize(p))
+	defer sc.Release()
+	a.run(p, lo, hi, mode, sc, emit)
 }
 
-// evalFromProg runs the configuration search from start node u over the
-// snapshot, emitting each accepted target once. The scratch's tuple set is
-// both the visited set and, walked in insertion order, the queue.
-func (a *Automaton) evalFromProg(p *prog, u int, mode datagraph.CompareMode, sc *datagraph.Scratch, emit func(v int)) {
+// scratchSize is what run needs of a scratch on p's snapshot: node marks,
+// product marks for the zero-register product, tuples for the register
+// search.
+func (a *Automaton) scratchSize(p *prog) (nodes, product, width int) {
+	n := p.snap.NumNodes()
+	switch {
+	case a.zero == nil:
+		return n, 0, 2 + a.NumRegs
+	case a.zero.shape == shapeProduct:
+		return n, n * (len(p.first) - 1), 0
+	default:
+		return n, 0, 0
+	}
+}
+
+// run searches from every start node in [lo, hi) with the search of the
+// automaton's shape, skipping start nodes that cannot begin a match.
+func (a *Automaton) run(p *prog, lo, hi int, mode datagraph.CompareMode, sc *datagraph.Scratch, emit func(u, v int)) {
+	z := a.zero
+	for u := lo; u < hi; u++ {
+		switch {
+		case z != nil && z.shape == shapeReach:
+			p.reach(u, sc, emit)
+		case z != nil && z.shape == shapeWord:
+			p.walkWord(u, sc, emit)
+		case p.canSkipStart(a, u):
+		case z != nil:
+			z.product(p, u, sc, emit)
+		default:
+			a.search(p, u, mode, sc, emit)
+		}
+	}
+}
+
+// search runs the configuration search from start node u, emitting each
+// accepted target once. The scratch's tuple set is both the visited set and,
+// walked in insertion order, the queue.
+func (a *Automaton) search(p *prog, u int, mode datagraph.CompareMode, sc *datagraph.Scratch, emit func(u, v int)) {
 	snap := p.snap
 	nullID := snap.NullValueID()
-	w := 2 + a.NumRegs
 	sc.NextEpoch()
-	// c is the configuration being expanded, copied out of the scratch
-	// because AddTuple may move the tuples.
-	var c, next [2 + maxFastRegs]int32
-	c[0], c[1] = int32(a.Start), int32(u)
-	sc.AddTuple(c[:w])
+	next := sc.TupleBuffer()
+	next[0], next[1] = int32(a.Start), int32(u)
+	sc.AddTuple(next)
 	for i := 0; i < sc.NumTuples(); i++ {
-		copy(c[:w], sc.Tuple(i))
-		state, pos, regs := c[0], int(c[1]), c[2:w]
+		c := sc.Tuple(i)
+		state, pos, regs := c[0], int(c[1]), c[2:]
 		if int(state) == a.Accept && sc.MarkNode(pos) {
-			emit(pos)
+			emit(u, pos)
 		}
 		cur := snap.ValueID(pos)
-		for ti := range p.trans[state] {
-			t := &p.trans[state][ti]
+		for ti := p.first[state]; ti < p.first[state+1]; ti++ {
+			t := &p.trans[ti]
 			if t.eps {
-				ok, _ := evalCondID(t.cond, regs, cur, nullID, mode)
-				if !ok {
+				if !evalCondID(t.cond, regs, cur, nullID, mode) {
 					continue
 				}
-				next = c
+				copy(next, c)
 				next[0] = t.to
 				for _, r := range t.store {
 					next[2+r] = cur
 				}
-				sc.AddTuple(next[:w])
+				sc.AddTuple(next)
 				continue
 			}
 			var targets []int32
@@ -123,42 +179,16 @@ func (a *Automaton) evalFromProg(p *prog, u int, mode datagraph.CompareMode, sc 
 			}
 			for _, to := range targets {
 				nv := snap.ValueID(int(to))
-				ok, _ := evalCondID(t.cond, regs, nv, nullID, mode)
-				if !ok {
+				if !evalCondID(t.cond, regs, nv, nullID, mode) {
 					continue
 				}
-				next = c
+				copy(next, c)
 				next[0], next[1] = t.to, to
 				for _, r := range t.store {
 					next[2+r] = nv
 				}
-				sc.AddTuple(next[:w])
+				sc.AddTuple(next)
 			}
 		}
-	}
-}
-
-// EvalRange evaluates the automaton from every start node in [lo, hi),
-// emitting each answer pair once. It freezes the graph (cheap when already
-// frozen), lowers the automaton onto the snapshot once, prunes start nodes
-// by interned start labels, and runs the whole range on one pooled scratch —
-// the engine's frontier shards call this with their chunk bounds.
-func (a *Automaton) EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.CompareMode, emit func(u, v int)) {
-	p := a.program(g.Freeze())
-	if !a.fastOK() {
-		for u := lo; u < hi; u++ {
-			for _, v := range a.evalFromSlow(p, u, mode) {
-				emit(u, v)
-			}
-		}
-		return
-	}
-	sc := a.acquireScratch(p)
-	defer sc.Release()
-	for u := lo; u < hi; u++ {
-		if p.canSkipStart(a, u) {
-			continue
-		}
-		a.evalFromProg(p, u, mode, sc, func(v int) { emit(u, v) })
 	}
 }

@@ -19,7 +19,7 @@ type Query struct {
 func New(e Expr) *Query {
 	b := &ra.Builder{}
 	f := compile(b, e, 0)
-	return &Query{expr: e, auto: b.Finish(f.start, f.accept)}
+	return &Query{expr: e, auto: b.Finish(f.Start, f.Accept)}
 }
 
 // ParseQuery parses and compiles the concrete syntax.
@@ -75,87 +75,43 @@ func (q *Query) StartLabels() ([]string, bool) { return q.auto.StartLabels() }
 // see ra.Automaton.AcceptsEmptyPath.
 func (q *Query) AcceptsEmptyPath() bool { return q.auto.AcceptsEmptyPath() }
 
-type frag struct{ start, accept int }
-
-// compile translates the expression into automaton fragments. The register
-// for an =/≠ test is its nesting depth: sibling tests reuse registers
-// (sound, because fragments execute sequentially), so NumRegs = MaxEqDepth.
-func compile(b *ra.Builder, e Expr, depth int) frag {
+// compile builds e by the Thompson construction of package ra, adding the
+// two operators of REE. The register for an =/≠ test is its nesting depth:
+// sibling tests reuse registers (sound, because fragments execute
+// sequentially), so NumRegs = MaxEqDepth.
+func compile(b *ra.Builder, e Expr, depth int) ra.Frag {
 	switch t := e.(type) {
 	case Eps:
-		s, a := b.State(), b.State()
-		b.Eps(s, a, ra.True{}, nil)
-		return frag{s, a}
+		return b.Epsilon()
 	case Lit:
-		s, a := b.State(), b.State()
-		b.Letter(s, a, t.Label, false, ra.True{}, nil)
-		return frag{s, a}
+		return b.Symbol(t.Label, false)
 	case Any:
-		s, a := b.State(), b.State()
-		b.Letter(s, a, "", true, ra.True{}, nil)
-		return frag{s, a}
+		return b.Symbol("", true)
 	case Concat:
-		if len(t.Factors) == 0 {
-			return compile(b, Eps{}, depth)
-		}
-		f0 := compile(b, t.Factors[0], depth)
-		start, accept := f0.start, f0.accept
-		for _, fct := range t.Factors[1:] {
-			nf := compile(b, fct, depth)
-			b.Eps(accept, nf.start, ra.True{}, nil)
-			accept = nf.accept
-		}
-		return frag{start, accept}
+		return b.Concat(len(t.Factors), func(i int) ra.Frag { return compile(b, t.Factors[i], depth) })
 	case Union:
-		s, a := b.State(), b.State()
-		for _, alt := range t.Alts {
-			f := compile(b, alt, depth)
-			b.Eps(s, f.start, ra.True{}, nil)
-			b.Eps(f.accept, a, ra.True{}, nil)
-		}
-		return frag{s, a}
+		return b.Union(len(t.Alts), func(i int) ra.Frag { return compile(b, t.Alts[i], depth) })
 	case Plus:
-		s, a := b.State(), b.State()
-		f := compile(b, t.Inner, depth)
-		b.Eps(s, f.start, ra.True{}, nil)
-		b.Eps(f.accept, f.start, ra.True{}, nil)
-		b.Eps(f.accept, a, ra.True{}, nil)
-		return frag{s, a}
+		return b.Plus(compile(b, t.Inner, depth))
 	case Star:
-		s, a := b.State(), b.State()
-		f := compile(b, t.Inner, depth)
-		b.Eps(s, a, ra.True{}, nil)
-		b.Eps(s, f.start, ra.True{}, nil)
-		b.Eps(f.accept, f.start, ra.True{}, nil)
-		b.Eps(f.accept, a, ra.True{}, nil)
-		return frag{s, a}
+		return b.Star(compile(b, t.Inner, depth))
 	case Opt:
-		s, a := b.State(), b.State()
-		f := compile(b, t.Inner, depth)
-		b.Eps(s, a, ra.True{}, nil)
-		b.Eps(s, f.start, ra.True{}, nil)
-		b.Eps(f.accept, a, ra.True{}, nil)
-		return frag{s, a}
+		return b.Opt(compile(b, t.Inner, depth))
 	case Eq:
-		return compileTest(b, t.Inner, depth, false)
+		return compileTest(b, t.Inner, depth, ra.Eq{Reg: depth})
 	case Neq:
-		return compileTest(b, t.Inner, depth, true)
+		return compileTest(b, t.Inner, depth, ra.Neq{Reg: depth})
 	default:
 		panic(fmt.Sprintf("ree: unknown expression node %T", e))
 	}
 }
 
-func compileTest(b *ra.Builder, inner Expr, depth int, neq bool) frag {
+// compileTest stores the first data value of the subpath on entry and
+// tests the last one against it on exit.
+func compileTest(b *ra.Builder, inner Expr, depth int, test ra.Cond) ra.Frag {
 	s, a := b.State(), b.State()
-	r := depth
 	f := compile(b, inner, depth+1)
-	// On entry, store the current (first) data value of the subpath.
-	b.Eps(s, f.start, ra.True{}, []int{r})
-	// On exit, compare the current (last) data value against the register.
-	var cond ra.Cond = ra.Eq{Reg: r}
-	if neq {
-		cond = ra.Neq{Reg: r}
-	}
-	b.Eps(f.accept, a, cond, nil)
-	return frag{s, a}
+	b.Eps(s, f.Start, ra.True{}, []int{depth})
+	b.Eps(f.Accept, a, test, nil)
+	return ra.Frag{Start: s, Accept: a}
 }

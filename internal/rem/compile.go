@@ -25,7 +25,7 @@ func New(e Expr) *Query {
 	b := &ra.Builder{}
 	c := &compiler{b: b, regs: regs}
 	f := c.compile(e)
-	return &Query{expr: e, auto: b.Finish(f.start, f.accept), regs: regs}
+	return &Query{expr: e, auto: b.Finish(f.Start, f.Accept), regs: regs}
 }
 
 // ParseQuery parses and compiles the concrete syntax.
@@ -98,8 +98,6 @@ func (q *Query) StartLabels() ([]string, bool) { return q.auto.StartLabels() }
 // see ra.Automaton.AcceptsEmptyPath.
 func (q *Query) AcceptsEmptyPath() bool { return q.auto.AcceptsEmptyPath() }
 
-type frag struct{ start, accept int }
-
 type compiler struct {
 	b    *ra.Builder
 	regs map[string]int
@@ -127,70 +125,34 @@ func (c *compiler) cond(cd Cond) ra.Cond {
 	}
 }
 
-func (c *compiler) compile(e Expr) frag {
+// compile builds e by the Thompson construction of package ra, adding the
+// two operators of REM.
+func (c *compiler) compile(e Expr) ra.Frag {
 	b := c.b
 	switch t := e.(type) {
 	case Eps:
-		s, a := b.State(), b.State()
-		b.Eps(s, a, ra.True{}, nil)
-		return frag{s, a}
+		return b.Epsilon()
 	case Lit:
-		s, a := b.State(), b.State()
-		b.Letter(s, a, t.Label, false, ra.True{}, nil)
-		return frag{s, a}
+		return b.Symbol(t.Label, false)
 	case Any:
-		s, a := b.State(), b.State()
-		b.Letter(s, a, "", true, ra.True{}, nil)
-		return frag{s, a}
+		return b.Symbol("", true)
 	case Concat:
-		if len(t.Factors) == 0 {
-			return c.compile(Eps{})
-		}
-		f0 := c.compile(t.Factors[0])
-		start, accept := f0.start, f0.accept
-		for _, fct := range t.Factors[1:] {
-			nf := c.compile(fct)
-			b.Eps(accept, nf.start, ra.True{}, nil)
-			accept = nf.accept
-		}
-		return frag{start, accept}
+		return b.Concat(len(t.Factors), func(i int) ra.Frag { return c.compile(t.Factors[i]) })
 	case Union:
-		s, a := b.State(), b.State()
-		for _, alt := range t.Alts {
-			f := c.compile(alt)
-			b.Eps(s, f.start, ra.True{}, nil)
-			b.Eps(f.accept, a, ra.True{}, nil)
-		}
-		return frag{s, a}
+		return b.Union(len(t.Alts), func(i int) ra.Frag { return c.compile(t.Alts[i]) })
 	case Plus:
-		s, a := b.State(), b.State()
-		f := c.compile(t.Inner)
-		b.Eps(s, f.start, ra.True{}, nil)
-		b.Eps(f.accept, f.start, ra.True{}, nil)
-		b.Eps(f.accept, a, ra.True{}, nil)
-		return frag{s, a}
+		return b.Plus(c.compile(t.Inner))
 	case Star:
-		s, a := b.State(), b.State()
-		f := c.compile(t.Inner)
-		b.Eps(s, a, ra.True{}, nil)
-		b.Eps(s, f.start, ra.True{}, nil)
-		b.Eps(f.accept, f.start, ra.True{}, nil)
-		b.Eps(f.accept, a, ra.True{}, nil)
-		return frag{s, a}
+		return b.Star(c.compile(t.Inner))
 	case Opt:
-		s, a := b.State(), b.State()
-		f := c.compile(t.Inner)
-		b.Eps(s, a, ra.True{}, nil)
-		b.Eps(s, f.start, ra.True{}, nil)
-		b.Eps(f.accept, a, ra.True{}, nil)
-		return frag{s, a}
+		return b.Opt(c.compile(t.Inner))
 	case Test:
 		// (e[c], w, σ) ⊢ σ′ iff (e, w, σ) ⊢ σ′ and σ′, d ⊨ c for the last
 		// data value d: an ε-check after the inner fragment.
 		f := c.compile(t.Inner)
 		a := b.State()
-		b.Eps(f.accept, a, c.cond(t.Cond), nil)
-		return frag{f.start, a}
+		b.Eps(f.Accept, a, c.cond(t.Cond), nil)
+		return ra.Frag{Start: f.Start, Accept: a}
 	case Bind:
 		// (↓x̄.e, w, σ) ⊢ σ′ iff (e, w, σ_{x̄=d}) ⊢ σ′ for the first data
 		// value d: an ε-store before the inner fragment.
@@ -200,8 +162,8 @@ func (c *compiler) compile(e Expr) frag {
 		}
 		s := b.State()
 		f := c.compile(t.Inner)
-		b.Eps(s, f.start, ra.True{}, store)
-		return frag{s, f.accept}
+		b.Eps(s, f.Start, ra.True{}, store)
+		return ra.Frag{Start: s, Accept: f.Accept}
 	default:
 		panic(fmt.Sprintf("rem: unknown expression node %T", e))
 	}

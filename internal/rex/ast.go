@@ -1,8 +1,9 @@
 // Package rex implements ordinary regular expressions over a finite alphabet
-// of edge labels, together with Thompson NFAs, subset-construction DFAs, and
-// the Boolean operations (complement, intersection, equivalence) used by the
-// paper's navigational machinery: RPQs of Section 2, the navigational parts
-// of the Theorem 1 gadget, and the shape checks of the PCP encodings.
+// of edge labels, together with Thompson NFAs (read off the construction of
+// package ra, which Build drives), subset-construction DFAs, and the Boolean
+// operations (complement, intersection, equivalence) used by the paper's
+// navigational machinery: RPQs of Section 2, the navigational parts of the
+// Theorem 1 gadget, and the shape checks of the PCP encodings.
 //
 // Concrete syntax accepted by Parse:
 //

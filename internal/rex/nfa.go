@@ -1,5 +1,11 @@
 package rex
 
+import (
+	"fmt"
+
+	"repro/internal/ra"
+)
+
 // NFA is a nondeterministic finite automaton over edge labels, built by
 // Thompson construction. Transitions carry either a specific label, the
 // wildcard Any (matching every label), or ε.
@@ -31,18 +37,56 @@ type NFAStep struct {
 // Matches reports whether the step fires on the given label.
 func (s NFAStep) Matches(label string) bool { return s.AnyLabel || s.Label == label }
 
-// Compile builds an NFA from a regular expression by Thompson construction.
-func Compile(e Regex) *NFA {
-	b := &nfaBuilder{}
-	start, accept := b.build(e)
-	n := &NFA{
-		NumStates: b.n,
-		Start:     start,
-		Accept:    accept,
-		Eps:       b.eps,
-		Steps:     b.steps,
+// Build adds e to b by the Thompson construction of package ra and
+// returns its fragment. It is the one translation of the regular
+// operators: rpq compiles an RPQ through it, and Compile reads its result
+// back as an NFA.
+func Build(b *ra.Builder, e Regex) ra.Frag {
+	switch t := e.(type) {
+	case Eps:
+		return b.Epsilon()
+	case Lit:
+		return b.Symbol(t.Label, false)
+	case Any:
+		return b.Symbol("", true)
+	case Concat:
+		return b.Concat(len(t.Factors), func(i int) ra.Frag { return Build(b, t.Factors[i]) })
+	case Union:
+		return b.Union(len(t.Alts), func(i int) ra.Frag { return Build(b, t.Alts[i]) })
+	case Star:
+		return b.Star(Build(b, t.Inner))
+	case Plus:
+		return b.Plus(Build(b, t.Inner))
+	case Opt:
+		return b.Opt(Build(b, t.Inner))
+	default:
+		panic(fmt.Sprintf("rex: unknown regex node %T", e))
 	}
-	n.epsClosure = make([][]int, n.NumStates)
+}
+
+// Compile builds the Thompson NFA of e: Build's automaton, whose
+// transitions carry no conditions or registers, as ε-moves and steps.
+func Compile(e Regex) *NFA {
+	b := &ra.Builder{}
+	f := Build(b, e)
+	a := b.Finish(f.Start, f.Accept)
+	n := &NFA{
+		NumStates:  a.NumStates,
+		Start:      a.Start,
+		Accept:     a.Accept,
+		Eps:        make([][]int, a.NumStates),
+		Steps:      make([][]NFAStep, a.NumStates),
+		epsClosure: make([][]int, a.NumStates),
+	}
+	for s, ts := range a.Trans {
+		for _, t := range ts {
+			if t.Eps {
+				n.Eps[s] = append(n.Eps[s], t.To)
+			} else {
+				n.Steps[s] = append(n.Steps[s], NFAStep{Label: t.Label, AnyLabel: t.AnyLabel, To: t.To})
+			}
+		}
+	}
 	// Precompute every ε-closure so the NFA is immutable afterwards: compiled
 	// queries are shared across the engine's worker goroutines, and a lazy
 	// memo would race.
@@ -50,81 +94,6 @@ func Compile(e Regex) *NFA {
 		n.Closure(s)
 	}
 	return n
-}
-
-type nfaBuilder struct {
-	n     int
-	eps   [][]int
-	steps [][]NFAStep
-}
-
-func (b *nfaBuilder) state() int {
-	b.n++
-	b.eps = append(b.eps, nil)
-	b.steps = append(b.steps, nil)
-	return b.n - 1
-}
-
-func (b *nfaBuilder) addEps(from, to int) { b.eps[from] = append(b.eps[from], to) }
-
-func (b *nfaBuilder) build(e Regex) (start, accept int) {
-	switch t := e.(type) {
-	case Eps:
-		s, a := b.state(), b.state()
-		b.addEps(s, a)
-		return s, a
-	case Lit:
-		s, a := b.state(), b.state()
-		b.steps[s] = append(b.steps[s], NFAStep{Label: t.Label, To: a})
-		return s, a
-	case Any:
-		s, a := b.state(), b.state()
-		b.steps[s] = append(b.steps[s], NFAStep{AnyLabel: true, To: a})
-		return s, a
-	case Concat:
-		if len(t.Factors) == 0 {
-			return b.build(Eps{})
-		}
-		start, accept = b.build(t.Factors[0])
-		for _, f := range t.Factors[1:] {
-			s2, a2 := b.build(f)
-			b.addEps(accept, s2)
-			accept = a2
-		}
-		return start, accept
-	case Union:
-		s, a := b.state(), b.state()
-		for _, alt := range t.Alts {
-			as, aa := b.build(alt)
-			b.addEps(s, as)
-			b.addEps(aa, a)
-		}
-		return s, a
-	case Star:
-		s, a := b.state(), b.state()
-		is, ia := b.build(t.Inner)
-		b.addEps(s, is)
-		b.addEps(s, a)
-		b.addEps(ia, is)
-		b.addEps(ia, a)
-		return s, a
-	case Plus:
-		s, a := b.state(), b.state()
-		is, ia := b.build(t.Inner)
-		b.addEps(s, is)
-		b.addEps(ia, is)
-		b.addEps(ia, a)
-		return s, a
-	case Opt:
-		s, a := b.state(), b.state()
-		is, ia := b.build(t.Inner)
-		b.addEps(s, is)
-		b.addEps(s, a)
-		b.addEps(ia, a)
-		return s, a
-	default:
-		panic("rex: unknown regex node")
-	}
 }
 
 // Closure returns the ε-closure of state s (memoized, sorted).

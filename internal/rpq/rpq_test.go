@@ -161,58 +161,6 @@ func TestEvalFromMatchesEval(t *testing.T) {
 	}
 }
 
-func TestWitness(t *testing.T) {
-	g := social(t)
-	q := MustParse("knows+ likes")
-	ai, _ := g.IndexOf("ann")
-	ci, _ := g.IndexOf("carl")
-	// bob -knows-> carl -knows-> ann -likes-> carl is the shortest witness
-	// from bob? Check from ann to carl: ann knows bob knows carl knows ann
-	// likes carl (length 4) — but also shorter via ... knows+ needs ≥1 knows.
-	p, ok := q.Witness(g, ai, ci)
-	if !ok {
-		t.Fatal("witness must exist")
-	}
-	if err := p.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if p.Nodes[0] != ai || p.Nodes[len(p.Nodes)-1] != ci {
-		t.Fatalf("witness endpoints wrong: %v", p.Nodes)
-	}
-	// Label must be accepted by the expression.
-	if !MustParse("knows+ likes").nfa.Matches(p.Labels) {
-		t.Fatalf("witness label %v not in language", p.Labels)
-	}
-	// No witness when none exists.
-	q2 := MustParse("likes likes")
-	if _, ok := q2.Witness(g, ai, ci); ok {
-		t.Fatal("likes·likes has no witness here")
-	}
-}
-
-func TestWitnessShortest(t *testing.T) {
-	g := datagraph.New()
-	for i := 0; i < 5; i++ {
-		g.MustAddNode(datagraph.NodeID(fmt.Sprintf("n%d", i)), datagraph.V("x"))
-	}
-	// Long chain n0->n1->n2->n3 and shortcut n0->n3, then n3->n4.
-	g.MustAddEdge("n0", "a", "n1")
-	g.MustAddEdge("n1", "a", "n2")
-	g.MustAddEdge("n2", "a", "n3")
-	g.MustAddEdge("n0", "a", "n3")
-	g.MustAddEdge("n3", "b", "n4")
-	q := MustParse("a+ b")
-	i0, _ := g.IndexOf("n0")
-	i4, _ := g.IndexOf("n4")
-	p, ok := q.Witness(g, i0, i4)
-	if !ok {
-		t.Fatal("no witness")
-	}
-	if p.Len() != 2 {
-		t.Fatalf("witness not shortest: length %d (%v)", p.Len(), p.Labels)
-	}
-}
-
 func TestSelfLoopAndEmptyWordQuery(t *testing.T) {
 	g := datagraph.New()
 	g.MustAddNode("a", datagraph.V("1"))
