@@ -52,8 +52,9 @@ type progStep struct {
 	closure []int32
 }
 
-// newZeroForm builds the letter-step form of a zero-register automaton.
-func newZeroForm(a *Automaton) *zeroForm {
+// newZeroForm builds the letter-step form of a zero-register automaton;
+// seen and stack are scratch for the ε-closures.
+func newZeroForm(a *Automaton, seen []bool, stack []int) *zeroForm {
 	live := make([]int32, a.NumStates) // live-state number + 1, 0 if not live
 	numLive, numSteps := int32(0), 0
 	for s, ts := range a.Trans {
@@ -69,29 +70,21 @@ func newZeroForm(a *Automaton) *zeroForm {
 		}
 		numSteps += letters
 	}
-	z := &zeroForm{accept: live[a.Accept] - 1, first: make([]int32, numLive+1), steps: make([]zeroStep, 0, numSteps)}
-	seen := make([]bool, a.NumStates)
-	var stack []int
+	z := &zeroForm{
+		accept:   live[a.Accept] - 1,
+		first:    make([]int32, numLive+1),
+		steps:    make([]zeroStep, 0, numSteps),
+		closures: make([]int32, 0, int(numLive)+numSteps),
+	}
 	// closure appends the pruned ε-closure of from to z.closures and
 	// returns its bounds.
 	closure := func(from int) (lo, hi int32) {
 		lo = int32(len(z.closures))
-		clear(seen)
-		stack = append(stack[:0], from)
-		seen[from] = true
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+		stack = a.closure(from, seen, stack, func(s int) {
 			if live[s] > 0 {
 				z.closures = append(z.closures, live[s]-1)
 			}
-			for _, t := range a.Trans[s] {
-				if t.Eps && !seen[t.To] {
-					seen[t.To] = true
-					stack = append(stack, t.To)
-				}
-			}
-		}
+		})
 		return lo, int32(len(z.closures))
 	}
 	startLo, startHi := closure(a.Start)
@@ -161,10 +154,14 @@ func containsAll(set, sub []int32) bool {
 	return true
 }
 
-// lower fills p with the steps interned onto p's snapshot, dropping those
-// on labels absent from it, or with the interned word.
+// lower fills p with what the automaton's search reads: the steps interned
+// onto p's snapshot, those on labels absent from it dropped, or the
+// interned word. Reachability reads neither.
 func (z *zeroForm) lower(p *prog) {
-	if z.shape == shapeWord {
+	switch z.shape {
+	case shapeReach:
+		return
+	case shapeWord:
 		p.word = make([]datagraph.Label, len(z.word))
 		for i, name := range z.word {
 			l, ok := p.snap.LabelID(name)
@@ -259,18 +256,18 @@ func (p *prog) walkWord(u int, sc *datagraph.Scratch, emit func(u, v int)) {
 
 // reach emits every node reachable from u, u included.
 func (p *prog) reach(u int, sc *datagraph.Scratch, emit func(u, v int)) {
+	snap := p.snap
 	sc.NextEpoch()
+	sc.Queue = append(sc.Queue[:0], int32(u))
 	sc.MarkNode(u)
-	queue := append(sc.Queue[:0], int32(u))
-	for len(queue) > 0 {
-		node := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+	for len(sc.Queue) > 0 {
+		node := sc.Queue[len(sc.Queue)-1]
+		sc.Queue = sc.Queue[:len(sc.Queue)-1]
 		emit(u, int(node))
-		for _, to := range p.snap.OutAll(int(node)) {
+		for _, to := range snap.OutAll(int(node)) {
 			if sc.MarkNode(int(to)) {
-				queue = append(queue, to)
+				sc.Queue = append(sc.Queue, to)
 			}
 		}
 	}
-	sc.Queue = queue
 }

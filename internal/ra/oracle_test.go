@@ -30,8 +30,7 @@ func holds(c Cond, regs []datagraph.Value, set []bool, d datagraph.Value, mode d
 	panic(fmt.Sprintf("holds: unknown condition %T", c))
 }
 
-// oracleCfg is a configuration: a state, a position (path index or node)
-// and the register contents.
+// oracleCfg is a configuration: a state, a node and the register contents.
 type oracleCfg struct {
 	state, pos int
 	regs       []datagraph.Value
@@ -68,52 +67,6 @@ func (c oracleCfg) fire(t Transition, pos int, d datagraph.Value, mode datagraph
 	return next, true
 }
 
-// oracleSearch explores every configuration reachable from start, where
-// succ lists a configuration's successors, and calls visit on each once.
-func oracleSearch(start oracleCfg, succ func(oracleCfg) []oracleCfg, visit func(oracleCfg)) {
-	seen := map[string]bool{start.key(): true}
-	queue := []oracleCfg{start}
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		visit(c)
-		for _, n := range succ(c) {
-			if k := n.key(); !seen[k] {
-				seen[k] = true
-				queue = append(queue, n)
-			}
-		}
-	}
-}
-
-func oracleStart(a *Automaton, pos int) oracleCfg {
-	return oracleCfg{state: a.Start, pos: pos, regs: make([]datagraph.Value, a.NumRegs), set: make([]bool, a.NumRegs)}
-}
-
-// oracleMatch is MatchDataPath by the oracle.
-func oracleMatch(a *Automaton, w datagraph.DataPath, mode datagraph.CompareMode) bool {
-	accepted := false
-	oracleSearch(oracleStart(a, 0), func(c oracleCfg) []oracleCfg {
-		var out []oracleCfg
-		for _, t := range a.Trans[c.state] {
-			pos := c.pos
-			if !t.Eps {
-				if pos == len(w.Labels) || !t.AnyLabel && w.Labels[pos] != t.Label {
-					continue
-				}
-				pos++
-			}
-			if n, ok := c.fire(t, pos, w.Values[pos], mode); ok {
-				out = append(out, n)
-			}
-		}
-		return out
-	}, func(c oracleCfg) {
-		accepted = accepted || c.state == a.Accept && c.pos == len(w.Labels)
-	})
-	return accepted
-}
-
 // oracleEval is Eval by the oracle.
 func oracleEval(a *Automaton, g *datagraph.Graph, mode datagraph.CompareMode) *datagraph.PairSet {
 	type edge struct {
@@ -128,30 +81,48 @@ func oracleEval(a *Automaton, g *datagraph.Graph, mode datagraph.CompareMode) *d
 	}
 	pairs := datagraph.NewPairSet()
 	for u := 0; u < g.NumNodes(); u++ {
-		oracleSearch(oracleStart(a, u), func(c oracleCfg) []oracleCfg {
-			var next []oracleCfg
-			for _, t := range a.Trans[c.state] {
-				if t.Eps {
-					if n, ok := c.fire(t, c.pos, g.Value(c.pos), mode); ok {
-						next = append(next, n)
-					}
-					continue
-				}
-				for _, e := range out[c.pos] {
-					if !t.AnyLabel && e.label != t.Label {
-						continue
-					}
-					if n, ok := c.fire(t, e.to, g.Value(e.to), mode); ok {
-						next = append(next, n)
-					}
-				}
+		start := oracleCfg{state: a.Start, pos: u, regs: make([]datagraph.Value, a.NumRegs), set: make([]bool, a.NumRegs)}
+		seen := map[string]bool{start.key(): true}
+		queue := []oracleCfg{start}
+		push := func(n oracleCfg, ok bool) {
+			if !ok {
+				return
 			}
-			return next
-		}, func(c oracleCfg) {
+			if k := n.key(); !seen[k] {
+				seen[k] = true
+				queue = append(queue, n)
+			}
+		}
+		for len(queue) > 0 {
+			c := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
 			if c.state == a.Accept {
 				pairs.Add(u, c.pos)
 			}
-		})
+			for _, t := range a.Trans[c.state] {
+				if t.Eps {
+					push(c.fire(t, c.pos, g.Value(c.pos), mode))
+					continue
+				}
+				for _, e := range out[c.pos] {
+					if t.AnyLabel || e.label == t.Label {
+						push(c.fire(t, e.to, g.Value(e.to), mode))
+					}
+				}
+			}
+		}
 	}
 	return pairs
+}
+
+// oracleMatch is MatchDataPath by the oracle, on the path as a graph.
+func oracleMatch(a *Automaton, w datagraph.DataPath, mode datagraph.CompareMode) bool {
+	g := datagraph.New()
+	for i, v := range w.Values {
+		g.MustAddNode(datagraph.NodeID(fmt.Sprint(i)), v)
+	}
+	for i, l := range w.Labels {
+		g.MustAddEdge(datagraph.NodeID(fmt.Sprint(i)), l, datagraph.NodeID(fmt.Sprint(i+1)))
+	}
+	return oracleEval(a, g, mode).Has(0, len(w.Labels))
 }

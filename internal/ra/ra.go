@@ -155,35 +155,46 @@ func (a *Automaton) StartLabels() (labels []string, exhaustive bool) {
 // its own answer, so frontier pruning by StartLabels is complete.
 func (a *Automaton) AcceptsEmptyPath() bool { return a.emptyOK }
 
-// computeStartInfo fills the start-frontier metadata: walk ε-transitions
-// from the start state (ignoring conditions — an over-approximation) and
-// collect the consuming transitions encountered.
-func (a *Automaton) computeStartInfo() {
-	seen := make([]bool, a.NumStates)
-	stack := []int{a.Start}
-	seen[a.Start] = true
+// closure calls visit on every state ε-reachable from from, itself
+// included, ignoring conditions. seen (one flag per state) and stack are
+// the caller's scratch; the stack is returned for reuse.
+func (a *Automaton) closure(from int, seen []bool, stack []int, visit func(s int)) []int {
+	clear(seen)
+	seen[from] = true
+	stack = append(stack[:0], from)
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if s == a.Accept {
-			a.emptyOK = true
+		visit(s)
+		for _, t := range a.Trans[s] {
+			if t.Eps && !seen[t.To] {
+				seen[t.To] = true
+				stack = append(stack, t.To)
+			}
 		}
+	}
+	return stack
+}
+
+// computeStartInfo fills the start-frontier metadata from the letter
+// moves of the start state's ε-closure, conditions ignored — an
+// over-approximation.
+func (a *Automaton) computeStartInfo(seen []bool, stack []int) []int {
+	stack = a.closure(a.Start, seen, stack, func(s int) {
+		a.emptyOK = a.emptyOK || s == a.Accept
 		for _, t := range a.Trans[s] {
 			switch {
 			case t.Eps:
-				if !seen[t.To] {
-					seen[t.To] = true
-					stack = append(stack, t.To)
-				}
 			case t.AnyLabel:
 				a.startAny = true
 			default:
 				a.startLabels = append(a.startLabels, t.Label)
 			}
 		}
-	}
+	})
 	slices.Sort(a.startLabels)
 	a.startLabels = slices.Compact(a.startLabels)
+	return stack
 }
 
 // Builder incrementally constructs an Automaton.
@@ -319,9 +330,10 @@ func (b *Builder) Finish(start, accept int) *Automaton {
 		Accept:    accept,
 		Trans:     b.trans,
 	}
-	a.computeStartInfo()
+	seen := make([]bool, a.NumStates)
+	stack := a.computeStartInfo(seen, make([]int, 0, a.NumStates))
 	if a.NumRegs == 0 {
-		a.zero = newZeroForm(a)
+		a.zero = newZeroForm(a, seen, stack)
 	}
 	return a
 }

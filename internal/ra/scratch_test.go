@@ -42,29 +42,22 @@ func twoRegisters() *Automaton {
 	return b.Finish(s0, s4)
 }
 
+// seq concatenates built fragments.
+func seq(b *Builder, fs ...Frag) Frag { return b.Concat(len(fs), func(i int) Frag { return fs[i] }) }
+
 // zeroProduct is the RPQ (a | b b)* a, which takes the zero-register
 // product search.
 func zeroProduct() *Automaton {
 	b := &Builder{}
-	loop := b.Star(b.Union(2, func(i int) Frag {
-		if i == 0 {
-			return b.Symbol("a", false)
-		}
-		return b.Concat(2, func(int) Frag { return b.Symbol("b", false) })
-	}))
-	f := b.Concat(2, func(i int) Frag {
-		if i == 0 {
-			return loop
-		}
-		return b.Symbol("a", false)
-	})
+	alts := []Frag{b.Symbol("a", false), seq(b, b.Symbol("b", false), b.Symbol("b", false))}
+	f := seq(b, b.Star(b.Union(2, func(i int) Frag { return alts[i] })), b.Symbol("a", false))
 	return b.Finish(f.Start, f.Accept)
 }
 
-// zeroWord is the RPQ of the word labels, which takes the word walk.
-func zeroWord(labels ...string) *Automaton {
+// zeroWord is the RPQ a b a, which takes the word walk.
+func zeroWord() *Automaton {
 	b := &Builder{}
-	f := b.Concat(len(labels), func(i int) Frag { return b.Symbol(labels[i], false) })
+	f := seq(b, b.Symbol("a", false), b.Symbol("b", false), b.Symbol("a", false))
 	return b.Finish(f.Start, f.Accept)
 }
 
@@ -80,7 +73,7 @@ func scratchInputs(t *testing.T) map[string]*Automaton {
 	t.Helper()
 	in := map[string]*Automaton{
 		"loop": loopSameEnds(), "two registers": twoRegisters(),
-		"product": zeroProduct(), "word": zeroWord("a", "b", "a"), "reachability": zeroReach(),
+		"product": zeroProduct(), "word": zeroWord(), "reachability": zeroReach(),
 	}
 	for name, want := range map[string]shape{"product": shapeProduct, "word": shapeWord, "reachability": shapeReach} {
 		if got := in[name].zero; got == nil || got.shape != want {

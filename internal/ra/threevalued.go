@@ -52,7 +52,8 @@ func or3(a, b Truth) Truth {
 // EvalSQL3 evaluates the condition under SQL's three-valued logic: atomic
 // comparisons involving the null value are unknown; unknown propagates
 // through ∧ and ∨ per the standard truth tables. Comparisons against unset
-// registers are false (as in Eval; the paper excludes such conditions).
+// registers are false (as in the two-valued evaluation; the paper
+// excludes such conditions).
 func EvalSQL3(c Cond, regs []datagraph.Value, set []bool, d datagraph.Value) Truth {
 	switch t := c.(type) {
 	case True:

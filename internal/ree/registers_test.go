@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/datagraph"
+	"repro/internal/ra"
 	"repro/internal/rem"
 )
 
@@ -54,40 +55,29 @@ func mostlyEqualGraph(seed int64, n, e int) *datagraph.Graph {
 	return g
 }
 
-// rangeEvaluator is what ree.Query and rem.Query share.
-type rangeEvaluator interface {
-	EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.CompareMode, emit func(u, v int))
-}
-
 func TestManyRegistersOneKernel(t *testing.T) {
 	vars := make([]string, 9)
 	for i := range vars {
 		vars[i] = fmt.Sprintf("x%d", i+1)
 	}
 	binder := "!" + strings.Join(vars, ",") + "."
+	// Each case's automaton is what its query's EvalRange runs; oracle is
+	// a REE of the same language, every accepted path of length maxLen.
 	cases := []struct {
 		name   string
-		q      rangeEvaluator
+		q      *ra.Automaton
 		regs   int
-		oracle Expr // a REE of the same language, for enumeration
-		maxLen int  // every accepted path has this length
+		oracle Expr
+		maxLen int
 	}{
-		{"depth 9", MustParseQuery(nested(9, false)), 9, MustParse(nested(9, false)), 2},
-		{"depth 12", MustParseQuery(nested(12, false)), 12, MustParse(nested(12, false)), 2},
-		{"depth 9, growing", MustParseQuery(nested(9, true)), 9, MustParse(nested(9, true)), 11},
-		{"REM, 9 variables", rem.MustParseQuery(binder + "(a b[x1=])"), 9, MustParse("(a b)="), 2},
-		{"REM, 9 variables tested", rem.MustParseQuery(binder + "(a b[x1= & x9=])"), 9, MustParse("(a b)="), 2},
+		{"depth 9", MustParseQuery(nested(9, false)).Automaton(), 9, MustParse(nested(9, false)), 2},
+		{"depth 12", MustParseQuery(nested(12, false)).Automaton(), 12, MustParse(nested(12, false)), 2},
+		{"depth 9, growing", MustParseQuery(nested(9, true)).Automaton(), 9, MustParse(nested(9, true)), 11},
+		{"REM, 9 variables", rem.MustParseQuery(binder + "(a b[x1=])").Automaton(), 9, MustParse("(a b)="), 2},
 	}
 	for _, c := range cases {
-		var regs int
-		switch q := c.q.(type) {
-		case *Query:
-			regs = q.Automaton().NumRegs
-		case *rem.Query:
-			regs = q.Automaton().NumRegs
-		}
-		if regs != c.regs {
-			t.Fatalf("%s: %d registers, want %d", c.name, regs, c.regs)
+		if c.q.NumRegs != c.regs {
+			t.Fatalf("%s: %d registers, want %d", c.name, c.q.NumRegs, c.regs)
 		}
 		answered := false
 		for seed := int64(0); seed < 4; seed++ {
@@ -110,12 +100,12 @@ func TestManyRegistersOneKernel(t *testing.T) {
 	}
 	g := mostlyEqualGraph(1, 300, 900)
 	g.Freeze()
-	allocs := func(q rangeEvaluator) float64 {
+	allocs := func(q *ra.Automaton) float64 {
 		run := func() { q.EvalRange(g, 0, g.NumNodes(), datagraph.SQLNulls, func(int, int) {}) }
 		run()
 		return testing.AllocsPerRun(5, run)
 	}
-	limit := allocs(MustParseQuery(nested(8, false)))
+	limit := allocs(MustParseQuery(nested(8, false)).Automaton())
 	for _, c := range cases {
 		if got := allocs(c.q); got > limit {
 			t.Errorf("%s: %.0f allocs per evaluation, depth 8 makes %.0f", c.name, got, limit)

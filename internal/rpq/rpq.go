@@ -26,7 +26,6 @@ import (
 type Query struct {
 	expr rex.Regex
 	auto *ra.Automaton
-	word []string // non-nil iff the expression denotes a single word
 	// kind caches the structural classification used by mapping analysis.
 	kind Kind
 }
@@ -67,7 +66,6 @@ func New(e rex.Regex) *Query {
 	f := rex.Build(b, e)
 	q := &Query{expr: e, auto: b.Finish(f.Start, f.Accept), kind: KindRegex}
 	if w, ok := rex.IsWord(e); ok {
-		q.word = w
 		q.kind = KindWord
 		if len(w) == 1 {
 			q.kind = KindAtomic
@@ -115,12 +113,7 @@ func (q *Query) Expr() rex.Regex { return q.expr }
 func (q *Query) Kind() Kind { return q.kind }
 
 // AsWord returns the word and true if the query is a word RPQ.
-func (q *Query) AsWord() ([]string, bool) {
-	if q.word == nil {
-		return nil, false
-	}
-	return append([]string(nil), q.word...), true
-}
+func (q *Query) AsWord() ([]string, bool) { return rex.IsWord(q.expr) }
 
 // String renders the query in rex syntax.
 func (q *Query) String() string { return q.expr.String() }
