@@ -36,6 +36,7 @@ type Scratch struct {
 	// insertion order, so the set is its visited set and its queue at once.
 	// buf backs TupleBuffer.
 	width     int
+	numTuples int
 	tuples    []int32
 	slotStamp []uint32
 	slotTuple []int32
@@ -88,7 +89,7 @@ func (sc *Scratch) NextEpoch() {
 		clear(sc.slotStamp)
 		sc.epoch = 1
 	}
-	sc.tuples = sc.tuples[:0]
+	sc.tuples, sc.numTuples = sc.tuples[:0], 0
 }
 
 // SetEpoch moves the epoch counter forward, so tests can reach the
@@ -125,7 +126,7 @@ func (sc *Scratch) TupleBuffer() []int32 {
 }
 
 // NumTuples returns the number of tuples added since the last NextEpoch.
-func (sc *Scratch) NumTuples() int { return len(sc.tuples) / sc.width }
+func (sc *Scratch) NumTuples() int { return sc.numTuples }
 
 // Tuple returns the i-th tuple in insertion order. The slice aliases the
 // scratch; a tuple is never written once added, so the slice reads the
@@ -145,6 +146,7 @@ func (sc *Scratch) AddTuple(t []int32) bool {
 			sc.slotStamp[i] = sc.epoch
 			sc.slotTuple[i] = int32(n)
 			sc.tuples = append(sc.tuples, t...)
+			sc.numTuples++
 			return true
 		}
 		if slices.Equal(sc.Tuple(int(sc.slotTuple[i])), t) {

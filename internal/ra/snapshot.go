@@ -144,7 +144,7 @@ func (a *Automaton) run(p *prog, lo, hi int, mode datagraph.CompareMode, sc *dat
 // accepted target once. The scratch's tuple set is both the visited set and,
 // walked in insertion order, the queue.
 func (a *Automaton) search(p *prog, u int, mode datagraph.CompareMode, sc *datagraph.Scratch, emit func(u, v int)) {
-	snap := p.snap
+	snap, first, trans := p.snap, p.first, p.trans
 	nullID := snap.NullValueID()
 	sc.NextEpoch()
 	next := sc.TupleBuffer()
@@ -157,8 +157,8 @@ func (a *Automaton) search(p *prog, u int, mode datagraph.CompareMode, sc *datag
 			emit(u, pos)
 		}
 		cur := snap.ValueID(pos)
-		for ti := p.first[state]; ti < p.first[state+1]; ti++ {
-			t := &p.trans[ti]
+		for ti := first[state]; ti < first[state+1]; ti++ {
+			t := &trans[ti]
 			if t.eps {
 				if !evalCondID(t.cond, regs, cur, nullID, mode) {
 					continue
