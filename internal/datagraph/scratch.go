@@ -34,13 +34,12 @@ type Scratch struct {
 	// register search keeps its (state, node, registers…) configurations
 	// here — a key space too sparse for a stamp array — and walks them in
 	// insertion order, so the set is its visited set and its queue at once.
-	// buf backs TupleBuffer.
 	width     int
 	numTuples int
 	tuples    []int32
 	slotStamp []uint32
 	slotTuple []int32
-	buf       []int32
+	buf       []int32 // backs TupleBuffer
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

@@ -99,22 +99,3 @@ func TestMatchDataPathAgreesWithOracle(t *testing.T) {
 		}
 	}
 }
-
-// The kernel reads values from the snapshot, so it depends on EvalFrom
-// freezing: a SetValue must be seen by the next call, at any width.
-func TestManyRegistersSeeSetValue(t *testing.T) {
-	g := datagraph.New()
-	g.MustAddNode("s", v("7"))
-	g.MustAddNode("t", v("7"))
-	g.MustAddEdge("s", "a", "t")
-	a := sameEndsAt(9)
-	for i, c := range []struct {
-		value string
-		want  int
-	}{{"7", 1}, {"8", 0}, {"7", 1}} {
-		g.SetValue(1, v(c.value))
-		if got := a.EvalFrom(g, 0, datagraph.MarkedNulls); len(got) != c.want {
-			t.Fatalf("step %d: δ(t) = %s: EvalFrom = %v, want %d answers", i, c.value, got, c.want)
-		}
-	}
-}

@@ -225,15 +225,21 @@ func (b *Builder) Letter(from, to int, label string, anyLabel bool, cond Cond, s
 
 func (b *Builder) noteRegs(cond Cond, store []int) {
 	for _, r := range store {
-		b.numRegs = max(b.numRegs, r+1)
+		if r+1 > b.numRegs {
+			b.numRegs = r + 1
+		}
 	}
 	var walk func(Cond)
 	walk = func(c Cond) {
 		switch t := c.(type) {
 		case Eq:
-			b.numRegs = max(b.numRegs, t.Reg+1)
+			if t.Reg+1 > b.numRegs {
+				b.numRegs = t.Reg + 1
+			}
 		case Neq:
-			b.numRegs = max(b.numRegs, t.Reg+1)
+			if t.Reg+1 > b.numRegs {
+				b.numRegs = t.Reg + 1
+			}
 		case And:
 			walk(t.L)
 			walk(t.R)
@@ -367,8 +373,12 @@ func (a *Automaton) MatchDataPath(w datagraph.DataPath, mode datagraph.CompareMo
 	next[0] = int32(a.Start)
 	sc.AddTuple(next)
 	last := len(w.Labels)
-	for i := 0; i < sc.NumTuples(); i++ {
-		c := sc.Tuple(i)
+	// Depth first, by tuple index on sc.Queue: a match is found as soon as
+	// one configuration reaches the end of the path.
+	sc.Queue = append(sc.Queue[:0], 0)
+	for len(sc.Queue) > 0 {
+		c := sc.Tuple(int(sc.Queue[len(sc.Queue)-1]))
+		sc.Queue = sc.Queue[:len(sc.Queue)-1]
 		state, pos, regs := int(c[0]), int(c[1]), c[2:]
 		if state == a.Accept && pos == last {
 			return true
@@ -389,7 +399,9 @@ func (a *Automaton) MatchDataPath(w datagraph.DataPath, mode datagraph.CompareMo
 			for _, r := range t.Store {
 				next[2+r] = vals[at]
 			}
-			sc.AddTuple(next)
+			if sc.AddTuple(next) {
+				sc.Queue = append(sc.Queue, int32(sc.NumTuples()-1))
+			}
 		}
 	}
 	return false

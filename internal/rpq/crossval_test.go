@@ -17,10 +17,8 @@ import (
 //     pairs: a letter is its edge relation, concatenation composes, union
 //     unites and the stars close reflexively-transitively;
 //   - enumeratePairs walks every path up to a length bound and keeps those
-//     whose label rex's NFA accepts by word simulation, so every pair it
-//     finds must be reported. The NFA comes from the same Thompson
-//     construction as the evaluator's automaton; the search over the graph
-//     does not.
+//     whose label semantics accepts, read on the label's own path graph,
+//     so every pair it finds must be reported.
 
 func randomGraph(seed int64, n, e int) *datagraph.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -144,13 +142,17 @@ func oracleEval(g *datagraph.Graph, q *Query) *datagraph.PairSet {
 }
 
 // enumeratePairs finds all pairs connected by a path of length ≤ maxLen
-// whose label the NFA accepts.
-func enumeratePairs(g *datagraph.Graph, nfa *rex.NFA, maxLen int) *datagraph.PairSet {
+// whose label is in L(e).
+func enumeratePairs(g *datagraph.Graph, e rex.Regex, maxLen int) *datagraph.PairSet {
 	edges := oracleEdges(g)
 	out := datagraph.NewPairSet()
 	var walk func(start, cur int, word []string)
 	walk = func(start, cur int, word []string) {
-		if nfa.Matches(word) {
+		path := make([]oracleEdge, len(word))
+		for i, l := range word {
+			path[i] = oracleEdge{from: i, to: i + 1, label: l}
+		}
+		if semantics(path, len(word)+1, e)[[2]int{0, len(word)}] {
 			out.Add(start, cur)
 		}
 		if len(word) == maxLen {
@@ -189,7 +191,7 @@ func TestEvalCrossValidation(t *testing.T) {
 			}
 			// Completeness w.r.t. bounded enumeration: everything the naive
 			// search finds, the evaluator finds.
-			if naive := enumeratePairs(g, rex.Compile(q.Expr()), 5); !naive.SubsetOf(got) {
+			if naive := enumeratePairs(g, q.Expr(), 5); !naive.SubsetOf(got) {
 				t.Fatalf("seed %d expr %q: evaluator missed pairs: naive %v vs got %v",
 					seed, expr, naive.Sorted(), got.Sorted())
 			}
