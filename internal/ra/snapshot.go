@@ -100,9 +100,17 @@ func (p *prog) canSkipStart(a *Automaton, u int) bool {
 // range on one pooled scratch — the engine's frontier shards call this with
 // their chunk bounds.
 func (a *Automaton) EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.CompareMode, emit func(u, v int)) {
-	p := a.program(g.Freeze())
-	sc := datagraph.AcquireScratch(a.scratchSize(p))
+	sc := datagraph.AcquireScratch(0, 0, 0)
 	defer sc.Release()
+	a.EvalRangeOn(g, lo, hi, mode, sc, emit)
+}
+
+// EvalRangeOn is EvalRange on the caller's scratch, which it resizes for
+// the snapshot and the automaton; a scratch sized for another snapshot or
+// automaton, or left at any epoch, serves as it is.
+func (a *Automaton) EvalRangeOn(g *datagraph.Graph, lo, hi int, mode datagraph.CompareMode, sc *datagraph.Scratch, emit func(u, v int)) {
+	p := a.program(g.Freeze())
+	sc.Resize(a.scratchSize(p))
 	a.run(p, lo, hi, mode, sc, emit)
 }
 

@@ -8,12 +8,13 @@ import (
 	"repro/internal/datagraph"
 )
 
-// The kernels run on pooled scratches, so one scratch outlives the call,
-// the snapshot and the query it was first sized for. These tests hold one
-// scratch across those changes and compare every result with the
-// set-semantics oracle of crossval_test.go, which shares no state with it.
+// Every query runs on ra's kernel over a pooled scratch, so one scratch
+// outlives the call, the snapshot and the query it was first sized for.
+// These tests hold one scratch across those changes and compare every
+// result with the set-semantics oracle of crossval_test.go, which shares no
+// state with the kernel.
 
-// scratchKinds has one query per snapshot kernel.
+// scratchKinds has one query per shape of the zero-register kernel.
 var scratchKinds = []struct{ kernel, query string }{
 	{"product", "(a | b b)* a"},
 	{"word", "a b a"},
@@ -22,13 +23,8 @@ var scratchKinds = []struct{ kernel, query string }{
 
 // evalOn runs q from every start node of g's snapshot on sc.
 func evalOn(q *Query, g *datagraph.Graph, sc *datagraph.Scratch) *datagraph.PairSet {
-	p := q.program(g.Freeze())
-	n := g.NumNodes()
-	sc.Resize(n, n*q.nfa.NumStates, 0)
 	out := datagraph.NewPairSet()
-	for u := 0; u < n; u++ {
-		q.evalFromSnap(p, u, sc, func(v int) { out.Add(u, v) })
-	}
+	q.auto.EvalRangeOn(g, 0, g.NumNodes(), datagraph.MarkedNulls, sc, out.Add)
 	return out
 }
 
@@ -43,6 +39,9 @@ func TestScratchEpochWraparound(t *testing.T) {
 	for _, k := range scratchKinds {
 		q := MustParse(k.query)
 		want := oracleEval(g, q)
+		if want.Len() == 0 {
+			t.Fatalf("%s: no answers to lose", k.kernel)
+		}
 		for _, epoch := range []uint32{math.MaxUint32 - 1, math.MaxUint32} {
 			sc := new(datagraph.Scratch)
 			if got := evalOn(q, g, sc); !got.Equal(want) {
@@ -57,14 +56,14 @@ func TestScratchEpochWraparound(t *testing.T) {
 }
 
 // TestScratchReuseAcrossSnapshotsAndQueries: a scratch sized for snapshot A
-// and a small NFA serves a larger delta-frozen snapshot B and an NFA with
-// more states — it grows instead of indexing past what A needed — and then
-// A's query again.
+// and a small automaton serves a larger delta-frozen snapshot B and an
+// automaton with more states — it grows instead of indexing past what A
+// needed — and then A's query again.
 func TestScratchReuseAcrossSnapshotsAndQueries(t *testing.T) {
 	g := randomGraph(11, 24, 200) // edge-heavy, so the burst below stays a delta
 	small, large := MustParse("a b"), MustParse("(a b | b a a)* (a | b b) a*")
-	if small.nfa.NumStates >= large.nfa.NumStates {
-		t.Fatalf("want a larger NFA: %d vs %d states", small.nfa.NumStates, large.nfa.NumStates)
+	if small.auto.NumStates >= large.auto.NumStates {
+		t.Fatalf("want a larger automaton: %d vs %d states", small.auto.NumStates, large.auto.NumStates)
 	}
 	sc := new(datagraph.Scratch)
 	if got, want := evalOn(small, g, sc), oracleEval(g, small); !got.Equal(want) {
