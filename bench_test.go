@@ -90,6 +90,25 @@ func BenchmarkE3ExactCoNP(b *testing.B) {
 	}
 }
 
+// Prop 5: certain answers of a path-with-tests query under an arbitrary
+// GSM. The pair is certain, so every word-choice combination's
+// specialization search runs to completion.
+func BenchmarkProp5DataPathArbitrary(b *testing.B) {
+	gs := workload.Chain(2, "e", 0)
+	m := core.NewMapping(core.R("e", "p q"), core.R("e", "r|s s"))
+	q := ree.MustParseQuery("p q")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		certain, err := mat(m, gs).CertainDataPathArbitrary(ctx, q, "n0", "n1", core.Prop5Options{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !certain {
+			b.Fatal("p q from n0 to n1 is certain")
+		}
+	}
+}
+
 // E4 — Prop 3: the 3-colorability reduction (triangle: colourable, so the
 // adversary search short-circuits; K4 is the slow certain case, see
 // gsmbench).
