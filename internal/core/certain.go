@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/datagraph"
 	"repro/internal/rpq"
@@ -128,20 +129,18 @@ func (o ExactOptions) Normalized() (ExactOptions, error) {
 
 // CertainExact computes 2_M(Q, Gs) exactly for relational GSMs and queries
 // closed under value-preserving homomorphisms (all data RPQs): it
-// intersects Q over every canonical value specialization of the universal
-// solution. Specializations assign to each null node either a value
-// occurring in Gs or a fresh value shared within a class of nulls; classes
-// are enumerated as set partitions in restricted-growth form, so no two
-// enumerated specializations differ only by renaming. This realizes the
-// coNP upper bound of Theorem 2/Proposition 2 as a deterministic
+// intersects Q, restricted to dom(M, Gs), over every canonical value
+// specialization of the universal solution that specializations
+// enumerates, and stops as soon as the intersection is empty. This realizes
+// the coNP upper bound of Theorem 2/Proposition 2 as a deterministic
 // exponential search and serves as the ground-truth oracle for the
 // tractable algorithms.
 //
 // The universal solution, dom and the source value pool come from the
 // memoized artifacts, so repeated exact queries against one (M, Gs) pay for
-// solution building once. The search clones the shared universal solution,
-// making concurrent calls safe, and honors ctx between specializations
-// (returning an ErrCanceled wrap).
+// solution building once. The search specializes a clone of the shared
+// universal solution, making concurrent calls safe, and honors ctx between
+// specializations (returning an ErrCanceled wrap).
 func (mat *Materialization) CertainExact(ctx context.Context, q Query, opts ExactOptions) (*Answers, error) {
 	opts, err := opts.Normalized()
 	if err != nil {
@@ -155,91 +154,74 @@ func (mat *Materialization) CertainExact(ctx context.Context, q Query, opts Exac
 	if err != nil {
 		return nil, err
 	}
-	if len(nulls) > opts.MaxNulls {
-		return nil, budgetErrf("core: %d null nodes exceed the exact-search budget of %d",
-			len(nulls), opts.MaxNulls)
-	}
-	gs := mat.gs
 	dom := mat.DomIDs()
-	sourceValues := mat.SourceValues()
-	// Pre-generate one fresh value per potential class.
-	freshPool := freshValues(gs, "_adv", len(nulls))
-
-	// One mutable copy of the universal solution, specialized in place per
-	// candidate (like CertainExactPair): cloning and re-indexing the graph
-	// once per enumerated specialization would dominate the search. The
-	// clone also isolates this call from the shared memoized solution.
-	spec := u.Clone()
-	nullIdx := make([]int, len(nulls))
-	for i, id := range nulls {
-		nullIdx[i], _ = spec.IndexOf(id)
-	}
-	assign := make([]datagraph.Value, len(nulls))
-
 	var result *Answers
-	var ctxErr error
-	evalOne := func() bool { // returns false to stop early (result empty)
-		if err := ctx.Err(); err != nil {
-			ctxErr = Canceled(err)
-			return false
-		}
-		for i, idx := range nullIdx {
-			spec.SetValue(idx, assign[i])
-		}
-		res := q.Eval(spec, datagraph.MarkedNulls)
-		ans := NewAnswers()
-		res.Each(func(p datagraph.Pair) {
-			from, to := spec.Node(p.From), spec.Node(p.To)
-			if _, ok := dom[from.ID]; !ok {
-				return
-			}
-			if _, ok := dom[to.ID]; !ok {
-				return
-			}
-			// Report the original (source) values: dom nodes keep them.
-			ans.Add(Answer{From: from, To: to})
-		})
+	err = specializations(ctx, mat.gs, mat.SourceValues(), u, nulls, opts.MaxNulls, func(spec *datagraph.Graph) bool {
+		// dom nodes keep their source values, so the answers report them.
+		ans := FilterDomAnswers(spec, dom, q.Eval(spec, datagraph.MarkedNulls))
 		if result == nil {
 			result = ans
 		} else {
 			result.Intersect(ans)
 		}
 		return result.Len() > 0
+	})
+	if err != nil {
+		return nil, err
 	}
+	if result == nil {
+		result = NewAnswers()
+	}
+	return result, nil
+}
 
-	// Enumerate: each null takes a source value, an already-open fresh
-	// class, or opens the next fresh class (restricted growth).
-	var rec func(i, classesOpen int) bool
-	rec = func(i, classesOpen int) bool {
+// specializations calls visit on every canonical value specialization of
+// the nulls of g. Each null takes a value of values, the fresh value of an
+// already-open class, or opens the next class, so classes are enumerated as
+// set partitions in restricted-growth form and no two specializations
+// differ only by renaming fresh values (drawn from a pool that avoids gs's
+// values). More than maxNulls nulls is ErrBudgetExceeded, since the search
+// is exponential in their number. One clone of g is specialized in place
+// and handed to visit; ctx is polled before every specialization, and the
+// search stops as soon as visit returns false.
+func specializations(ctx context.Context, gs *datagraph.Graph, values []datagraph.Value,
+	g *datagraph.Graph, nulls []datagraph.NodeID, maxNulls int, visit func(spec *datagraph.Graph) bool) error {
+
+	if len(nulls) > maxNulls {
+		return budgetErrf("core: %d null nodes exceed the exact-search budget of %d", len(nulls), maxNulls)
+	}
+	fresh := freshValues(gs, "_adv", len(nulls))
+	spec := g.Clone()
+	idx := make([]int, len(nulls))
+	for i, id := range nulls {
+		idx[i], _ = spec.IndexOf(id)
+	}
+	var err error
+	var rec func(i, open int) bool
+	rec = func(i, open int) bool {
 		if i == len(nulls) {
-			return evalOne()
+			if err = ctx.Err(); err != nil {
+				err = Canceled(err)
+				return false
+			}
+			return visit(spec)
 		}
-		for _, v := range sourceValues {
-			assign[i] = v
-			if !rec(i+1, classesOpen) {
+		for _, v := range values {
+			spec.SetValue(idx[i], v)
+			if !rec(i+1, open) {
 				return false
 			}
 		}
-		for c := 0; c <= classesOpen; c++ {
-			assign[i] = freshPool[c]
-			open := classesOpen
-			if c == classesOpen {
-				open++
-			}
-			if !rec(i+1, open) {
+		for c := 0; c <= open; c++ {
+			spec.SetValue(idx[i], fresh[c])
+			if !rec(i+1, max(open, c+1)) {
 				return false
 			}
 		}
 		return true
 	}
 	rec(0, 0)
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	if result == nil {
-		result = NewAnswers()
-	}
-	return result, nil
+	return err
 }
 
 // FromEvaluator is an optional fast path implemented by queries that can
@@ -284,76 +266,30 @@ func (mat *Materialization) CertainExactPair(ctx context.Context, q Query,
 	if err != nil {
 		return false, err
 	}
-	if len(nulls) > opts.MaxNulls {
-		return false, budgetErrf("core: %d null nodes exceed the exact-search budget of %d",
-			len(nulls), opts.MaxNulls)
-	}
-	gs := mat.gs
-	sourceValues := mat.SourceValues()
-	freshPool := freshValues(gs, "_adv", len(nulls))
-	fe, fastPath := q.(FromEvaluator)
-	// One mutable copy of the universal solution, specialised in place per
-	// candidate (a clone per candidate dominates the search cost otherwise).
-	spec := u.Clone()
-	nullIdx := make([]int, len(nulls))
-	for i, id := range nulls {
-		nullIdx[i], _ = spec.IndexOf(id)
-	}
-	fi, _ := spec.IndexOf(from)
-	ti, _ := spec.IndexOf(to)
-	assign := make([]datagraph.Value, len(nulls))
+	return mat.pairCertain(ctx, u, nulls, opts.MaxNulls, q, from, to)
+}
 
-	var ctxErr error
-	holds := func() bool {
-		if err := ctx.Err(); err != nil {
-			ctxErr = Canceled(err)
-			return false // unwind the search; the parked error wins below
-		}
-		for i, idx := range nullIdx {
-			spec.SetValue(idx, assign[i])
-		}
-		if fastPath {
-			for _, v := range fe.EvalFrom(spec, fi, datagraph.MarkedNulls) {
-				if v == ti {
-					return true
-				}
-			}
-			return false
-		}
-		return q.Eval(spec, datagraph.MarkedNulls).Has(fi, ti)
-	}
+// pairCertain reports whether (from, to) ∈ Q(σ(g)) for every canonical
+// specialization σ of the nulls of g, stopping at the first counterexample.
+// g is the universal solution for CertainExactPair and a candidate solution
+// for Proposition 5; from and to must be nodes of it.
+func (mat *Materialization) pairCertain(ctx context.Context, g *datagraph.Graph, nulls []datagraph.NodeID,
+	maxNulls int, q Query, from, to datagraph.NodeID) (bool, error) {
 
+	fi, _ := g.IndexOf(from)
+	ti, _ := g.IndexOf(to)
+	fe, fromOne := q.(FromEvaluator)
 	certain := true
-	var rec func(i, classesOpen int) bool // returns false to stop (counterexample found)
-	rec = func(i, classesOpen int) bool {
-		if i == len(nulls) {
-			if !holds() {
-				certain = false
-				return false
-			}
-			return true
+	err := specializations(ctx, mat.gs, mat.SourceValues(), g, nulls, maxNulls, func(spec *datagraph.Graph) bool {
+		if fromOne {
+			certain = slices.Contains(fe.EvalFrom(spec, fi, datagraph.MarkedNulls), ti)
+		} else {
+			certain = q.Eval(spec, datagraph.MarkedNulls).Has(fi, ti)
 		}
-		for _, v := range sourceValues {
-			assign[i] = v
-			if !rec(i+1, classesOpen) {
-				return false
-			}
-		}
-		for c := 0; c <= classesOpen; c++ {
-			assign[i] = freshPool[c]
-			open := classesOpen
-			if c == classesOpen {
-				open++
-			}
-			if !rec(i+1, open) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, 0)
-	if ctxErr != nil {
-		return false, ctxErr
+		return certain
+	})
+	if err != nil {
+		return false, err
 	}
 	return certain, nil
 }

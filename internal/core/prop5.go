@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/datagraph"
+	"repro/internal/ra"
 	"repro/internal/ree"
 	"repro/internal/rex"
 )
@@ -28,8 +30,8 @@ import (
 //
 //   - per (rule, pair): a word of length ≤ |Q| from L(q′) over the alphabet
 //     Σ_Q ∪ {⋆} (labels outside Q are interchangeable, represented by ⋆),
-//     or LONG when L(q′) contains some word longer than |Q| (decidable: a
-//     shortest such word has length ≤ |Q| + #NFA states, by cycle removal);
+//     or LONG when L(q′) contains some word longer than |Q| (decidable: an
+//     accepting state of q′'s DFA is reachable after more than |Q| letters);
 //   - per fresh node: a data value, enumerated as canonical specializations
 //     exactly as in CertainExact.
 //
@@ -100,20 +102,15 @@ func (mat *Materialization) CertainDataPathArbitrary(ctx context.Context, q *ree
 	var slots []prop5Slot
 	total := 1
 	for ri, r := range m.Rules {
-		// The word alphabet: the query's labels, the labels the target
-		// expression mentions concretely, and ⋆ standing for every other
-		// label (reachable only through Any-transitions). Labels the target
-		// names explicitly must stay concrete — collapsing them into ⋆
-		// would lose adversary choices like picking the c·c branch of
+		// The word alphabet: the query's labels and the labels the target
+		// expression mentions concretely; wordChoices adds ⋆ for every
+		// other label (reachable only through Any-transitions). Labels the
+		// target names explicitly must stay concrete — collapsing them into
+		// ⋆ would lose adversary choices like picking the c·c branch of
 		// b | c·c to dodge a b query.
 		alpha := uniqueLabels(append(append([]string{}, labels...),
 			rex.Labels(r.Target.Expr())...))
-		alpha = append(alpha, starLabel)
-		nfa := rex.Compile(r.Target.Expr())
-		words := wordsUpTo(nfa, alpha, L)
-		if acceptsLonger(nfa, alpha, L) {
-			words = append(words, longMarker)
-		}
+		words := wordChoices(rex.Compile(r.Target.Expr()), alpha, L)
 		if len(words) == 0 {
 			// L(q′) over this alphabet is empty — impossible for the rex
 			// grammar (no ∅), but guard against future extensions: a rule
@@ -171,7 +168,7 @@ func (mat *Materialization) CertainDataPathArbitrary(ctx context.Context, q *ree
 		if err != nil {
 			return false, err
 		}
-		return pairCertainOverSpecializations(gs, gt, q, from, to, opts.MaxNulls)
+		return mat.pairCertain(ctx, gt, NullNodes(gt), opts.MaxNulls, q, from, to)
 	}
 
 	workers := opts.Workers
@@ -253,82 +250,57 @@ func uniqueLabels(ls []string) []string {
 	return out
 }
 
-// wordsUpTo enumerates the words of length ≤ maxLen over alpha accepted by
-// the NFA (Any-steps range over alpha).
-func wordsUpTo(nfa *rex.NFA, alpha []string, maxLen int) [][]string {
-	var out [][]string
-	var rec func(word []string)
-	rec = func(word []string) {
-		if nfa.Matches(word) {
-			out = append(out, append([]string(nil), word...))
+// wordChoices lists the adversary's words for a rule whose target compiles
+// to a: the words of length ≤ L over alpha ∪ {⋆} that a accepts, in
+// depth-first order over alpha and then ⋆, followed by longMarker when a
+// accepts some word longer than L. It is one walk of a's DFA over alpha,
+// whose Other column is ⋆, to depth L through the live states (those that
+// reach an accepting state), so it only visits prefixes of accepted words;
+// a accepts a longer word iff a state reached at depth L has a live
+// successor.
+func wordChoices(a *ra.Automaton, alpha []string, L int) [][]string {
+	d := a.Determinize(alpha)
+	letters := append(slices.Clone(alpha), starLabel)
+	cols := make([]int, len(letters))
+	for i, l := range letters {
+		cols[i] = d.Column(l)
+	}
+	live := slices.Clone(d.Accepts)
+	hasLive := func(s int) bool { return slices.ContainsFunc(d.Trans[s], func(t int) bool { return live[t] }) }
+	for grew := true; grew; {
+		grew = false
+		for s := range d.Trans {
+			if !live[s] && hasLive(s) {
+				live[s], grew = true, true
+			}
 		}
-		if len(word) == maxLen {
+	}
+	var words [][]string
+	long := false
+	word := make([]string, 0, L)
+	var walk func(s int)
+	walk = func(s int) {
+		if !live[s] {
 			return
 		}
-		for _, a := range alpha {
-			rec(append(word, a))
+		if d.Accepts[s] {
+			words = append(words, slices.Clone(word))
+		}
+		if len(word) == L {
+			long = long || hasLive(s)
+			return
+		}
+		for i, c := range cols {
+			word = append(word, letters[i])
+			walk(d.Trans[s][c])
+			word = word[:len(word)-1]
 		}
 	}
-	rec(nil)
-	return out
-}
-
-// acceptsLonger reports whether the NFA accepts some word of length > maxLen
-// over alpha: by cycle removal a shortest such word has length at most
-// maxLen + #states, so a bounded BFS decides it.
-func acceptsLonger(nfa *rex.NFA, alpha []string, maxLen int) bool {
-	bound := maxLen + nfa.NumStates + 1
-	// BFS over (state set, length); represent state sets canonically.
-	type entry struct {
-		states []int
-		length int
+	walk(0)
+	if long {
+		words = append(words, longMarker)
 	}
-	start := entry{states: nfa.Closure(nfa.Start), length: 0}
-	queue := []entry{start}
-	seen := map[string]struct{}{}
-	key := func(states []int, length int) string {
-		return fmt.Sprintf("%v@%d", states, length)
-	}
-	seen[key(start.states, 0)] = struct{}{}
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		if e.length > maxLen {
-			for _, s := range e.states {
-				if s == nfa.Accept {
-					return true
-				}
-			}
-		}
-		if e.length == bound {
-			continue
-		}
-		for _, a := range alpha {
-			var next []int
-			dedup := map[int]struct{}{}
-			for _, s := range e.states {
-				for _, st := range nfa.Steps[s] {
-					if st.Matches(a) {
-						for _, c := range nfa.Closure(st.To) {
-							if _, dup := dedup[c]; !dup {
-								dedup[c] = struct{}{}
-								next = append(next, c)
-							}
-						}
-					}
-				}
-			}
-			if len(next) == 0 {
-				continue
-			}
-			k := key(next, e.length+1)
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				queue = append(queue, entry{states: next, length: e.length + 1})
-			}
-		}
-	}
-	return false
+	return words
 }
 
 // prop5Slot is one (rule, pair) requirement with its admissible words.
@@ -369,68 +341,4 @@ func buildChoiceSolution(gs *datagraph.Graph, domNodes []datagraph.Node, slots [
 		gt.MustAddEdge(prev, word[len(word)-1], s.to.ID)
 	}
 	return gt, nil
-}
-
-// pairCertainOverSpecializations checks whether (from, to) ∈ Q(σ(gt)) for
-// every canonical value specialization σ of the null nodes of gt.
-func pairCertainOverSpecializations(gs *datagraph.Graph, gt *datagraph.Graph,
-	q *ree.Query, from, to datagraph.NodeID, maxNulls int) (bool, error) {
-
-	nulls := NullNodes(gt)
-	if len(nulls) > maxNulls {
-		return false, fmt.Errorf("core: %d fresh nodes exceed the budget of %d", len(nulls), maxNulls)
-	}
-	fi, okF := gt.IndexOf(from)
-	ti, okT := gt.IndexOf(to)
-	if !okF || !okT {
-		return false, nil
-	}
-	sourceValues := gs.Values()
-	freshPool := freshValues(gs, "_adv", len(nulls))
-	spec := gt.Clone()
-	nullIdx := make([]int, len(nulls))
-	for i, id := range nulls {
-		nullIdx[i], _ = spec.IndexOf(id)
-	}
-	assign := make([]datagraph.Value, len(nulls))
-	certain := true
-	var rec func(i, open int) bool
-	rec = func(i, open int) bool {
-		if i == len(nulls) {
-			for j, idx := range nullIdx {
-				spec.SetValue(idx, assign[j])
-			}
-			found := false
-			for _, v := range q.EvalFrom(spec, fi, datagraph.MarkedNulls) {
-				if v == ti {
-					found = true
-					break
-				}
-			}
-			if !found {
-				certain = false
-				return false
-			}
-			return true
-		}
-		for _, v := range sourceValues {
-			assign[i] = v
-			if !rec(i+1, open) {
-				return false
-			}
-		}
-		for c := 0; c <= open; c++ {
-			assign[i] = freshPool[c]
-			o := open
-			if c == open {
-				o++
-			}
-			if !rec(i+1, o) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, 0)
-	return certain, nil
 }

@@ -1,10 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"slices"
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/datagraph"
 	"repro/internal/ree"
+	"repro/internal/rex"
 )
 
 func prop5Source(t *testing.T, sameValues bool) *datagraph.Graph {
@@ -207,5 +213,90 @@ func TestProp5Parallel(t *testing.T) {
 		if seq != par {
 			t.Fatalf("pair %v: parallel Prop5 = %v, sequential = %v", pair, par, seq)
 		}
+	}
+}
+
+// TestProp5CancelsInsideSpecializations: a single word-choice combination
+// whose specialization search alone runs for seconds (seven fresh nodes,
+// eight source values) must still stop at the deadline.
+func TestProp5CancelsInsideSpecializations(t *testing.T) {
+	gs := prop5Source(t, false)
+	for v := 10; v <= 15; v++ {
+		gs.MustAddNode(datagraph.NodeID("i"+strconv.Itoa(v)), datagraph.V(strconv.Itoa(v)))
+	}
+	const word = "b c c c c c c c"
+	const timeout = 50 * time.Millisecond
+	tctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	start := time.Now()
+	_, err := mat(NewMapping(R("a", word)), gs).CertainDataPathArbitrary(tctx, ree.MustParseQuery(word), "x", "y",
+		Prop5Options{Workers: 1})
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want ErrCanceled wrapping context.DeadlineExceeded", err)
+	}
+	if elapsed > timeout+time.Second {
+		t.Fatalf("returned %v after a %v deadline", elapsed, timeout)
+	}
+}
+
+// TestProp5WordChoicesAgainstBruteForce checks the adversary's word choices
+// against brute force: every word over alpha ∪ {⋆} of length ≤ L that the
+// target accepts on null values, in depth-first order, then LONG exactly
+// when some word of length L+1 … L+n+1 is accepted, n being the number of
+// DFA states (a shortest accepted word longer than L is at most L+n long).
+func TestProp5WordChoicesAgainstBruteForce(t *testing.T) {
+	for _, target := range []string{"b", "b|c c", ".*", "b+ c?", "(b c)* b", ". b", "()"} {
+		e := rex.MustParse(target)
+		a := rex.Compile(e)
+		alpha := uniqueLabels(append([]string{"b"}, rex.Labels(e)...))
+		letters := append(slices.Clone(alpha), starLabel)
+		n := len(a.Determinize(alpha).Trans)
+		for L := 0; L <= 3; L++ {
+			var want [][]string
+			long := false
+			var rec func(word []string)
+			rec = func(word []string) {
+				vals := make([]datagraph.Value, len(word)+1)
+				for i := range vals {
+					vals[i] = datagraph.Null()
+				}
+				if a.MatchDataPath(datagraph.NewDataPath(vals, word), datagraph.MarkedNulls) {
+					if len(word) <= L {
+						want = append(want, slices.Clone(word))
+					} else {
+						long = true
+					}
+				}
+				if len(word) == L+n+1 {
+					return
+				}
+				for _, l := range letters {
+					rec(append(word, l))
+				}
+			}
+			rec(nil)
+			if long {
+				want = append(want, longMarker)
+			}
+			got := wordChoices(a, alpha, L)
+			if !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+				t.Errorf("%s, L=%d: word choices %q, brute force %q", target, L, got, want)
+			}
+		}
+	}
+}
+
+// TestProp5LongQueryNarrowTarget: the word choices of a one-word target
+// cost nothing however long the query, because the walk visits only
+// prefixes of accepted words, not all 4¹⁶ words of the query's length.
+func TestProp5LongQueryNarrowTarget(t *testing.T) {
+	tctx, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	q := ree.MustParseQuery("b c d b c d b c d b c d b c d b")
+	got, err := mat(NewMapping(R("a", "b")), prop5Source(t, false)).CertainDataPathArbitrary(tctx, q, "x", "y",
+		Prop5Options{Workers: 1})
+	if got || err != nil {
+		t.Fatalf("got %v, %v; want false, nil within the deadline", got, err)
 	}
 }

@@ -173,7 +173,7 @@ func (gd *Gadget) ShapeErrorHolds(gt *datagraph.Graph, from, to datagraph.NodeID
 	if !ok {
 		return false, fmt.Errorf("pcp: node %s not in target", to)
 	}
-	dfa := rex.Determinize(rex.Compile(gd.ShapeRegex()), Alphabet()).Complement()
+	dfa := rex.Compile(gd.ShapeRegex()).Determinize(Alphabet()).Complement()
 	snap := gt.Freeze()
 	// Product BFS: (node, dfa state).
 	type cfg struct{ node, state int }
@@ -187,7 +187,7 @@ func (gd *Gadget) ShapeErrorHolds(gt *datagraph.Graph, from, to datagraph.NodeID
 			return true, nil
 		}
 		snap.EachOut(c.node, func(l datagraph.Label, to int32) {
-			nx := cfg{int(to), stepDFA(dfa, c.state, snap.LabelName(l))}
+			nx := cfg{int(to), dfa.Trans[c.state][dfa.Column(snap.LabelName(l))]}
 			if _, dup := seen[nx]; !dup {
 				seen[nx] = struct{}{}
 				queue = append(queue, nx)
@@ -195,17 +195,6 @@ func (gd *Gadget) ShapeErrorHolds(gt *datagraph.Graph, from, to datagraph.NodeID
 		})
 	}
 	return false, nil
-}
-
-func stepDFA(d *rex.DFA, state int, label string) int {
-	col := len(d.Alphabet)
-	for i, a := range d.Alphabet {
-		if a == label {
-			col = i
-			break
-		}
-	}
-	return d.Trans[state][col]
 }
 
 // CertainOnGadget is the bounded semi-decision procedure for the gadget

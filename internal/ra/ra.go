@@ -15,7 +15,10 @@
 // One kernel evaluates every automaton over a graph's frozen snapshot (see
 // snapshot.go): a search over (state, node, registers…) configurations of
 // interned ids, at any register count. Zero-register automata take the
-// specialised product, word and reachability searches of fast.go.
+// specialised product, word and reachability searches of fast.go, and
+// Determinize turns them into a DFA (dfa.go) over a fixed alphabet plus an
+// Other column: the one deterministic form, which the PCP shape check
+// complements and Proposition 5 walks for its word choices.
 //
 // Conditions are evaluated under a datagraph.CompareMode, which is how the
 // SQL-null semantics of Section 7 reaches query evaluation: in SQLNulls

@@ -1,9 +1,10 @@
-// Package rex implements ordinary regular expressions over a finite alphabet
-// of edge labels, together with Thompson NFAs (read off the construction of
-// package ra, which Build drives), subset-construction DFAs, and the Boolean
-// operations (complement, intersection, equivalence) used by the paper's
-// navigational machinery: RPQs of Section 2, the navigational parts of the
-// Theorem 1 gadget, and the shape checks of the PCP encodings.
+// Package rex implements ordinary regular expressions over edge labels:
+// the AST, the concrete syntax, and the structural helpers (words, Σ*,
+// mentioned labels) the paper's mapping classes are defined by. It has no
+// automaton of its own: Compile drives the Thompson construction of package
+// ra and returns the resulting zero-register ra.Automaton, which
+// evaluates the RPQs of Section 2 and determinizes (ra.DFA) for the shape
+// checks of the PCP encodings and the word choices of Proposition 5.
 //
 // Concrete syntax accepted by Parse:
 //

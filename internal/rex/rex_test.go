@@ -5,7 +5,20 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/datagraph"
+	"repro/internal/ra"
 )
+
+// accepts runs the automaton on word as a data path of null values, so only
+// the labels decide.
+func accepts(a *ra.Automaton, word []string) bool {
+	vals := make([]datagraph.Value, len(word)+1)
+	for i := range vals {
+		vals[i] = datagraph.Null()
+	}
+	return a.MatchDataPath(datagraph.NewDataPath(vals, word), datagraph.MarkedNulls)
+}
 
 func match(t *testing.T, expr string, word ...string) bool {
 	t.Helper()
@@ -13,7 +26,7 @@ func match(t *testing.T, expr string, word ...string) bool {
 	if err != nil {
 		t.Fatalf("parse %q: %v", expr, err)
 	}
-	return Compile(e).Matches(word)
+	return accepts(Compile(e), word)
 }
 
 func TestParseErrors(t *testing.T) {
@@ -121,17 +134,18 @@ func TestLabels(t *testing.T) {
 }
 
 func TestNFAEmptyAndSomeWord(t *testing.T) {
-	if Compile(MustParse("a")).Empty() {
+	if !Compile(MustParse("a")).Nonempty() {
 		t.Fatal("a is nonempty")
 	}
-	w, ok := Compile(MustParse("a b|c")).SomeWord()
+	a := Compile(MustParse("a b|c"))
+	w, ok := a.SomeDataPath()
 	if !ok {
 		t.Fatal("expected a witness word")
 	}
-	if !Compile(MustParse("a b|c")).Matches(w) {
+	if !accepts(a, w.Labels) {
 		t.Fatalf("witness %v not accepted", w)
 	}
-	if w2, ok := Compile(MustParse("()")).SomeWord(); !ok || len(w2) != 0 {
+	if w2, ok := Compile(MustParse("()")).SomeDataPath(); !ok || len(w2.Labels) != 0 {
 		t.Fatalf("epsilon witness = %v, %v", w2, ok)
 	}
 }
@@ -144,18 +158,18 @@ func TestDeterminizeAgreesWithNFA(t *testing.T) {
 		{"a", "a"}, {"c", "c", "c"}, {"a", "b", "a", "b"}, {"z"}, {"a", "z", "b"},
 	}
 	for _, expr := range exprs {
-		n := Compile(MustParse(expr))
-		d := Determinize(n, alpha)
+		a := Compile(MustParse(expr))
+		d := a.Determinize(alpha)
 		for _, w := range words {
-			if n.Matches(w) != d.Matches(w) {
-				t.Errorf("expr %q word %v: NFA %v, DFA %v", expr, w, n.Matches(w), d.Matches(w))
+			if accepts(a, w) != d.Matches(w) {
+				t.Errorf("expr %q word %v: automaton %v, DFA %v", expr, w, accepts(a, w), d.Matches(w))
 			}
 		}
 	}
 }
 
 func TestComplement(t *testing.T) {
-	d := Determinize(Compile(MustParse("a*")), []string{"a", "b"})
+	d := Compile(MustParse("a*")).Determinize([]string{"a", "b"})
 	c := d.Complement()
 	for _, w := range [][]string{{}, {"a"}, {"a", "a"}, {"b"}, {"a", "b"}} {
 		if d.Matches(w) == c.Matches(w) {
@@ -166,9 +180,9 @@ func TestComplement(t *testing.T) {
 
 func TestIntersectAndEquivalence(t *testing.T) {
 	alpha := []string{"a", "b"}
-	d1 := Determinize(Compile(MustParse("a* b")), alpha)
-	d2 := Determinize(Compile(MustParse(". . | b")), alpha)
-	in, err := Intersect(d1, d2)
+	d1 := Compile(MustParse("a* b")).Determinize(alpha)
+	d2 := Compile(MustParse(". . | b")).Determinize(alpha)
+	in, err := intersect(d1, d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +202,9 @@ func TestIntersectAndEquivalence(t *testing.T) {
 	}
 	// (a|b)* ≡ .* over alphabet {a,b}... NOT equivalent because .* also
 	// accepts out-of-alphabet labels (the Other column).
-	e1 := Determinize(Compile(MustParse("(a|b)*")), alpha)
-	e2 := Determinize(Compile(MustParse(".*")), alpha)
-	eq, err := Equivalent(e1, e2)
+	e1 := Compile(MustParse("(a|b)*")).Determinize(alpha)
+	e2 := Compile(MustParse(".*")).Determinize(alpha)
+	eq, err := equivalent(e1, e2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +212,9 @@ func TestIntersectAndEquivalence(t *testing.T) {
 		t.Fatal("(a|b)* must differ from .* on out-of-alphabet words")
 	}
 	// But a|b ≡ b|a.
-	f1 := Determinize(Compile(MustParse("a|b")), alpha)
-	f2 := Determinize(Compile(MustParse("b|a")), alpha)
-	eq, err = Equivalent(f1, f2)
+	f1 := Compile(MustParse("a|b")).Determinize(alpha)
+	f2 := Compile(MustParse("b|a")).Determinize(alpha)
+	eq, err = equivalent(f1, f2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,32 +222,33 @@ func TestIntersectAndEquivalence(t *testing.T) {
 		t.Fatal("a|b should equal b|a")
 	}
 	// Mismatched alphabets error.
-	g := Determinize(Compile(MustParse("a")), []string{"a"})
-	if _, err := Intersect(d1, g); err == nil {
+	g := Compile(MustParse("a")).Determinize([]string{"a"})
+	if _, err := intersect(d1, g); err == nil {
 		t.Fatal("intersect with mismatched alphabets must fail")
 	}
 }
 
 func TestDFAEmptyAndSomeWord(t *testing.T) {
 	alpha := []string{"a"}
-	d := Determinize(Compile(MustParse("a")), alpha)
-	dead, err := Intersect(d, d.Complement())
+	d := Compile(MustParse("a")).Determinize(alpha)
+	dead, err := intersect(d, d.Complement())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dead.Empty() {
+	if !empty(dead) {
 		t.Fatal("L ∩ ¬L must be empty")
 	}
-	if _, ok := dead.SomeWord(); ok {
+	if _, ok := someWord(dead); ok {
 		t.Fatal("empty language has no witness")
 	}
-	w, ok := d.SomeWord()
+	w, ok := someWord(d)
 	if !ok || !d.Matches(w) {
 		t.Fatalf("witness %v, ok=%v", w, ok)
 	}
 }
 
-// Property: for random simple expressions, DFA and NFA agree on random words.
+// Property: for random simple expressions, the DFA and the automaton agree
+// on random words.
 func TestQuickNFADFAAgreement(t *testing.T) {
 	alpha := []string{"a", "b"}
 	gen := func(seed uint16) string {
@@ -252,8 +267,8 @@ func TestQuickNFADFAAgreement(t *testing.T) {
 	}
 	f := func(seed uint16, wordBits uint8, wordLen uint8) bool {
 		expr := gen(seed)
-		n := Compile(MustParse(expr))
-		d := Determinize(n, alpha)
+		a := Compile(MustParse(expr))
+		d := a.Determinize(alpha)
 		l := int(wordLen % 6)
 		word := make([]string, l)
 		for i := 0; i < l; i++ {
@@ -263,7 +278,7 @@ func TestQuickNFADFAAgreement(t *testing.T) {
 				word[i] = "b"
 			}
 		}
-		return n.Matches(word) == d.Matches(word)
+		return accepts(a, word) == d.Matches(word)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -276,8 +291,8 @@ func TestQuickDoubleComplement(t *testing.T) {
 	alpha := []string{"a", "b"}
 	exprs := []string{"a", "a b", "a|b*", "(a|b)*", "a+ b?", ".*"}
 	for _, expr := range exprs {
-		d := Determinize(Compile(MustParse(expr)), alpha)
-		eq, err := Equivalent(d, d.Complement().Complement())
+		d := Compile(MustParse(expr)).Determinize(alpha)
+		eq, err := equivalent(d, d.Complement().Complement())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +308,7 @@ func TestUnicodeLabelRunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Compile(e).Matches([]string{"t", "↔", "#"}) {
+	if !accepts(Compile(e), []string{"t", "↔", "#"}) {
 		t.Fatal("unicode separator labels should parse and match")
 	}
 }

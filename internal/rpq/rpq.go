@@ -6,10 +6,10 @@
 //	e(G) = {(v, v′) | ∃π : v →π v′ and λ(π) ∈ e}
 //
 // An RPQ is the zero-register case of the register automata behind REE and
-// REM: New compiles e by the Thompson construction of package ra, and every
-// evaluation runs on ra's snapshot kernel, whose zero-register path
-// searches (node, state) pairs and walks single words and Σ* as plain
-// frontiers. This package keeps the structural classification the mapping
+// REM: New compiles e by rex.Compile, the Thompson construction of package
+// ra, and every evaluation runs on ra's snapshot kernel, whose
+// zero-register path searches (node, state) pairs and walks single words
+// and Σ* as plain frontiers. This package keeps the structural classification the mapping
 // definitions need (Kind, AsWord).
 package rpq
 
@@ -62,9 +62,7 @@ func (k Kind) String() string {
 
 // New compiles a regular expression into an RPQ.
 func New(e rex.Regex) *Query {
-	b := &ra.Builder{}
-	f := rex.Build(b, e)
-	q := &Query{expr: e, auto: b.Finish(f.Start, f.Accept), kind: KindRegex}
+	q := &Query{expr: e, auto: rex.Compile(e), kind: KindRegex}
 	if w, ok := rex.IsWord(e); ok {
 		q.kind = KindWord
 		if len(w) == 1 {

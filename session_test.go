@@ -433,6 +433,10 @@ func TestSessionTypedErrors(t *testing.T) {
 	if _, err := s3.CertainExact(ctx, MustREE("(p q)=")); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("budget: got %v, want ErrBudgetExceeded", err)
 	}
+	// Prop 5's candidate solutions are bounded by the same WithMaxNulls.
+	if _, err := s3.CertainDataPathArbitrary(ctx, MustREE("p q"), "n0", "n1"); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("Prop 5 budget: got %v, want ErrBudgetExceeded", err)
+	}
 
 	// ErrCanceled wraps the context error on a pre-canceled context.
 	cctx, cancel := context.WithCancel(ctx)
