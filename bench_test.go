@@ -12,6 +12,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/gxpath"
+	"repro/internal/ingest"
 	"repro/internal/pcp"
 	"repro/internal/ree"
 	"repro/internal/relational"
@@ -529,6 +531,48 @@ func randomDataPath(n int) datagraph.DataPath {
 		}
 	}
 	return datagraph.NewDataPath(vals, labels)
+}
+
+// canonicalLoadCSV renders the canonical relational load (4 000
+// customers, 1 000 products, 15 000 orders, seed 16) to one CSV text
+// source per table, the form the ingest-t2fca workload streams.
+func canonicalLoadCSV() (*ingest.Schema, []ingest.Source) {
+	d := workload.Relational(workload.RelationalSpec{Customers: 4000, Products: 1000, Orders: 15000, Seed: 16})
+	srcs := make([]ingest.Source, 0, len(d.Schema.Tables))
+	for i := range d.Schema.Tables {
+		t := &d.Schema.Tables[i]
+		var b strings.Builder
+		for ci, c := range t.Columns {
+			if ci > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(c.Name)
+		}
+		b.WriteByte('\n')
+		for _, row := range d.Rows[t.Name] {
+			b.WriteString(strings.Join(row, ","))
+			b.WriteByte('\n')
+		}
+		srcs = append(srcs, ingest.CSVString(t.Name, b.String()))
+	}
+	return d.Schema, srcs
+}
+
+// BenchmarkIngestCanonicalLoad: the canonical load's 20 000 CSV rows
+// through the direct mapping into a data graph (parse, map, write, build).
+func BenchmarkIngestCanonicalLoad(b *testing.B) {
+	schema, srcs := canonicalLoadCSV()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, _, err := ingest.Load(ctx, schema, ingest.Options{}, srcs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.NumNodes() != 49000 || g.NumEdges() != 58232 {
+			b.Fatalf("loaded %d nodes and %d edges, want 49000 and 58232", g.NumNodes(), g.NumEdges())
+		}
+	}
 }
 
 // Delta-freeze benchmarks (PR 3): the rebuild cliff for update-heavy
