@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -97,51 +98,55 @@ func (mat *Materialization) CertainDataPathArbitrary(ctx context.Context, q *ree
 	}
 	L := len(labels)
 
-	// Per (rule, pair) choice sets.
+	// Per (rule, pair) choice sets, counted before they are listed.
 	sourcePairs := mat.SourcePairs()
 	var slots []prop5Slot
-	total := 1
+	total, combos := 1, 1
 	for ri, r := range m.Rules {
+		pairs := sourcePairs[ri].Sorted()
+		if len(pairs) == 0 {
+			continue
+		}
 		// The word alphabet: the query's labels and the labels the target
-		// expression mentions concretely; wordChoices adds ⋆ for every
-		// other label (reachable only through Any-transitions). Labels the
+		// expression mentions concretely; wordDFA adds ⋆ for every other
+		// label (reachable only through Any-transitions). Labels the
 		// target names explicitly must stay concrete — collapsing them into
 		// ⋆ would lose adversary choices like picking the c·c branch of
 		// b | c·c to dodge a b query.
 		alpha := uniqueLabels(append(append([]string{}, labels...),
 			rex.Labels(r.Target.Expr())...))
-		words := wordChoices(rex.Compile(r.Target.Expr()), alpha, L)
-		if len(words) == 0 {
-			// L(q′) over this alphabet is empty — impossible for the rex
-			// grammar (no ∅), but guard against future extensions: a rule
-			// with empty target language over a nonempty requirement set
-			// admits no solution, making every pair certain.
-			if sourcePairs[ri].Len() > 0 {
+		w := newWordDFA(rex.Compile(r.Target.Expr()), alpha)
+		n := w.count(L, math.MaxInt/opts.MaxChoices) // MaxChoices × n fits an int
+		for _, p := range pairs {
+			usable := n
+			if w.d.Accepts[0] && p.From != p.To {
+				usable-- // ε-words demand u = v
+			}
+			if usable == 0 {
+				// This pair admits no realisation, so no solution exists
+				// (also when L(q′) is empty over the alphabet, which the rex
+				// grammar, having no ∅, cannot express).
 				return true, nil
 			}
-			continue
-		}
-		for _, p := range sourcePairs[ri].Sorted() {
-			u, v := gs.Node(p.From), gs.Node(p.To)
-			// ε-words demand u = v; filter them per pair.
-			var usable [][]string
-			for _, w := range words {
-				if len(w) == 0 && u.ID != v.ID {
-					continue
-				}
-				usable = append(usable, w)
-			}
-			if len(usable) == 0 {
-				return true, nil // this pair admits no realisation: no solution
-			}
-			slots = append(slots, prop5Slot{from: u, to: v, words: usable})
-			total *= len(usable)
-			if total > opts.MaxChoices {
+			if total *= usable; total > opts.MaxChoices {
 				return false, budgetErrf("core: %d word-choice combinations exceed budget %d",
 					total, opts.MaxChoices)
 			}
 		}
+		words, err := w.words(ctx, L)
+		if err != nil {
+			return false, err
+		}
+		for _, p := range pairs {
+			usable := words
+			if p.From != p.To && len(words[0]) == 0 {
+				usable = words[1:] // the ε-word, first in the listing
+			}
+			slots = append(slots, prop5Slot{from: gs.Node(p.From), to: gs.Node(p.To), words: usable})
+			combos *= len(usable)
+		}
 	}
+	total = combos
 
 	dom := mat.DomIDs()
 	if _, okF := dom[from]; !okF {
@@ -250,57 +255,108 @@ func uniqueLabels(ls []string) []string {
 	return out
 }
 
-// wordChoices lists the adversary's words for a rule whose target compiles
-// to a: the words of length ≤ L over alpha ∪ {⋆} that a accepts, in
-// depth-first order over alpha and then ⋆, followed by longMarker when a
-// accepts some word longer than L. It is one walk of a's DFA over alpha,
-// whose Other column is ⋆, to depth L through the live states (those that
-// reach an accepting state), so it only visits prefixes of accepted words;
-// a accepts a longer word iff a state reached at depth L has a live
-// successor.
-func wordChoices(a *ra.Automaton, alpha []string, L int) [][]string {
+// wordDFA is a rule target's DFA over alpha ∪ {⋆}, ⋆ being its Other
+// column, with its live states (those reaching an accepting state). The
+// word choices are the words of length ≤ L it accepts, then LONG if a
+// state reached at depth L has a live successor.
+type wordDFA struct {
+	d       *ra.DFA
+	letters []string // alpha, then starLabel
+	cols    []int    // each letter's column
+	live    []bool
+}
+
+func newWordDFA(a *ra.Automaton, alpha []string) *wordDFA {
 	d := a.Determinize(alpha)
-	letters := append(slices.Clone(alpha), starLabel)
-	cols := make([]int, len(letters))
-	for i, l := range letters {
-		cols[i] = d.Column(l)
+	w := &wordDFA{d: d, letters: append(slices.Clone(alpha), starLabel), live: slices.Clone(d.Accepts)}
+	for _, l := range w.letters {
+		w.cols = append(w.cols, d.Column(l))
 	}
-	live := slices.Clone(d.Accepts)
-	hasLive := func(s int) bool { return slices.ContainsFunc(d.Trans[s], func(t int) bool { return live[t] }) }
 	for grew := true; grew; {
 		grew = false
 		for s := range d.Trans {
-			if !live[s] && hasLive(s) {
-				live[s], grew = true, true
+			if !w.live[s] && w.hasLive(s) {
+				w.live[s], grew = true, true
 			}
 		}
 	}
-	var words [][]string
-	long := false
+	return w
+}
+
+func (w *wordDFA) hasLive(s int) bool {
+	return slices.ContainsFunc(w.d.Trans[s], func(t int) bool { return w.live[t] })
+}
+
+// count returns how many choices words lists, saturating at limit: a
+// dynamic program over (depth, state), where ways[s] counts the live
+// paths of the current length from the start to s.
+func (w *wordDFA) count(L, limit int) int {
+	add := func(a, b int) int { return min(a, limit-b) + b }
+	ways, next := make([]int, len(w.d.Trans)), make([]int, len(w.d.Trans))
+	if w.live[0] {
+		ways[0] = 1
+	}
+	n, long := 0, false
+	for depth := 0; depth <= L; depth++ {
+		clear(next)
+		for s, k := range ways {
+			if k == 0 {
+				continue
+			}
+			if w.d.Accepts[s] {
+				n = add(n, k)
+			}
+			long = long || depth == L && w.hasLive(s)
+			for _, c := range w.cols {
+				if t := w.d.Trans[s][c]; w.live[t] {
+					next[t] = add(next[t], k)
+				}
+			}
+		}
+		ways, next = next, ways
+	}
+	if long {
+		n = add(n, 1)
+	}
+	return n
+}
+
+// words lists the word choices in depth-first order over alpha and then ⋆,
+// followed by longMarker when the target accepts a word longer than L,
+// polling ctx as it walks.
+func (w *wordDFA) words(ctx context.Context, L int) ([][]string, error) {
+	var out [][]string
+	var err error
+	long, visits := false, 0
 	word := make([]string, 0, L)
 	var walk func(s int)
 	walk = func(s int) {
-		if !live[s] {
+		if visits++; visits%1024 == 0 && err == nil {
+			err = ctx.Err()
+		}
+		if !w.live[s] || err != nil {
 			return
 		}
-		if d.Accepts[s] {
-			words = append(words, slices.Clone(word))
+		if w.d.Accepts[s] {
+			out = append(out, slices.Clone(word))
 		}
 		if len(word) == L {
-			long = long || hasLive(s)
+			long = long || w.hasLive(s)
 			return
 		}
-		for i, c := range cols {
-			word = append(word, letters[i])
-			walk(d.Trans[s][c])
+		for i, c := range w.cols {
+			word = append(word, w.letters[i])
+			walk(w.d.Trans[s][c])
 			word = word[:len(word)-1]
 		}
 	}
-	walk(0)
-	if long {
-		words = append(words, longMarker)
+	if walk(0); err != nil {
+		return nil, Canceled(err)
 	}
-	return words
+	if long {
+		out = append(out, longMarker)
+	}
+	return out, nil
 }
 
 // prop5Slot is one (rule, pair) requirement with its admissible words.

@@ -279,11 +279,67 @@ func TestProp5WordChoicesAgainstBruteForce(t *testing.T) {
 			if long {
 				want = append(want, longMarker)
 			}
-			got := wordChoices(a, alpha, L)
-			if !slices.EqualFunc(got, want, slices.Equal[[]string]) {
-				t.Errorf("%s, L=%d: word choices %q, brute force %q", target, L, got, want)
+			got, err := newWordDFA(a, alpha).words(ctx, L)
+			if err != nil || !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+				t.Errorf("%s, L=%d: word choices %q (%v), brute force %q", target, L, got, err, want)
 			}
 		}
+	}
+}
+
+// TestProp5CountMatchesListing: counting the word choices agrees with
+// listing them, ε included, and saturates at its limit.
+func TestProp5CountMatchesListing(t *testing.T) {
+	for _, target := range []string{"b", "b|c c", ".*", "b+ c?", "(b c)* b", ". b", "()"} {
+		e := rex.MustParse(target)
+		w := newWordDFA(rex.Compile(e), uniqueLabels(append([]string{"b"}, rex.Labels(e)...)))
+		for L := 0; L <= 4; L++ {
+			words, err := w.words(ctx, L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps := len(words) > 0 && len(words[0]) == 0
+			if n := w.count(L, 1<<20); n != len(words) || w.d.Accepts[0] != eps {
+				t.Errorf("%s, L=%d: count %d (ε %v), listing %d (ε %v)", target, L, n, w.d.Accepts[0], len(words), eps)
+			}
+			if limit := 3; len(words) > limit {
+				if n := w.count(L, limit); n != limit {
+					t.Errorf("%s, L=%d: count saturates at %d, want %d", target, L, n, limit)
+				}
+			}
+		}
+	}
+}
+
+// TestProp5RefusesWithoutListing: under a -> .*, a 9-letter query over
+// three labels has 349 525 word choices for the one source pair. The
+// refusal reports that number, as the listing would, but counts instead of
+// listing, so it comes back well within a 10 ms deadline.
+func TestProp5RefusesWithoutListing(t *testing.T) {
+	mt := mat(NewMapping(R("a", ".*")), prop5Source(t, false))
+	q := ree.MustParseQuery("b c d b c d b c d")
+	mt.SourcePairs()
+	refuse := func() time.Duration {
+		tctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, err := mt.CertainDataPathArbitrary(tctx, q, "x", "y", Prop5Options{Workers: 1})
+		elapsed := time.Since(start)
+		const want = "search budget exceeded: core: 349525 word-choice combinations exceed budget 4096"
+		if !errors.Is(err, ErrBudgetExceeded) || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
+		}
+		return elapsed
+	}
+	best := refuse()
+	for range 4 {
+		best = min(best, refuse())
+	}
+	if best > time.Millisecond {
+		t.Fatalf("refusal took %v, want under 1 ms", best)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { refuse() }); allocs > 500 {
+		t.Fatalf("refusal made %.0f allocations, want at most 500", allocs)
 	}
 }
 

@@ -2,59 +2,95 @@ package ingest
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/datagraph"
 )
 
-// The direct mapping, per row. mapRow runs in the parallel map stage of
-// the pipeline: it coerces cells against declared types and lays the row
-// out as the graph operations the single writer will apply. All errors it
-// returns are row-scoped (*RowError).
+// The direct mapping, per row. mapChunk runs in the parallel map stage of
+// the pipeline: it coerces cells against declared types and lays each row
+// out as the nodes and edges the single writer will collect. All errors it
+// records are row-scoped (*RowError).
 
-// cell is one non-key, non-reference column value of a mapped row.
+// layout is a table's direct mapping, resolved once per source so that no
+// row pays for label concatenation or column lookups: per column, the
+// label of the edge it emits and, for a foreign key, the referenced
+// table's index (-1 for a property column; the key column's is unused).
+type layout struct {
+	t      *Table
+	tab    int // the table's index in the schema
+	pki    int // key column, or -1 for a keyless table
+	labels []string
+	refs   []int
+}
+
+func newLayout(s *Schema, tab int) *layout {
+	t := &s.Tables[tab]
+	lay := &layout{t: t, tab: tab, pki: t.PKIndex(), labels: make([]string, len(t.Columns)), refs: make([]int, len(t.Columns))}
+	for ci, c := range t.Columns {
+		lay.labels[ci], lay.refs[ci] = t.EdgeLabel(c.Name), -1
+		if fk, ok := t.fk(c.Name); ok {
+			lay.labels[ci] = t.RefLabel(fk)
+			lay.refs[ci] = slices.IndexFunc(s.Tables, func(r Table) bool { return r.Name == fk.RefTable })
+		}
+	}
+	return lay
+}
+
+// cell is one property column's cell node of a mapped row.
 type cell struct {
-	col  string // declared column name
-	val  string // canonical rendering; meaningless when null
-	null bool
+	id    datagraph.NodeID // <table>:<key>:<column>
+	label string
+	val   datagraph.Value
 }
 
 // ref is one foreign-key reference of a mapped row. NULL foreign keys emit
 // no ref (the direct mapping drops the edge entirely).
 type ref struct {
-	label    string
-	refTable string
-	refKey   string // canonical rendering of the referenced primary key
+	label string
+	tab   int    // referenced table index
+	key   string // canonical rendering of the referenced primary key
 }
 
-// mappedRow is a coerced row ready for the writer.
+// mappedRow is a coerced row ready for the writer, or the row-scoped error
+// that rejects it.
 type mappedRow struct {
-	table *Table
-	num   int    // 1-based data row number, for error reporting
-	key   string // canonical primary key (or ordinal for keyless tables)
+	num   int              // 1-based data row number, for error reporting
+	key   string           // canonical primary key (or ordinal for keyless tables)
+	id    datagraph.NodeID // the row node's id, <table>:<key>
 	cells []cell
 	refs  []ref
+	err   error
 }
 
-// nodes returns how many graph nodes the row materializes (the row node
-// plus one cell node per property column).
-func (m *mappedRow) nodes() int { return 1 + len(m.cells) }
+// mapChunk maps every row of c that the parse stage delivered whole.
+func mapChunk(c *chunk) {
+	c.cells, c.refs = c.cells[:0], c.refs[:0]
+	for i := range c.out {
+		if m := &c.out[i]; m.err == nil {
+			m.err = c.mapRow(c.rows[i], m)
+		}
+	}
+}
 
-// edges returns how many edges the row materializes, counting reference
-// edges optimistically (a dangling one is dropped or aborts later).
-func (m *mappedRow) edges() int { return len(m.cells) + len(m.refs) }
-
-// mapRow coerces one raw row into its graph operations.
-func mapRow(t *Table, row Row) (mappedRow, error) {
-	m := mappedRow{table: t, num: row.Num}
-	pki := t.PKIndex()
-	if pki >= 0 {
+// mapRow coerces one raw row into m, whose cells and refs share the
+// chunk's reused arrays; a row that fails leaves them as it found them.
+func (c *chunk) mapRow(row Row, m *mappedRow) error {
+	lay, t := c.lay, c.lay.t
+	c0, r0 := len(c.cells), len(c.refs)
+	fail := func(err error) error {
+		c.cells, c.refs = c.cells[:c0], c.refs[:r0]
+		return rowErr(t.Name, row.Num, err)
+	}
+	m.num = row.Num
+	if pki := lay.pki; pki >= 0 {
 		if row.Nulls[pki] {
-			return m, rowErr(t.Name, row.Num, fmt.Errorf("%w: column %q", ErrNullPK, t.Columns[pki].Name))
+			return fail(fmt.Errorf("%w: column %q", ErrNullPK, t.Columns[pki].Name))
 		}
 		key, err := Coerce(t.Columns[pki].Type, row.Cells[pki])
 		if err != nil {
-			return m, rowErr(t.Name, row.Num, fmt.Errorf("column %q: %w", t.Columns[pki].Name, err))
+			return fail(fmt.Errorf("column %q: %w", t.Columns[pki].Name, err))
 		}
 		m.key = key
 	} else {
@@ -62,58 +98,39 @@ func mapRow(t *Table, row Row) (mappedRow, error) {
 		// direct mapping's fresh row IRIs.
 		m.key = strconv.Itoa(row.Num)
 	}
+	m.id = datagraph.NodeID(t.Name + ":" + m.key)
 	for ci := range t.Columns {
-		if ci == pki {
+		if ci == lay.pki {
 			continue
 		}
-		c := &t.Columns[ci]
-		if fk, ok := t.fk(c.Name); ok {
+		col := &t.Columns[ci]
+		if lay.refs[ci] >= 0 {
 			if row.Nulls[ci] {
 				continue // NULL foreign key: no edge
 			}
-			refKey, err := Coerce(c.Type, row.Cells[ci])
+			refKey, err := Coerce(col.Type, row.Cells[ci])
 			if err != nil {
-				return m, rowErr(t.Name, row.Num, fmt.Errorf("column %q: %w", c.Name, err))
+				return fail(fmt.Errorf("column %q: %w", col.Name, err))
 			}
-			m.refs = append(m.refs, ref{label: t.RefLabel(fk), refTable: fk.RefTable, refKey: refKey})
+			// Two foreign keys may share a label and a target; edges form
+			// a set, so the row gets one edge.
+			if r := (ref{label: lay.labels[ci], tab: lay.refs[ci], key: refKey}); !slices.Contains(c.refs[r0:], r) {
+				c.refs = append(c.refs, r)
+			}
 			continue
 		}
-		out := cell{col: c.Name, null: row.Nulls[ci]}
-		if !out.null {
-			val, err := Coerce(c.Type, row.Cells[ci])
+		out := cell{id: m.id + ":" + datagraph.NodeID(col.Name), label: lay.labels[ci], val: datagraph.Null()}
+		if !row.Nulls[ci] {
+			val, err := Coerce(col.Type, row.Cells[ci])
 			if err != nil {
-				return m, rowErr(t.Name, row.Num, fmt.Errorf("column %q: %w", c.Name, err))
+				return fail(fmt.Errorf("column %q: %w", col.Name, err))
 			}
-			out.val = val
-		} else if !c.Nullable {
-			return m, rowErr(t.Name, row.Num, fmt.Errorf("%w: NULL in non-nullable column %q", ErrCoerce, c.Name))
+			out.val = datagraph.V(val)
+		} else if !col.Nullable {
+			return fail(fmt.Errorf("%w: NULL in non-nullable column %q", ErrCoerce, col.Name))
 		}
-		m.cells = append(m.cells, out)
+		c.cells = append(c.cells, out)
 	}
-	return m, nil
-}
-
-// apply materializes the mapped row into the graph. The caller (the
-// single writer goroutine) has already rejected duplicate keys, so node
-// inserts cannot collide except across tables sharing a name prefix —
-// which Validate rules out by forbidding ':' in identifiers.
-func (m *mappedRow) apply(g *datagraph.Graph) error {
-	rowID := rowNodeID(m.table.Name, m.key)
-	if err := g.AddNode(rowID, datagraph.V(m.key)); err != nil {
-		return rowErr(m.table.Name, m.num, fmt.Errorf("%w: %v", ErrBadRow, err))
-	}
-	for _, c := range m.cells {
-		cid := cellNodeID(m.table.Name, m.key, c.col)
-		v := datagraph.V(c.val)
-		if c.null {
-			v = datagraph.Null()
-		}
-		if err := g.AddNode(cid, v); err != nil {
-			return rowErr(m.table.Name, m.num, fmt.Errorf("%w: %v", ErrBadRow, err))
-		}
-		if err := g.AddEdge(rowID, m.table.EdgeLabel(c.col), cid); err != nil {
-			return rowErr(m.table.Name, m.num, fmt.Errorf("%w: %v", ErrBadRow, err))
-		}
-	}
+	m.cells, m.refs = c.cells[c0:len(c.cells):len(c.cells)], c.refs[r0:len(c.refs):len(c.refs)]
 	return nil
 }

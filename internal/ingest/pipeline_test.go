@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/datagraph"
 	"repro/internal/fault"
@@ -130,27 +132,46 @@ col child score int
 fk child parent_id parent.id
 `
 
-// TestBatchedIngestTakesDeltaPath is the delta-freeze interaction test:
-// a batched load must pay exactly one full snapshot build (the first
-// freeze) and amortize the rest as delta merges, with the final snapshot's
-// watermark covering the whole graph.
-func TestBatchedIngestTakesDeltaPath(t *testing.T) {
+// TestBatchedIngestPublishesGeometrically: a batched load publishes
+// mid-load snapshots only as the graph doubles, so it pays a number of
+// builds logarithmic in its rows, never a delta merge, and its final
+// snapshot's watermark covers the whole graph.
+func TestBatchedIngestPublishesGeometrically(t *testing.T) {
 	s := mustSchema(t, synthSchema)
 	parent, child := synthRows(600)
-	l := New(s, Options{BatchSize: 64})
+	rows := len(parent) + len(child)
+	var l *Loader
+	var snaps []*datagraph.Snapshot // published when each commit's progress is reported
+	l = New(s, Options{BatchSize: 8, Progress: func(Progress) { snaps = append(snaps, l.Snapshot()) }})
 	rep, err := l.Run(context.Background(), Rows("parent", parent), Rows("child", child))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rep.FullBuilds != 1 {
-		t.Fatalf("full snapshot builds = %d, want exactly 1 (batched ingest must not trip rebuilds); report %+v", rep.FullBuilds, rep)
+	var mid []int // node watermarks of the mid-load publications
+	for i, snap := range snaps[:len(snaps)-1] {
+		if snap != nil && (i == 0 || snap != snaps[i-1]) {
+			wn, _ := snap.Watermark()
+			mid = append(mid, wn)
+		}
 	}
-	if rep.DeltaBuilds < 3 {
-		t.Fatalf("delta merges = %d, want several; report %+v", rep.DeltaBuilds, rep)
+	if rep.DeltaBuilds != 0 {
+		t.Fatalf("delta builds = %d, want 0; report %+v", rep.DeltaBuilds, rep)
+	}
+	if len(mid) < 3 || rep.FullBuilds != uint64(len(mid))+1 {
+		t.Fatalf("full builds = %d after %d mid-load publications, want several publications plus the final build; report %+v",
+			rep.FullBuilds, len(mid), rep)
+	}
+	if limit := bits.Len(uint(rows)); rep.FullBuilds > uint64(limit) {
+		t.Fatalf("full builds = %d for %d rows, want at most %d", rep.FullBuilds, rows, limit)
+	}
+	for i := 1; i < len(mid); i++ {
+		if mid[i] < 2*mid[i-1]*3/4 {
+			t.Fatalf("publications at %v nodes do not grow geometrically", mid)
+		}
 	}
 	snap := l.Snapshot()
-	if snap == nil {
-		t.Fatalf("no final snapshot published")
+	if snap == nil || snap != l.Graph().Snapshot() {
+		t.Fatalf("the final snapshot is not the returned graph's")
 	}
 	wn, we := snap.Watermark()
 	if wn != l.Graph().NumNodes() || we != l.Graph().NumEdges() {
@@ -161,12 +182,36 @@ func TestBatchedIngestTakesDeltaPath(t *testing.T) {
 
 // TestConcurrentQueriesMidIngest races readers against the writer: every
 // published snapshot must be internally consistent (edges only between
-// frozen nodes, interned values resolvable) while the load is appending.
-// Run under -race.
+// frozen nodes, interned values resolvable) while the load is appending,
+// and the readers must see at least one mid-load snapshot — the writer
+// waits at each publication until a reader has walked it. Run under -race.
 func TestConcurrentQueriesMidIngest(t *testing.T) {
 	s := mustSchema(t, synthSchema)
 	parent, child := synthRows(400)
-	l := New(s, Options{BatchSize: 32})
+	rows := int64(len(parent) + len(child))
+	walked := make(chan *datagraph.Snapshot, 1)
+	var l *Loader
+	var last *datagraph.Snapshot
+	midSeen := 0
+	l = New(s, Options{BatchSize: 32, Progress: func(p Progress) {
+		snap := l.Snapshot()
+		if snap == last || p.Rows == rows {
+			return
+		}
+		last = snap
+		timeout := time.After(10 * time.Second)
+		for {
+			select {
+			case w := <-walked:
+				if w == snap {
+					midSeen++
+					return
+				}
+			case <-timeout:
+				return
+			}
+		}
+	}})
 
 	done := make(chan struct{})
 	var readers sync.WaitGroup
@@ -189,18 +234,19 @@ func TestConcurrentQueriesMidIngest(t *testing.T) {
 					panic(fmt.Sprintf("snapshot covers %d nodes, watermark %d", snap.NumNodes(), wn))
 				}
 				// Touch the interned surface only: CSR traversal and value
-				// ids are frozen; Graph methods race with the writer.
-				edges := 0
+				// ids are frozen.
 				for u := 0; u < snap.NumNodes(); u++ {
 					for _, v := range snap.OutAll(u) {
 						if int(v) >= snap.NumNodes() {
 							panic("edge to unfrozen node escaped a snapshot")
 						}
-						edges++
 					}
 					_ = snap.ValueID(u)
 				}
-				_ = edges
+				select {
+				case walked <- snap:
+				default:
+				}
 			}
 		}()
 	}
@@ -209,6 +255,75 @@ func TestConcurrentQueriesMidIngest(t *testing.T) {
 	readers.Wait()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if midSeen == 0 {
+		t.Fatalf("no reader saw a mid-load snapshot")
+	}
+}
+
+// TestSkippedRowIsAtomic: a row rejected for a node-id clash leaves
+// nothing of itself in the graph. Keys may contain ':', so row 1:name's id
+// item:1:name is the cell id of row 1's name; whichever of the two loads
+// second is the bad row, under the lenient policy skipped whole, under the
+// strict one an ErrBadRow at its own row.
+func TestSkippedRowIsAtomic(t *testing.T) {
+	s := mustSchema(t, "table item\ncol item id text pk\ncol item name text\n")
+	for _, tc := range []struct {
+		csv       string
+		kept, bad string // row node ids
+	}{
+		{"id,name\n1:name,b\n1,a\n", "item:1:name", "item:1"},
+		{"id,name\n1,a\n1:name,b\n", "item:1", "item:1:name:name"},
+	} {
+		g, rep, err := Load(context.Background(), s, Options{SkipBadRows: true}, CSVString("item", tc.csv))
+		if err != nil {
+			t.Fatalf("%q: Load: %v", tc.csv, err)
+		}
+		if rep.Rows != 1 || rep.Skipped != 1 {
+			t.Fatalf("%q: report %+v, want Rows:1 Skipped:1", tc.csv, rep)
+		}
+		if g.NumNodes() != 2 || g.NumEdges() != 1 {
+			t.Fatalf("%q: graph has %d nodes and %d edges, want the kept row's 2 and 1:\n%s", tc.csv, g.NumNodes(), g.NumEdges(), g)
+		}
+		if _, ok := g.NodeByID(datagraph.NodeID(tc.kept)); !ok {
+			t.Fatalf("%q: kept row %s is missing:\n%s", tc.csv, tc.kept, g)
+		}
+		if _, ok := g.NodeByID(datagraph.NodeID(tc.bad)); ok {
+			t.Fatalf("%q: skipped row %s left its node behind:\n%s", tc.csv, tc.bad, g)
+		}
+		_, _, err = Load(context.Background(), s, Options{}, CSVString("item", tc.csv))
+		var re *RowError
+		if !errors.Is(err, ErrBadRow) || !errors.As(err, &re) || re.Row != 2 {
+			t.Fatalf("%q: strict load err = %v, want ErrBadRow at row 2", tc.csv, err)
+		}
+	}
+}
+
+// TestFKLabelCollisionOneEdge: two foreign keys whose labels coincide
+// (a_id loses its "_id", and a keeps its name) and that reference the
+// same row give one edge, as edges form a set — whether the target row
+// loads before or after the referencing one.
+func TestFKLabelCollisionOneEdge(t *testing.T) {
+	s := mustSchema(t, `
+table c
+col c id int pk
+table o
+col o id int pk
+col o a_id int
+col o a int
+fk o a_id c.id
+fk o a c.id
+`)
+	cs, os := CSVString("c", "id\n1\n2\n"), CSVString("o", "id,a_id,a\n10,1,1\n11,1,2\n")
+	for _, srcs := range [][]Source{{cs, os}, {os, cs}} {
+		g, _, err := Load(context.Background(), s, Options{}, srcs...)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		if g.NumEdges() != 3 || !g.HasEdge("o:10", "o#a", "c:1") ||
+			!g.HasEdge("o:11", "o#a", "c:1") || !g.HasEdge("o:11", "o#a", "c:2") {
+			t.Fatalf("want edges o:10 -> c:1 and o:11 -> c:1, c:2, all labelled o#a; got\n%s", g)
+		}
 	}
 }
 

@@ -16,10 +16,9 @@
 //     edge T:k -[label]-> S:v (no cell node); a NULL foreign key emits
 //     nothing.
 //
-// Rows stream through a parse → map → append pipeline (see Loader) that
-// appends into the graph's append-only edge log in bounded batches, so
-// snapshot maintenance rides the delta-freeze path instead of rebuilding
-// O(V+E) per batch. internal/relational cross-validates the mapping
+// Rows stream through a parse → map → write pipeline (see Loader) whose
+// writer collects dense node and edge arrays and builds the graph once,
+// with datagraph.Build. internal/relational cross-validates the mapping
 // against its M_rel encoding of Proposition 1.
 package ingest
 
@@ -29,8 +28,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/datagraph"
 )
 
 // Type is a column's abstract type: the target of the declared-type
@@ -116,13 +113,15 @@ func Coerce(t Type, raw string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("%w: %q is not an int", ErrCoerce, raw)
 		}
-		return strconv.FormatInt(n, 10), nil
+		var buf [24]byte
+		return canonical(raw, strconv.AppendInt(buf[:0], n, 10)), nil
 	case TypeFloat:
 		f, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
 		if err != nil {
 			return "", fmt.Errorf("%w: %q is not a float", ErrCoerce, raw)
 		}
-		return strconv.FormatFloat(f, 'g', -1, 64), nil
+		var buf [32]byte
+		return canonical(raw, strconv.AppendFloat(buf[:0], f, 'g', -1, 64)), nil
 	case TypeBool:
 		switch strings.ToLower(strings.TrimSpace(raw)) {
 		case "true", "t", "1":
@@ -136,9 +135,19 @@ func Coerce(t Type, raw string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("%w: %q is not a YYYY-MM-DD date", ErrCoerce, raw)
 		}
-		return d.Format("2006-01-02"), nil
+		var buf [16]byte
+		return canonical(raw, d.AppendFormat(buf[:0], "2006-01-02")), nil
 	}
 	return "", fmt.Errorf("%w: unknown type %v", ErrCoerce, t)
+}
+
+// canonical returns raw when it already is the canonical rendering c, and
+// a copy of c otherwise, so a cell in canonical form costs no allocation.
+func canonical(raw string, c []byte) string {
+	if string(c) == raw {
+		return raw
+	}
+	return string(c)
 }
 
 // Column is one relational column.
@@ -561,14 +570,4 @@ func sampleUnique(sample [][]string, col int) bool {
 		seen[row[col]] = struct{}{}
 	}
 	return true
-}
-
-// rowNodeID returns the node id of a table row: <table>:<key>.
-func rowNodeID(table, key string) datagraph.NodeID {
-	return datagraph.NodeID(table + ":" + key)
-}
-
-// cellNodeID returns the node id of a cell: <table>:<key>:<column>.
-func cellNodeID(table, key, col string) datagraph.NodeID {
-	return datagraph.NodeID(table + ":" + key + ":" + col)
 }
