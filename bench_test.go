@@ -574,107 +574,3 @@ func BenchmarkIngestCanonicalLoad(b *testing.B) {
 		}
 	}
 }
-
-// Delta-freeze benchmarks (PR 3): the rebuild cliff for update-heavy
-// workloads. Both benchmarks append k edges to a frozen E-edge graph and
-// re-freeze per iteration; the delta variant merges the append burst into
-// the cached snapshot (copy-on-write segments), the full variant rebuilds
-// from scratch — the pre-PR cost of any topology mutation. Run with
-// -bench 'Freeze|Streaming' to reproduce the speedup reported in
-// CHANGES.md (≥5× required at E=1e5, k=1e2; measured around two orders of
-// magnitude).
-
-const (
-	freezeBenchEdges   = 100000
-	freezeBenchAppends = 100
-)
-
-// freezeBenchStream is the append-burst source for the freeze benchmarks:
-// the same workload.Streaming generator the streaming benchmarks measure,
-// configured to pure edge appends (k per Tick).
-func freezeBenchStream() *workload.Stream {
-	s := workload.Streaming(workload.StreamSpec{
-		Base: workload.GraphSpec{
-			Nodes: freezeBenchEdges / 5, Edges: freezeBenchEdges,
-			Labels: adjacencyBenchLabels, Values: 2000, Seed: 29,
-		},
-		EdgesPerRound: freezeBenchAppends,
-		Seed:          31,
-	})
-	s.G.Freeze()
-	return s
-}
-
-// BenchmarkFreezeDeltaAppend: append k edges, re-freeze incrementally.
-func BenchmarkFreezeDeltaAppend(b *testing.B) {
-	s := freezeBenchStream()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Tick()
-		s.G.Freeze()
-	}
-}
-
-// BenchmarkFreezeFullRebuild: the same append burst, but rebuilding the
-// snapshot from scratch (the pre-delta behaviour of any AddEdge).
-func BenchmarkFreezeFullRebuild(b *testing.B) {
-	s := freezeBenchStream()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Tick()
-		s.G.FreezeFull()
-	}
-}
-
-// streamingBenchSpec is the streaming update scenario at benchmark scale:
-// mutation bursts (edge appends + value overwrites) alternating with an
-// engine-evaluated certain-answer query batch.
-func streamingBenchSpec() (workload.StreamSpec, []core.Query) {
-	spec := workload.StreamSpec{
-		Base: workload.GraphSpec{
-			Nodes: 2000, Edges: 6000, Labels: []string{"a", "b", "c"}, Values: 150, Seed: 37,
-		},
-		Rounds:            8,
-		EdgesPerRound:     60,
-		NodesPerRound:     3,
-		SetValuesPerRound: 30,
-		Seed:              37,
-	}
-	queries := []core.Query{
-		ree.MustParseQuery("(a b)="),
-		ree.MustParseQuery("a (b c?)!="),
-	}
-	return spec, queries
-}
-
-func runStreamingBench(b *testing.B, rebuild bool) {
-	spec, queries := streamingBenchSpec()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := workload.Streaming(spec)
-		s.G.Freeze()
-		err := s.Run(func(round int, g *datagraph.Graph) error {
-			if rebuild {
-				g.FreezeFull()
-			}
-			for _, q := range queries {
-				if _, err := engine.EvalGraph(ctx, g, q, datagraph.SQLNulls, engine.Options{}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStreamingDeltaFreeze: the interleaved update/query scenario with
-// incremental snapshot maintenance (each round's freeze merges the burst).
-func BenchmarkStreamingDeltaFreeze(b *testing.B) { runStreamingBench(b, false) }
-
-// BenchmarkStreamingFullRebuild: the same scenario paying a from-scratch
-// snapshot rebuild every round (the pre-delta cliff).
-func BenchmarkStreamingFullRebuild(b *testing.B) { runStreamingBench(b, true) }

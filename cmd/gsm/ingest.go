@@ -140,9 +140,9 @@ func runIngest(schema *ingest.Schema, srcs []ingest.Source, outPath string, batc
 	} else {
 		fmt.Fprint(out, g.String())
 	}
-	fmt.Fprintf(repW, "ingested %d rows (%d skipped, %d dangling FKs dropped) -> %d nodes, %d edges in %d batches (%d full + %d delta snapshot builds, %s)\n",
+	fmt.Fprintf(repW, "ingested %d rows (%d skipped, %d dangling FKs dropped) -> %d nodes, %d edges in %d batches (%d snapshot builds, %s)\n",
 		rep.Rows, rep.Skipped, rep.DroppedFKs, rep.Nodes, rep.Edges, rep.Batches,
-		rep.FullBuilds, rep.DeltaBuilds, rep.Elapsed.Round(time.Millisecond))
+		rep.FullBuilds, rep.Elapsed.Round(time.Millisecond))
 	return nil
 }
 

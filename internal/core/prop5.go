@@ -116,7 +116,7 @@ func (mat *Materialization) CertainDataPathArbitrary(ctx context.Context, q *ree
 		alpha := uniqueLabels(append(append([]string{}, labels...),
 			rex.Labels(r.Target.Expr())...))
 		w := newWordDFA(rex.Compile(r.Target.Expr()), alpha)
-		n := w.count(L, math.MaxInt/opts.MaxChoices) // MaxChoices × n fits an int
+		n, _ := w.count(L, math.MaxInt/opts.MaxChoices) // MaxChoices × n fits an int
 		for _, p := range pairs {
 			usable := n
 			if w.d.Accepts[0] && p.From != p.To {
@@ -287,16 +287,15 @@ func (w *wordDFA) hasLive(s int) bool {
 	return slices.ContainsFunc(w.d.Trans[s], func(t int) bool { return w.live[t] })
 }
 
-// count returns how many choices words lists, saturating at limit: a
-// dynamic program over (depth, state), where ways[s] counts the live
-// paths of the current length from the start to s.
-func (w *wordDFA) count(L, limit int) int {
+// count returns how many choices words lists, saturating at limit, and
+// whether LONG is among them: a dynamic program over (depth, state), where
+// ways[s] counts the live paths of the current length from the start to s.
+func (w *wordDFA) count(L, limit int) (n int, long bool) {
 	add := func(a, b int) int { return min(a, limit-b) + b }
 	ways, next := make([]int, len(w.d.Trans)), make([]int, len(w.d.Trans))
 	if w.live[0] {
 		ways[0] = 1
 	}
-	n, long := 0, false
 	for depth := 0; depth <= L; depth++ {
 		clear(next)
 		for s, k := range ways {
@@ -318,30 +317,40 @@ func (w *wordDFA) count(L, limit int) int {
 	if long {
 		n = add(n, 1)
 	}
-	return n
+	return n, long
 }
 
 // words lists the word choices in depth-first order over alpha and then ⋆,
-// followed by longMarker when the target accepts a word longer than L,
-// polling ctx as it walks.
+// followed by longMarker when the target accepts a word longer than L (as
+// count finds), polling ctx as it walks. The walk enters a state only if
+// an accepting state is reachable from it within the letters left — near,
+// a backward dynamic program of count's shape — so it visits prefixes of
+// listed words only.
 func (w *wordDFA) words(ctx context.Context, L int) ([][]string, error) {
+	q := len(w.d.Trans)
+	near := make([]bool, (L+1)*q) // near[r*q+s]: accepting within r steps of s
+	copy(near, w.d.Accepts)
+	for r := 1; r <= L; r++ {
+		for s, row := range w.d.Trans {
+			near[r*q+s] = w.d.Accepts[s] || slices.ContainsFunc(row, func(t int) bool { return near[(r-1)*q+t] })
+		}
+	}
 	var out [][]string
 	var err error
-	long, visits := false, 0
+	visits := 0
 	word := make([]string, 0, L)
 	var walk func(s int)
 	walk = func(s int) {
 		if visits++; visits%1024 == 0 && err == nil {
 			err = ctx.Err()
 		}
-		if !w.live[s] || err != nil {
+		if !near[(L-len(word))*q+s] || err != nil {
 			return
 		}
 		if w.d.Accepts[s] {
 			out = append(out, slices.Clone(word))
 		}
 		if len(word) == L {
-			long = long || w.hasLive(s)
 			return
 		}
 		for i, c := range w.cols {
@@ -353,7 +362,7 @@ func (w *wordDFA) words(ctx context.Context, L int) ([][]string, error) {
 	if walk(0); err != nil {
 		return nil, Canceled(err)
 	}
-	if long {
+	if _, long := w.count(L, 1); long {
 		out = append(out, longMarker)
 	}
 	return out, nil

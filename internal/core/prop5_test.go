@@ -299,15 +299,44 @@ func TestProp5CountMatchesListing(t *testing.T) {
 				t.Fatal(err)
 			}
 			eps := len(words) > 0 && len(words[0]) == 0
-			if n := w.count(L, 1<<20); n != len(words) || w.d.Accepts[0] != eps {
+			if n, _ := w.count(L, 1<<20); n != len(words) || w.d.Accepts[0] != eps {
 				t.Errorf("%s, L=%d: count %d (ε %v), listing %d (ε %v)", target, L, n, w.d.Accepts[0], len(words), eps)
 			}
 			if limit := 3; len(words) > limit {
-				if n := w.count(L, limit); n != limit {
+				if n, _ := w.count(L, limit); n != limit {
 					t.Errorf("%s, L=%d: count saturates at %d, want %d", target, L, n, limit)
 				}
 			}
 		}
+	}
+}
+
+// TestProp5WordsPrunesUnacceptedPrefixes: under a -> .* e e e e e e e e e e,
+// a 9-letter query over b, c, d leaves LONG as the one word choice. Listing
+// it must not walk the 5⁹ prefixes of length ≤ 9, none of which leads to
+// an accepted word within 9 letters.
+func TestProp5WordsPrunesUnacceptedPrefixes(t *testing.T) {
+	e := rex.MustParse(".* e e e e e e e e e e")
+	w := newWordDFA(rex.Compile(e), uniqueLabels(append([]string{"b", "c", "d"}, rex.Labels(e)...)))
+	const L = 9
+	list := func() time.Duration {
+		start := time.Now()
+		got, err := w.words(ctx, L)
+		elapsed := time.Since(start)
+		if err != nil || !slices.EqualFunc(got, [][]string{longMarker}, slices.Equal[[]string]) {
+			t.Fatalf("word choices %q (%v), want LONG only", got, err)
+		}
+		return elapsed
+	}
+	best := list()
+	for range 4 {
+		best = min(best, list())
+	}
+	if best > time.Millisecond {
+		t.Fatalf("listing took %v, want under 1 ms", best)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { list() }); allocs > 200 {
+		t.Fatalf("listing made %.0f allocations, want at most 200", allocs)
 	}
 }
 

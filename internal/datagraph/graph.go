@@ -38,11 +38,8 @@ func (e Edge) String() string {
 
 // IndexEdge is an edge with its endpoints as dense node indices: the entry
 // type of the graph's insertion-order edge log and of Build. The log is what
-// every derived structure (edge set, snapshots) is rebuilt
-// from, deterministically. It is strictly append-only — as is the node list
-// — which is what lets a cached Snapshot treat its (frozenNodes,
-// frozenEdges) watermark as a prefix of the current state and freeze
-// incrementally (see buildDelta).
+// every derived structure (edge set, snapshots) is built from,
+// deterministically.
 type IndexEdge struct {
 	From, To int32
 	Label    string
@@ -58,7 +55,8 @@ type IndexEdge struct {
 // first use. The edge set answers HasEdge. The frozen Snapshot (see Freeze)
 // — interned labels and values with CSR adjacency, cached on the graph and
 // shared by concurrent evaluators — is the only adjacency form: every
-// traversal reads it.
+// traversal reads it. It is built whole: the first Freeze after a topology
+// change rebuilds it from the log.
 //
 // The zero Graph is empty and ready to use. A Graph is safe for concurrent
 // readers once construction is complete; mutation is not synchronized.
@@ -77,10 +75,9 @@ type Graph struct {
 	valVersion  uint64
 	snap        atomic.Pointer[Snapshot]
 
-	// snapFull/snapDelta count snapshot constructions by kind (full rebuild
-	// vs delta merge) over the graph's lifetime; see SnapshotBuilds.
-	snapFull  atomic.Uint64
-	snapDelta atomic.Uint64
+	// snapFull counts full snapshot builds over the graph's lifetime; see
+	// SnapshotBuilds.
+	snapFull atomic.Uint64
 }
 
 // New returns an empty data graph.
@@ -229,17 +226,10 @@ func (g *Graph) HasEdge(from NodeID, label string, to NodeID) bool {
 
 // Freeze compiles (or returns the cached) immutable Snapshot of the graph:
 // interned labels and values with CSR adjacency. The snapshot is cached on
-// the graph and invalidated by mutation, and rebuilding is incremental:
-//
-//   - a SetValue-only change re-interns values but reuses the CSR topology;
-//   - an append burst (AddNode/AddEdge — the only topology mutation the API
-//     allows) is merged into the previous snapshot as a delta, rebuilding
-//     only the adjacency rows of nodes touched by new half-edges and
-//     sharing everything else copy-on-write (O(Δ + Σ deg(touched)) plus two
-//     O(V) table copies, instead of O(V+E));
-//   - a full rebuild still happens when there is no usable cached snapshot,
-//     when the delta rivals the live graph, or when accumulated delta
-//     segments/garbage exceed the compaction thresholds.
+// the graph and invalidated by mutation. A SetValue-only change re-interns
+// values but reuses the CSR topology; after AddNode/AddEdge the snapshot is
+// rebuilt in full, O(V+E). Graphs are built once and then only read (Build,
+// the chase, ingestion), so that rebuild is paid once per graph.
 //
 // Freeze follows the graph's concurrency contract: any number of concurrent
 // readers may call it (a race only builds the snapshot twice), but it must
@@ -254,10 +244,8 @@ func (g *Graph) Freeze() *Snapshot {
 }
 
 // FreezeFull builds a from-scratch snapshot, bypassing both the cache and
-// the delta-merge path, and caches the result. Delta-built and full-built
-// snapshots are behaviourally identical; FreezeFull exists for
-// cross-validation tests and for benchmarks that measure the rebuild cliff
-// the delta path avoids.
+// the SetValue-only topology reuse, and caches the result. It exists for
+// cross-validation tests and for benchmarks that time a full build.
 func (g *Graph) FreezeFull() *Snapshot {
 	s := buildFull(g)
 	g.snap.Store(s)
@@ -275,14 +263,12 @@ func (g *Graph) Snapshot() *Snapshot {
 }
 
 // SnapshotBuilds returns how many snapshot constructions the graph has
-// paid for, split by kind: full is O(V+E) from-scratch rebuilds (including
-// the first Freeze and every FreezeFull), delta is incremental merges of an
-// append burst into the cached snapshot. Bulk ingestion asserts its batched
-// appends amortize — full stays at 1 while delta grows — instead of
-// tripping the rebuild cliff on every batch. Value-only refreshes (SetValue
-// with unchanged topology) count as neither.
+// paid for: full counts O(V+E) builds (Build, every Freeze after a
+// topology change, every FreezeFull); value-only refreshes (SetValue with
+// unchanged topology) do not count. delta is always 0; it is kept until the
+// benchmark harness drops its delta metrics.
 func (g *Graph) SnapshotBuilds() (full, delta uint64) {
-	return g.snapFull.Load(), g.snapDelta.Load()
+	return g.snapFull.Load(), 0
 }
 
 // Versions returns the graph's monotonic mutation counters: topology counts

@@ -2,6 +2,7 @@ package datagraph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -16,7 +17,8 @@ import (
 //	edge <from> <label> <to>
 //
 // Fields are whitespace-separated; blank lines and lines starting with '#'
-// are ignored. Edges may reference nodes declared later in the file.
+// are ignored. Edges may reference nodes declared later in the file. Every
+// rejection is a *ParseError.
 func Parse(r io.Reader) (*Graph, error) {
 	g := New()
 	type pendingEdge struct {
@@ -37,34 +39,44 @@ func Parse(r io.Reader) (*Graph, error) {
 		switch fields[0] {
 		case "node":
 			if len(fields) != 3 {
-				return nil, fmt.Errorf("datagraph: line %d: want 'node <id> <value>'", lineNo)
+				return nil, &ParseError{lineNo, errors.New("want 'node <id> <value>'")}
 			}
 			v := V(fields[2])
 			if fields[2] == "null" {
 				v = Null()
 			}
 			if err := g.AddNode(NodeID(fields[1]), v); err != nil {
-				return nil, fmt.Errorf("datagraph: line %d: %v", lineNo, err)
+				return nil, &ParseError{lineNo, err}
 			}
 		case "edge":
 			if len(fields) != 4 {
-				return nil, fmt.Errorf("datagraph: line %d: want 'edge <from> <label> <to>'", lineNo)
+				return nil, &ParseError{lineNo, errors.New("want 'edge <from> <label> <to>'")}
 			}
 			pending = append(pending, pendingEdge{fields[1], fields[2], fields[3], lineNo})
 		default:
-			return nil, fmt.Errorf("datagraph: line %d: unknown directive %q", lineNo, fields[0])
+			return nil, &ParseError{lineNo, fmt.Errorf("unknown directive %q", fields[0])}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, &ParseError{lineNo + 1, err}
 	}
 	for _, e := range pending {
 		if err := g.AddEdge(NodeID(e.from), e.label, NodeID(e.to)); err != nil {
-			return nil, fmt.Errorf("datagraph: line %d: %v", e.line, err)
+			return nil, &ParseError{e.line, err}
 		}
 	}
 	return g, nil
 }
+
+// ParseError is a line of graph text that Parse rejects, with the reason.
+type ParseError struct {
+	Line int
+	Err  error
+}
+
+func (e *ParseError) Error() string { return fmt.Sprintf("datagraph: line %d: %v", e.Line, e.Err) }
+
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // ParseString is Parse over a string.
 func ParseString(s string) (*Graph, error) { return Parse(strings.NewReader(s)) }

@@ -15,7 +15,6 @@ const (
 	mapEntryBytes  = 48 // rough per-entry bucket cost of a Go map
 	mapBaseBytes   = 64 // fixed map header cost
 	int32Bytes     = 4
-	csrRowBytes    = 12 // csrRow: seg + lo + hi
 	indexEdgeBytes = 2*int32Bytes + stringHeader
 	pairEntryBytes = 8 // Pair: two int32 dense indices
 )
@@ -58,41 +57,23 @@ func (g *Graph) SizeBytes() int64 {
 	return b
 }
 
-// SizeBytes estimates the snapshot's own storage: the CSR segments, the
-// per-label edge spans, the interned labels and values. Delta freezes share
-// segments with their predecessor; only the latest snapshot is cached on a
-// graph, so summing segments here never double-counts within one graph.
+// SizeBytes estimates the snapshot's own storage: the label interner, both
+// CSR directions, the per-label edge lists and the value ids. A
+// SetValue-only refreeze shares the topology arrays with its predecessor;
+// only the latest snapshot is cached on a graph, so counting them here never
+// double-counts within one graph.
 func (s *Snapshot) SizeBytes() int64 {
-	var b int64
+	b := int64(mapBaseBytes)
 	for _, l := range s.labels {
 		b += stringBytes(l) + mapEntryBytes
 	}
-	b += csrDirBytes(&s.out) + csrDirBytes(&s.in)
-	for _, lp := range s.pairs {
-		b += sliceHeader
-		for _, seg := range lp.segs {
-			b += int64(len(seg.from)+len(seg.to)) * int32Bytes
-		}
-	}
-	b += int64(len(s.valueID)) * int32Bytes
-	b += 2 * mapBaseBytes
-	for v := range s.valBase {
-		b += mapEntryBytes + stringBytes(v)
-	}
-	for v := range s.valExtra {
-		b += mapEntryBytes + stringBytes(v)
-	}
+	b += s.out.sizeBytes() + s.in.sizeBytes()
+	b += int64(len(s.pairOff)+len(s.pairFrom)+len(s.pairTo)+len(s.valueID)) * int32Bytes
 	return b
 }
 
-func csrDirBytes(d *csrDir) int64 {
-	b := int64(len(d.rows)) * csrRowBytes
-	for _, seg := range d.segs {
-		b += int64(len(seg.labels))*int32Bytes +
-			int64(len(seg.slotOff))*int32Bytes +
-			int64(len(seg.targets))*int32Bytes
-	}
-	return b
+func (d *csrDir) sizeBytes() int64 {
+	return int64(len(d.rowOff)+len(d.labels)+len(d.slotOff)+len(d.targets)) * int32Bytes
 }
 
 // SizeBytes estimates the pair set's footprint: map buckets in sparse

@@ -227,14 +227,15 @@ func TestFreezeCaching(t *testing.T) {
 	if s2 == s1 {
 		t.Fatal("Freeze must rebuild after SetValue")
 	}
-	if s2.out.segs[0] != s1.out.segs[0] || &s2.pairs[0].segs[0].from[0] != &s1.pairs[0].segs[0].from[0] {
+	if &s2.out.targets[0] != &s1.out.targets[0] || &s2.in.rowOff[0] != &s1.in.rowOff[0] ||
+		&s2.pairFrom[0] != &s1.pairFrom[0] {
 		t.Fatal("a SetValue-only rebuild must reuse the CSR topology")
 	}
 	if s2.Value(0) != V("9") {
 		t.Fatal("rebuilt snapshot must see the new value")
 	}
 
-	// Topology mutation: rebuild (incremental or full) must see the edge.
+	// Topology mutation: the rebuild must see the edge.
 	g.MustAddEdge("b", "e", "a")
 	if g.Snapshot() != nil {
 		t.Fatal("Snapshot must be nil after AddEdge")
@@ -284,8 +285,8 @@ func TestIndexZeroGraph(t *testing.T) {
 	}
 }
 
-// TestSnapshotLargeDegree exercises the sort.SliceStable fallback in the
-// CSR builder (node with more than 128 out-edges).
+// TestSnapshotLargeDegree exercises a high-degree row: one node with 200
+// out-edges over four labels, interleaved in the log.
 func TestSnapshotLargeDegree(t *testing.T) {
 	g := New()
 	g.MustAddNode("hub", V("h"))

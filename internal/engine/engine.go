@@ -98,10 +98,9 @@ type job struct {
 // work item and returns one PairSet per query.
 //
 // The graph is frozen exactly once, up front, so every worker evaluates
-// against one shared immutable snapshot. Freezing is incremental
-// (datagraph delta snapshots), so in update-heavy workloads — query
-// batches separated by AddEdge/SetValue bursts — each batch pays only for
-// the delta since the previous batch, not an O(V+E) rebuild. Result sets are dense bitmap
+// against one shared immutable snapshot; a graph already frozen (every
+// solution and built graph is) costs nothing here, and one whose topology
+// changed since pays an O(V+E) rebuild. Result sets are dense bitmap
 // PairSets (when the graph fits the dense budget); frontier work items for
 // the same query touch disjoint start nodes and therefore disjoint bitmap
 // rows, so workers write answers straight into the shared result set

@@ -140,3 +140,22 @@ func TestSourceForUnknownTable(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBadSchema", err)
 	}
 }
+
+// TestStrictDanglingFKNamesFirstRow: with several dangling keys left at end
+// of input, the strict error names the one whose referencing row comes
+// first in input order, on every run.
+func TestStrictDanglingFKNamesFirstRow(t *testing.T) {
+	s := mustSchema(t, fixtureSchema)
+	srcs := []Source{
+		CSVString("customer", "id,name,city\n1,alice,paris\n"),
+		CSVString("orders", "id,customer_id,total\n10,1,5\n11,94,5\n12,92,5\n13,93,5\n14,91,5\n"),
+	}
+	for run := 0; run < 50; run++ {
+		_, _, err := Load(context.Background(), s, Options{}, srcs...)
+		var re *RowError
+		if !errors.As(err, &re) || !errors.Is(err, ErrDanglingFK) || re.Table != "orders" || re.Row != 2 ||
+			err.Error() != "table orders row 2: ingest: dangling foreign key: no row customer:94" {
+			t.Fatalf("run %d: err = %v, want the dangling key of orders row 2", run, err)
+		}
+	}
+}

@@ -64,7 +64,7 @@ type Report struct {
 	Edges       int           `json:"edges"`
 	Batches     int           `json:"batches"`
 	FullBuilds  uint64        `json:"full_builds"`  // graph builds: mid-load publications plus the final one
-	DeltaBuilds uint64        `json:"delta_builds"` // always 0: a load never merges into a built graph
+	DeltaBuilds uint64        `json:"delta_builds"` // always 0; kept until the benchmark harness drops its delta metrics
 	Elapsed     time.Duration `json:"elapsed_ns"`
 }
 
@@ -379,18 +379,28 @@ func (w *writer) collision(lay *layout, m *mappedRow) datagraph.NodeID {
 
 // finishFKs settles the pending buffer at end of input: anything left is
 // a dangling foreign key — dropped under the lenient policy, fatal under
-// strict.
+// strict. The strict error names the dangling reference whose referencing
+// row comes first in input order (row nodes are appended in that order; a
+// row's own references tie-break by referenced table, then key), so it
+// does not depend on map iteration.
 func (w *writer) finishFKs() error {
+	var first *pendingEdge
+	var firstTab int
+	var firstKey string
 	for tab := range w.tabs {
 		for refKey, edges := range w.tabs[tab].pending {
-			for _, pe := range edges {
-				err := rowErr(pe.table, pe.row, fmt.Errorf("%w: no row %s:%s", ErrDanglingFK, w.l.schema.Tables[tab].Name, refKey))
-				if !w.l.opts.SkipBadRows {
-					return err
-				}
-				w.rep.DroppedFKs++
+			if w.l.opts.SkipBadRows {
+				w.rep.DroppedFKs += int64(len(edges))
+				continue
+			}
+			pe := &edges[0] // the earliest referencing row of this key
+			if first == nil || pe.from < first.from || pe.from == first.from && tab == firstTab && refKey < firstKey {
+				first, firstTab, firstKey = pe, tab, refKey
 			}
 		}
+	}
+	if first != nil {
+		return rowErr(first.table, first.row, fmt.Errorf("%w: no row %s:%s", ErrDanglingFK, w.l.schema.Tables[firstTab].Name, firstKey))
 	}
 	return nil
 }

@@ -56,11 +56,11 @@ func TestScratchEpochWraparound(t *testing.T) {
 }
 
 // TestScratchReuseAcrossSnapshotsAndQueries: a scratch sized for snapshot A
-// and a small automaton serves a larger delta-frozen snapshot B and an
+// and a small automaton serves a larger snapshot B and an
 // automaton with more states — it grows instead of indexing past what A
 // needed — and then A's query again.
 func TestScratchReuseAcrossSnapshotsAndQueries(t *testing.T) {
-	g := randomGraph(11, 24, 200) // edge-heavy, so the burst below stays a delta
+	g := randomGraph(11, 24, 200)
 	small, large := MustParse("a b"), MustParse("(a b | b a a)* (a | b b) a*")
 	if small.auto.NumStates >= large.auto.NumStates {
 		t.Fatalf("want a larger automaton: %d vs %d states", small.auto.NumStates, large.auto.NumStates)
@@ -79,9 +79,6 @@ func TestScratchReuseAcrossSnapshotsAndQueries(t *testing.T) {
 	}
 	if b := g.Freeze(); b == a || b.NumNodes() != n+n/2 {
 		t.Fatalf("append burst did not produce a larger snapshot")
-	}
-	if _, delta := g.SnapshotBuilds(); delta == 0 {
-		t.Fatal("snapshot B was not delta-frozen")
 	}
 	for _, q := range []*Query{large, small, MustParse(".*")} {
 		if got, want := evalOn(q, g, sc), oracleEval(g, q); !got.Equal(want) {

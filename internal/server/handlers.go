@@ -355,13 +355,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	enc.Encode(IngestChunk{Done: true, Graph: &info, Report: &IngestReport{
-		Rows:        rep.Rows,
-		Skipped:     rep.Skipped,
-		DroppedFKs:  rep.DroppedFKs,
-		Batches:     rep.Batches,
-		FullBuilds:  rep.FullBuilds,
-		DeltaBuilds: rep.DeltaBuilds,
-		ElapsedMS:   float64(rep.Elapsed) / float64(time.Millisecond),
+		Rows:       rep.Rows,
+		Skipped:    rep.Skipped,
+		DroppedFKs: rep.DroppedFKs,
+		Batches:    rep.Batches,
+		FullBuilds: rep.FullBuilds,
+		ElapsedMS:  float64(rep.Elapsed) / float64(time.Millisecond),
 	}})
 	flush()
 }

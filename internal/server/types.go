@@ -226,13 +226,12 @@ type IngestRequest struct {
 
 // IngestReport is the wire form of a completed load's summary.
 type IngestReport struct {
-	Rows        int64   `json:"rows"`
-	Skipped     int64   `json:"skipped"`
-	DroppedFKs  int64   `json:"dropped_fks"`
-	Batches     int     `json:"batches"`
-	FullBuilds  uint64  `json:"full_builds"`
-	DeltaBuilds uint64  `json:"delta_builds"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
+	Rows       int64   `json:"rows"`
+	Skipped    int64   `json:"skipped"`
+	DroppedFKs int64   `json:"dropped_fks"`
+	Batches    int     `json:"batches"`
+	FullBuilds uint64  `json:"full_builds"`
+	ElapsedMS  float64 `json:"elapsed_ms"`
 }
 
 // IngestChunk is one NDJSON line of POST /v1/graphs/{name}/ingest: a

@@ -156,60 +156,3 @@ func TestSkewedDistribution(t *testing.T) {
 		t.Fatal("value skew should favour low indices")
 	}
 }
-
-func TestStreamingDeterministic(t *testing.T) {
-	spec := StreamSpec{
-		Base:              GraphSpec{Nodes: 40, Edges: 100, Labels: []string{"a", "b"}, Values: 8, Seed: 5},
-		Rounds:            4,
-		EdgesPerRound:     15,
-		NodesPerRound:     2,
-		SetValuesPerRound: 3,
-		Seed:              21,
-	}
-	s1, s2 := Streaming(spec), Streaming(spec)
-	for round := 0; round < spec.Rounds; round++ {
-		s1.Tick()
-		s2.Tick()
-	}
-	if s1.G.String() != s2.G.String() {
-		t.Fatal("same spec must generate the same stream")
-	}
-	if s1.G.NumNodes() != 40+4*2 {
-		t.Fatalf("nodes = %d, want %d", s1.G.NumNodes(), 48)
-	}
-	if s1.G.NumEdges() <= 100 {
-		t.Fatal("bursts must append edges")
-	}
-}
-
-// TestStreamingFreezePerRound checks the stream's side of the
-// incremental-freeze contract: every burst goes through the append-only
-// graph API, so each round's freeze observes the burst and the final
-// incrementally maintained snapshot agrees with a from-scratch build.
-// (That each such freeze actually takes the delta path — shares segments
-// rather than rebuilding — is pinned by the datagraph delta tests, which
-// can see the snapshot internals.)
-func TestStreamingFreezePerRound(t *testing.T) {
-	s := Streaming(StreamSpec{
-		Base:          GraphSpec{Nodes: 300, Edges: 900, Labels: []string{"a", "b", "c"}, Values: 30, Seed: 2},
-		Rounds:        5,
-		EdgesPerRound: 10,
-		Seed:          31,
-	})
-	prev := s.G.Freeze()
-	err := s.Run(func(round int, g *datagraph.Graph) error {
-		snap := g.Freeze()
-		if snap == prev {
-			t.Fatalf("round %d: freeze did not observe the burst", round)
-		}
-		prev = snap
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := s.G.FreezeFull()
-	if got, want := prev.NumLabelEdges(0), full.NumLabelEdges(0); got != want {
-		t.Fatalf("incremental snapshot diverged: %d edges on label 0, want %d", got, want)
-	}
-}
