@@ -36,12 +36,12 @@ func snapshotText(s *Snapshot) string {
 	return b.String()
 }
 
-// TestRefreezeMatchesFresh is the cache-invalidation property test:
-// randomized interleavings of AddNode/AddEdge/SetValue bursts — with labels
-// and values first appearing mid-stream, and nulls — and Freeze calls must
-// keep the re-frozen snapshot identical to that of a fresh clone, and must
-// never disturb a snapshot already handed out.
-func TestRefreezeMatchesFresh(t *testing.T) {
+// TestDeltaFreezeMatchesFull is the cache-invalidation property test: after
+// each delta — a random burst of AddNode/AddEdge/SetValue, with labels and
+// values first appearing mid-stream, and nulls — the re-frozen snapshot must
+// be identical to that of a fresh clone, and a re-freeze must never disturb
+// a snapshot already handed out.
+func TestDeltaFreezeMatchesFull(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		g := New()
@@ -90,6 +90,38 @@ func TestRefreezeMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeltaFreezeNewLabelAndValue covers interning across a re-freeze:
+// labels, values and the null first appearing after a freeze get the ids a
+// fresh build assigns, and the previous snapshot's interners never see them.
+func TestDeltaFreezeNewLabelAndValue(t *testing.T) {
+	g := New()
+	g.MustAddNode("a", V("x"))
+	g.MustAddNode("b", V("y"))
+	g.MustAddEdge("a", "p", "b")
+	s1 := g.Freeze()
+	labelsBefore, valuesBefore := s1.NumLabels(), s1.NumValues()
+
+	g.MustAddNode("c", V("brand-new"))
+	g.MustAddNode("d", Null())
+	g.MustAddEdge("b", "q", "c")
+	g.MustAddEdge("c", "p", "d")
+	s2 := g.Freeze()
+
+	if s1.NumLabels() != labelsBefore || s1.NumValues() != valuesBefore {
+		t.Fatal("re-freeze mutated the previous snapshot's interners")
+	}
+	if _, ok := s1.LabelID("q"); ok {
+		t.Fatal("previous snapshot must not see the new label")
+	}
+	if s1.NullValueID() != -1 {
+		t.Fatal("previous snapshot must not see the new null")
+	}
+	if _, ok := s2.LabelID("q"); !ok || s2.NullValueID() < 0 {
+		t.Fatal("re-frozen snapshot must intern the new label and the null")
+	}
+	equalSnapshots(t, s2, g.Clone().Freeze())
 }
 
 // TestCloneSnapshotIsolation: a clone never observes the parent's cached
