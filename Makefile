@@ -15,10 +15,10 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Time-boxed fuzzing of the query-language parsers and the graph-text
-# parser: each package's FuzzParse target for 10 s (go test -fuzz takes one
-# package at a time).
-FUZZ_PKGS = ./internal/rex ./internal/ree ./internal/rem ./internal/gxpath ./internal/datagraph
+# Time-boxed fuzzing of the query-language parsers, the graph-text parser
+# and the CSV reader: each package's FuzzParse target for 10 s (go test
+# -fuzz takes one package at a time).
+FUZZ_PKGS = ./internal/rex ./internal/ree ./internal/rem ./internal/gxpath ./internal/datagraph ./internal/ingest
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

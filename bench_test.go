@@ -574,3 +574,24 @@ func BenchmarkIngestCanonicalLoad(b *testing.B) {
 		}
 	}
 }
+
+// TestIngestCanonicalLoadAllocs pins the canonical load's allocations to
+// a few per chunk plus encoding/csv's one string per record: rows are cut
+// from per-reader slabs and ids from one string per chunk, so a load of
+// 20 000 rows stays at or under 30 000 allocations (one string per id and
+// a Cells and Nulls per row took it to 110 000).
+func TestIngestCanonicalLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what is put back, so allocation counts are not the production ones")
+	}
+	schema, srcs := canonicalLoadCSV()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := ingest.Load(ctx, schema, ingest.Options{}, srcs...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("the canonical load allocates %.0f objects", allocs)
+	if allocs > 30000 {
+		t.Fatalf("the canonical load allocates %.0f objects, want at most 30 000", allocs)
+	}
+}

@@ -42,10 +42,9 @@ func (g *Graph) SizeBytes() int64 {
 		// here; the index key shares its backing array).
 		b += nodeBytes(n) + mapEntryBytes
 	}
-	for _, e := range g.seq {
-		// One edge-log entry; label content counted here.
-		b += indexEdgeBytes + stringBytes(e.Label)
-	}
+	// One entry per edge in the log. Labels are few and share their text
+	// with the snapshot's interner, which counts it once per label.
+	b += int64(len(g.seq)) * indexEdgeBytes
 	b += mapBaseBytes
 	if g.edges.Load() != nil {
 		// The derived edge set: one entry of three string headers per edge.

@@ -14,12 +14,34 @@ import (
 // separately (CSV renders NULL as the empty cell; SQLite records carry an
 // explicit null serial type). Coercion to canonical form happens in the
 // mapping stage, against the declared column types.
+//
+// A returned row's Cells and Nulls are read-only, and they stay valid
+// after later Next calls: readers cut them from blocks they never reuse
+// (see rowSlab).
 type Row struct {
 	// Num is the 1-based data row number within the source (header
 	// excluded), the coordinate reported in row errors.
 	Num   int
 	Cells []string
 	Nulls []bool
+}
+
+// rowSlab cuts rows' Cells and Nulls from blocks of chunkRows rows, one
+// make of each per block. A block is never reused, because the map stage
+// still reads a chunk's rows while parsing runs ahead.
+type rowSlab struct {
+	cells []string
+	nulls []bool
+}
+
+// next returns row num with width cells, all empty and none NULL.
+func (s *rowSlab) next(num, width int) Row {
+	if len(s.cells) < width {
+		s.cells, s.nulls = make([]string, chunkRows*width), make([]bool, chunkRows*width)
+	}
+	row := Row{Num: num, Cells: s.cells[:width:width], Nulls: s.nulls[:width:width]}
+	s.cells, s.nulls = s.cells[width:], s.nulls[width:]
+	return row
 }
 
 // RowReader streams one table's rows. Next returns io.EOF at end of input
@@ -71,6 +93,7 @@ type csvReader struct {
 	r      *csv.Reader
 	perm   []int // declared column index -> file column index
 	row    int
+	slab   rowSlab
 	closer io.Closer
 }
 
@@ -118,11 +141,7 @@ func (c *csvReader) Next() (Row, error) {
 		return Row{}, rowErr(c.table.Name, c.row, fmt.Errorf("%w: %v", ErrBadRow, err))
 	}
 	c.row++
-	row := Row{
-		Num:   c.row,
-		Cells: make([]string, len(c.perm)),
-		Nulls: make([]bool, len(c.perm)),
-	}
+	row := c.slab.next(c.row, len(c.perm))
 	for ci, fi := range c.perm {
 		if fi >= len(rec) {
 			return Row{}, rowErr(c.table.Name, c.row,
@@ -158,6 +177,7 @@ type sliceReader struct {
 	table *Table
 	rows  [][]string
 	i     int
+	slab  rowSlab
 }
 
 func (s *sliceReader) Next() (Row, error) {
@@ -166,11 +186,11 @@ func (s *sliceReader) Next() (Row, error) {
 	}
 	rec := s.rows[s.i]
 	s.i++
-	row := Row{Num: s.i, Cells: make([]string, len(s.table.Columns)), Nulls: make([]bool, len(s.table.Columns))}
 	if len(rec) != len(s.table.Columns) {
 		return Row{}, rowErr(s.table.Name, s.i,
 			fmt.Errorf("%w: %d fields, want %d", ErrBadRow, len(rec), len(s.table.Columns)))
 	}
+	row := s.slab.next(s.i, len(rec))
 	for ci, cell := range rec {
 		if cell == "" {
 			row.Nulls[ci] = true

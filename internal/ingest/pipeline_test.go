@@ -387,3 +387,42 @@ func TestProgressReporting(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectedRowsAtChunkSeams: rows that fail at a cell after their key
+// (255 and 256 end the first 256-row chunk, 257 starts the second, 512
+// ends it) leave no trace in the ids of the rows around them: a lenient
+// load skips exactly those four and builds the graph of the same data
+// without them, from CSV text and from Rows alike.
+func TestRejectedRowsAtChunkSeams(t *testing.T) {
+	s := mustSchema(t, "table item\ncol item id int pk\ncol item name text\ncol item n int\n")
+	bad := map[int]bool{255: true, 256: true, 257: true, 512: true}
+	var all, kept [][]string
+	var csvText strings.Builder
+	csvText.WriteString("id,name,n\n")
+	for i := 1; i <= 600; i++ {
+		row := []string{strconv.Itoa(i), "name" + strconv.Itoa(i), strconv.Itoa(i * 3)}
+		if bad[i] {
+			row[2] = "x" + row[2]
+		} else {
+			kept = append(kept, row)
+		}
+		all = append(all, row)
+		csvText.WriteString(strings.Join(row, ",") + "\n")
+	}
+	want, _, err := Load(context.Background(), s, Options{}, Rows("item", kept))
+	if err != nil {
+		t.Fatalf("Load without the bad rows: %v", err)
+	}
+	for _, src := range []Source{CSVString("item", csvText.String()), Rows("item", all)} {
+		g, rep, err := Load(context.Background(), s, Options{SkipBadRows: true}, src)
+		if err != nil {
+			t.Fatalf("lenient Load: %v", err)
+		}
+		if rep.Skipped != 4 || rep.Rows != 596 {
+			t.Fatalf("report %+v, want 596 rows and 4 skipped", rep)
+		}
+		if got := g.String(); got != want.String() {
+			t.Fatalf("the lenient load built\n%s\nwant the graph without the bad rows\n%s", got, want.String())
+		}
+	}
+}

@@ -203,6 +203,7 @@ type sqliteReader struct {
 	perm       []int
 	rowidAlias int
 	row        int
+	slab       rowSlab
 }
 
 func (r *sqliteReader) Next() (Row, error) {
@@ -214,7 +215,7 @@ func (r *sqliteReader) Next() (Row, error) {
 	if err != nil {
 		return Row{}, rowErr(r.table.Name, r.row, fmt.Errorf("%w: %v", ErrBadRow, err))
 	}
-	row := Row{Num: r.row, Cells: make([]string, len(r.perm)), Nulls: make([]bool, len(r.perm))}
+	row := r.slab.next(r.row, len(r.perm))
 	for ci, fi := range r.perm {
 		switch {
 		case fi == r.rowidAlias && (fi >= len(vals) || nulls[fi]):
